@@ -11,11 +11,11 @@ import pytest
 from repro.codegen import (NestedSwitchGenerator, StatePatternGenerator,
                            StateTableGenerator)
 from repro.compiler import OptLevel, compile_unit
+from repro.exec import InterpreterExecutor, run_scenario
 from repro.experiments.models import \
     hierarchical_machine_with_shadowed_composite
 from repro.experiments.workload import WorkloadSpec, generate_machine
 from repro.optim import optimize
-from repro.semantics import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,8 @@ def big_machine():
 
 def test_bench_interpreter(benchmark, big_machine):
     events = [f"ev{i % 20 + 1}" for i in range(100)]
-    benchmark(lambda: run_scenario(big_machine, events))
+    executor = InterpreterExecutor()
+    benchmark(lambda: run_scenario(executor, big_machine, events))
 
 
 def test_bench_model_optimizer(benchmark, big_machine):

@@ -61,9 +61,8 @@ class EngineSpec:
     they can share the *recipe*: each worker rebuilds its own engine
     from one spec, so every worker gets the same backend topology — in
     particular the same consistent-hash shard set under ``cache_dir``
-    — and the same delta-compile configuration, which is what makes N
-    per-process unit-tier caches behave as one coherent farm over the
-    shared on-disk shards.
+    — which is what makes N per-process unit-tier caches behave as one
+    coherent farm over the shared on-disk shards.
 
     Only spec *strings* are allowed for the backend (live
     :class:`~repro.engine.backends.CacheBackend` objects don't cross
@@ -75,7 +74,6 @@ class EngineSpec:
     cache_dir: Optional[str] = None
     shards: int = 1
     max_bytes: Optional[int] = None
-    delta: bool = True
 
     def __post_init__(self) -> None:
         if self.backend is not None and not isinstance(self.backend, str):
@@ -87,8 +85,7 @@ class EngineSpec:
         return ExperimentEngine(jobs=self.jobs, backend=self.backend,
                                 cache_dir=self.cache_dir,
                                 shards=self.shards,
-                                max_bytes=self.max_bytes,
-                                delta=self.delta)
+                                max_bytes=self.max_bytes)
 
 
 class ExperimentEngine:
@@ -111,8 +108,7 @@ class ExperimentEngine:
                  backend: "Union[CacheBackend, str, None]" = None,
                  cache_dir: Optional[str] = None,
                  shards: int = 1,
-                 max_bytes: Optional[int] = None,
-                 delta: bool = True) -> None:
+                 max_bytes: Optional[int] = None) -> None:
         self.jobs = max(1, int(jobs))
         if cache is not None:
             if backend is not None or cache_dir is not None:
@@ -128,12 +124,11 @@ class ExperimentEngine:
                 raise ValueError(
                     "cache_dir= only applies to backend spec strings")
             self.cache = CompileCache(backend, name="module")
-        #: Route whole-module cache misses through the per-unit delta
-        #: path (:func:`repro.pipeline.compile_machine_delta`)?  The
-        #: unit tier shares the module cache's backend — unit
-        #: fingerprints carry their own kind tag, so the key spaces
-        #: never collide, and a persistent backend persists units too.
-        self.delta = bool(delta)
+        #: Whole-module cache misses compile through this per-unit tier
+        #: (:func:`repro.pipeline.compile_machine_delta`).  It shares the
+        #: module cache's backend — unit fingerprints carry their own
+        #: kind tag, so the key spaces never collide, and a persistent
+        #: backend persists units too.
         self.units = CompileCache(getattr(self.cache, "backend", None),
                                   name="unit")
         self.delta_stats = DeltaStats()
@@ -153,8 +148,8 @@ class ExperimentEngine:
         (structure sharing: units whose lowered IR is unchanged come
         from the unit tier and only the rest recompile) unless
         ``capture_dumps`` asks for whole-program IR snapshots — those
-        are inherently monolithic — or the engine was built with
-        ``delta=False``.  Both paths produce byte-identical modules.
+        are inherently monolithic.  Both paths produce byte-identical
+        modules.
         """
         from ..pipeline import compile_machine as _compile_machine
         from ..pipeline import compile_machine_delta
@@ -162,13 +157,13 @@ class ExperimentEngine:
                                   semantics, capture_dumps)
 
         def compute() -> CompileResult:
-            if self.delta and not capture_dumps:
-                return compile_machine_delta(
-                    machine, pattern=pattern, level=level, target=target,
-                    unit_cache=self.units, stats_out=self.delta_stats)
-            return _compile_machine(machine, pattern=pattern, level=level,
-                                    capture_dumps=capture_dumps,
-                                    target=target)
+            if capture_dumps:
+                return _compile_machine(machine, pattern=pattern,
+                                        level=level, capture_dumps=True,
+                                        target=target)
+            return compile_machine_delta(
+                machine, pattern=pattern, level=level, target=target,
+                unit_cache=self.units, stats_out=self.delta_stats)
 
         sp = _span("engine.compile")
         if sp.recording:
@@ -449,9 +444,6 @@ class ExperimentEngine:
         backend_note = f", backend={backend.name}" if backend is not None \
             else ""
         unit = self.unit_stats
-        unit_note = ""
-        if self.delta or unit.lookups:
-            unit_note = (f"; units: {unit.hits} hits "
-                         f"({unit.disk_hits} disk) / {unit.misses} misses")
         return (f"engine(jobs={self.jobs}{backend_note}): "
-                f"{self.stats.summary()}{unit_note}")
+                f"{self.stats.summary()}; units: {unit.hits} hits "
+                f"({unit.disk_hits} disk) / {unit.misses} misses")

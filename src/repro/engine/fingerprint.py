@@ -43,8 +43,7 @@ from ..uml.statemachine import StateMachine
 __all__ = ["machine_fingerprint", "semantics_key", "target_key",
            "compile_fingerprint", "optimize_fingerprint",
            "equivalence_fingerprint", "conformance_fingerprint",
-           "stimuli_key", "interp_observation_fingerprint",
-           "vm_observation_fingerprint", "fleet_observation_fingerprint",
+           "stimuli_key", "observation_fingerprint",
            "fleet_conformance_fingerprint", "tune_fingerprint"]
 
 
@@ -140,33 +139,25 @@ def stimuli_key(stimuli) -> str:
                       separators=(",", ":"))
 
 
-def interp_observation_fingerprint(machine: StateMachine, stimuli,
-                                   semantics: SemanticsConfig =
-                                   UML_DEFAULT_SEMANTICS) -> str:
-    """Key of one reference-interpreter observation run
-    (:func:`repro.fuzz.observe.observe_interpreter_many`)."""
-    return _digest("interp-observe", machine_fingerprint(machine),
-                   stimuli_key(stimuli), semantics_key(semantics))
+def observation_fingerprint(executor, machine: StateMachine,
+                            stimuli) -> str:
+    """Key of one differential-runner observation run
+    (:func:`repro.exec.cached_observations`).
 
-
-def vm_observation_fingerprint(machine: StateMachine, stimuli,
-                               pattern: str, level: OptLevel,
-                               target: Union[TargetDescription, str, None],
-                               ) -> str:
-    """Key of one compiled-VM observation run
-    (:func:`repro.fuzz.observe.observe_vm_many`)."""
-    return _digest("vm-observe", machine_fingerprint(machine),
-                   stimuli_key(stimuli), pattern, level.value,
-                   target_key(target))
-
-
-def fleet_observation_fingerprint(machine: StateMachine, stimuli,
-                                  semantics: SemanticsConfig =
-                                  UML_DEFAULT_SEMANTICS) -> str:
-    """Key of one fleet-engine observation run
-    (:func:`repro.fuzz.observe.observe_fleet_many`)."""
-    return _digest("fleet-observe", machine_fingerprint(machine),
-                   stimuli_key(stimuli), semantics_key(semantics))
+    The executor's configuration keys it: semantics for the
+    interpreter, semantics and width for the fleet, pattern, level and
+    target for the VM (the fixed-code runtimes implement the UML
+    defaults, so a VM key has no semantics).  It is read by attribute,
+    so the fingerprint layer stays free of exec imports."""
+    if executor.name == "vm":
+        config = (executor.pattern, executor.level.value,
+                  target_key(executor.target))
+    else:
+        config = (semantics_key(executor.semantics),)
+        if executor.name == "fleet":
+            config += (str(executor.n_lanes),)
+    return _digest("observe", executor.name, *config,
+                   machine_fingerprint(machine), stimuli_key(stimuli))
 
 
 def fleet_conformance_fingerprint(machine: StateMachine,

@@ -1,29 +1,35 @@
 """Executor adapters over the three execution backends.
 
 Each adapter owns the backend-specific configuration (semantics for
-the interpreter and fleet, pattern/level/target for the VM) and
-memoizes the scenario-independent compile per machine, keyed weakly so
-machines can be garbage collected.
+the interpreter and fleet, pattern/level/target for the VM), memoizes
+the scenario-independent compile per machine, keyed weakly so machines
+can be garbage collected, and declares the typed errors the
+differential runner (:mod:`repro.exec.runner`) observes instead of
+raising.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Union
 
+from ..codegen.base import CodegenError
 from ..compiler.driver import OptLevel
 from ..compiler.target.description import TargetDescription
 from ..fleet.engine import Fleet
-from ..fleet.table import TableProgram, compile_table
-from ..semantics.runtime import MachineInstance
+from ..fleet.table import (FleetExecutionError, FleetUnsupported,
+                           TableProgram, compile_table)
+from ..semantics.runtime import ExecutionError, MachineInstance
 from ..semantics.trace import Trace
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ..uml.statemachine import StateMachine
-from ..vm.harness import CompiledProgram
+from ..vm.encoding import EncodingError
+from ..vm.harness import CompiledProgram, VmMetrics
+from ..vm.machine import VMError
 from .protocol import Executor, Instance
 
 __all__ = ["InterpreterExecutor", "VMExecutor", "FleetExecutor",
-           "default_executors"]
+           "WideLanes"]
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +70,18 @@ class _InterpreterInstance(Instance):
     def attributes(self) -> Dict[str, int]:
         return dict(self.inner.attributes)
 
+    @property
+    def extra(self) -> int:
+        """Backend extra: the event pool's high-water mark (the
+        generated runtimes hold a single pending event)."""
+        return self.inner.max_pool_depth
+
 
 class InterpreterExecutor(Executor):
     """The reference semantics (:mod:`repro.semantics.runtime`)."""
 
     name = "interp"
+    run_errors = (ExecutionError,)
 
     def __init__(self, semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS
                  ) -> None:
@@ -132,7 +145,7 @@ class _VMInstance(Instance):
                 for name in self.machine.context.attributes}
 
     @property
-    def metrics(self):
+    def extra(self) -> VmMetrics:
         """Backend extra: the simulator's deterministic cost counters."""
         return self._booted().metrics
 
@@ -142,10 +155,18 @@ class VMExecutor(Executor):
 
     ``load`` compiles once per machine (weakly memoized), so a
     conformance sweep over many scenarios assembles one image and boots
-    a fresh simulator per instance.
+    a fresh simulator per instance.  A pattern's documented shape
+    rejection (:class:`~repro.codegen.base.CodegenError`) is a shape
+    error of the load.
     """
 
     name = "vm"
+    run_errors = (VMError, EncodingError)
+    shape_errors = (CodegenError,)
+    #: When set, compiles go through this per-unit cache
+    #: (:mod:`repro.compiler.units`): byte-identical output, and the
+    #: fuzz oracle's mutant chains reuse every unit their edit missed.
+    unit_cache = None
 
     def __init__(self, pattern: str = "nested-switch",
                  level: OptLevel = OptLevel.OS,
@@ -160,7 +181,8 @@ class VMExecutor(Executor):
         program = self._programs.get(machine)
         if program is None:
             program = CompiledProgram(machine, self.pattern,
-                                      level=self.level, target=self.target)
+                                      level=self.level, target=self.target,
+                                      unit_cache=self.unit_cache)
             self._programs[machine] = program
         return program
 
@@ -177,21 +199,38 @@ class VMExecutor(Executor):
 # fleet tables
 # ---------------------------------------------------------------------------
 
-class _FleetInstance(Instance):
-    """Protocol view of lane 0 of a (usually width-1) fleet."""
+class WideLanes(NamedTuple):
+    """The extra of a wide fleet load: the untraced fleet's dispatch
+    accounting, and the first lane whose final flag or attributes
+    differ from the traced lane's (``None`` when every lane agrees)."""
 
-    def __init__(self, program: TableProgram, n_lanes: int, trace: bool,
+    fast_lane_events: int
+    scalar_lane_events: int
+    disagreement: Optional[str]
+
+
+class _FleetInstance(Instance):
+    """One traced lane (the scalar path); with ``n_lanes > 1`` an
+    untraced fleet that wide takes the same events (the vectorized
+    path)."""
+
+    def __init__(self, program: TableProgram, n_lanes: int,
                  externals: Optional[Mapping[str, Callable]]) -> None:
         self.machine = program.machine
-        self.fleet = Fleet(program, n_lanes, externals=externals,
-                           trace=trace)
+        self.fleet = Fleet(program, 1, externals=externals, trace=True)
+        self.wide = (Fleet(program, n_lanes, externals=externals)
+                     if n_lanes > 1 else None)
 
     def start(self) -> "Instance":
         self.fleet.start()
+        if self.wide is not None:
+            self.wide.start()
         return self
 
     def dispatch(self, event: object, payload: int = 0) -> "Instance":
         self.fleet.dispatch_all(event)
+        if self.wide is not None:
+            self.wide.dispatch_all(event)
         return self
 
     @property
@@ -213,23 +252,49 @@ class _FleetInstance(Instance):
     def attributes(self) -> Dict[str, int]:
         return self.fleet.attributes_of(0)
 
+    @property
+    def extra(self) -> Optional[WideLanes]:
+        """Backend extra of a wide load (see :class:`WideLanes`)."""
+        wide = self.wide
+        if wide is None:
+            return None
+        final, attributes = self.in_final, self.attributes()
+        disagreement = None
+        for lane in range(wide.n):
+            if wide.lane_in_final(lane) != final:
+                disagreement = (f"lane {lane}: final-state mismatch on "
+                                "vectorized path")
+                break
+            if wide.attributes_of(lane) != attributes:
+                disagreement = (f"lane {lane}: attribute mismatch on "
+                                f"vectorized path ({wide.attributes_of(lane)}"
+                                f" != {attributes})")
+                break
+        return WideLanes(wide.stats.fast_lane_events,
+                         wide.stats.scalar_lane_events, disagreement)
+
 
 class FleetExecutor(Executor):
     """The vectorized table engine (:mod:`repro.fleet`).
 
-    Through the protocol an instance is lane 0 of an ``n_lanes``-wide
-    fleet (default 1); wider loads step every lane with the same
-    events, which is how the conformance suite cross-checks the
-    vectorized path against the scalar one.
+    Through the protocol an instance is one traced lane, which runs the
+    scalar run-to-completion path.  ``n_lanes > 1`` also steps an
+    untraced fleet that wide with the same events, and the instance's
+    extra reports whether every vectorized lane landed where the traced
+    one did — how the conformance suite cross-checks the vectorized
+    path against the scalar one.  Shapes outside the table engine's
+    subset (:class:`~repro.fleet.table.FleetUnsupported`) are shape
+    errors of the load.
     """
 
     name = "fleet"
+    run_errors = (FleetExecutionError,)
+    shape_errors = (FleetUnsupported,)
 
     def __init__(self, semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS,
-                 n_lanes: int = 1, trace: bool = True) -> None:
+                 n_lanes: int = 1) -> None:
         self.semantics = semantics
         self.n_lanes = n_lanes
-        self.trace = trace
         self._tables: "weakref.WeakKeyDictionary[StateMachine, TableProgram]" = \
             weakref.WeakKeyDictionary()
 
@@ -244,16 +309,7 @@ class FleetExecutor(Executor):
              externals: Optional[Mapping[str, Callable]] = None
              ) -> Instance:
         return _FleetInstance(self.table_for(machine), self.n_lanes,
-                              self.trace, externals)
+                              externals)
 
     def describe(self) -> str:
         return f"fleet[n={self.n_lanes}]"
-
-
-def default_executors() -> Dict[str, Executor]:
-    """The three stock executors under their protocol names."""
-    return {
-        "interp": InterpreterExecutor(),
-        "vm": VMExecutor(),
-        "fleet": FleetExecutor(),
-    }

@@ -11,10 +11,10 @@ and pass it around as a value.
 from __future__ import annotations
 
 import abc
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple, Type)
 
-from ..semantics.trace import Trace, TraceRecord
+from ..semantics.trace import Trace
 from ..uml.events import Event
 from ..uml.statemachine import StateMachine
 
@@ -80,11 +80,12 @@ class Instance(abc.ABC):
     def attributes(self) -> Dict[str, int]:
         """Current context-attribute values."""
 
-    def step(self, event: object, payload: int = 0) -> List[TraceRecord]:
-        """Dispatch one event, return only the records it produced."""
-        before = len(self.trace.records)
-        self.dispatch(event, payload)
-        return list(self.trace.records[before:])
+    @property
+    def extra(self) -> Any:
+        """What the backend measured beside the behaviour: carried on
+        the differential runner's observations, never compared
+        (``None`` when the backend measures nothing more)."""
+        return None
 
     def run_scenario(self, stimuli: Iterable[object]) -> "Instance":
         """Start (if needed) and dispatch every stimulus event in
@@ -114,6 +115,14 @@ class Executor(abc.ABC):
     #: Short stable name ("interp", "vm", "fleet") used in oracle cell
     #: ids and reports.
     name: str = "?"
+    #: Typed errors a run may raise (step budget exceeded, simulator
+    #: fault); the differential runner observes them as the run's
+    #: ``error`` instead of raising.
+    run_errors: Tuple[Type[Exception], ...] = ()
+    #: Errors :meth:`load` raises for a machine shape the backend
+    #: documents as outside its subset; the runner observes them as
+    #: ``unsupported: ...``, a feature gap rather than a divergence.
+    shape_errors: Tuple[Type[Exception], ...] = ()
 
     @abc.abstractmethod
     def load(self, machine: StateMachine, *,
@@ -129,13 +138,7 @@ def run_scenario(executor: Executor, machine: StateMachine,
                  stimuli: Iterable[object], *,
                  externals: Optional[Mapping[str, Callable]] = None
                  ) -> Instance:
-    """THE scenario entry point: load, start, dispatch, return.
-
-    Replaces the per-backend helpers (interpreter
-    ``run_scenario(machine, events, config)``, VM
-    ``run_vm_scenario(machine, events, pattern, level)``) whose
-    argument orders never agreed; those remain as deprecation shims
-    over this function.
-    """
+    """THE scenario entry point: load, start, dispatch, return — one
+    argument order for every backend."""
     instance = executor.load(machine, externals=externals)
     return instance.run_scenario(stimuli)

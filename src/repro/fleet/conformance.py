@@ -1,17 +1,16 @@
 """Differential conformance: the fleet engine vs. the reference
 semantics.
 
-Two checks per scenario, because the fleet has two execution paths:
+One :mod:`repro.exec` differential run covers both of the fleet's
+execution paths:
 
-* **traced lane** — a width-1 traced fleet (scalar path) must produce
-  a trace `observable_equal` to the interpreter's, plus final-state
-  agreement;
-* **vectorized fleet** — a wide, untraced fleet (static cells advance
-  by masked stores) must put *every* lane in the interpreter's final
-  configuration with the interpreter's attribute values.
-
-Both run through the :class:`repro.exec` protocol — the conformance
-grid is itself a caller of the redesigned API.
+* **traced lane** — the fleet executor's traced lane (scalar path) must
+  match the interpreter by the runner's one rule: observable payloads,
+  final state, termination;
+* **vectorized fleet** — the executor's wide-lane extra: every lane of
+  a wide, untraced fleet (static cells advance by masked stores) fed
+  the same events must land in the traced lane's final configuration
+  with its attribute values.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..semantics.runtime import ExecutionError
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ..uml.statemachine import StateMachine
-from .engine import Fleet
-from .table import FleetExecutionError, FleetUnsupported, compile_table
+from .table import FleetUnsupported
 
 __all__ = ["FleetConformanceReport", "check_fleet_conformance"]
 
@@ -76,68 +73,28 @@ def check_fleet_conformance(machine: StateMachine,
     """Run every scenario on interpreter + fleet (both paths)."""
     # Imported here, not at module top: repro.exec adapts this package,
     # so a top-level import would be circular.
-    from ..exec.adapters import FleetExecutor, InterpreterExecutor
-    from ..exec.protocol import run_scenario
+    from ..exec import FleetExecutor, InterpreterExecutor, diff, observe
     report = FleetConformanceReport(machine_name=machine.name,
                                     wide_lanes=wide_lanes)
     if scenarios is None:
         from ..vm.conformance import conformance_scenarios
         scenarios = conformance_scenarios(machine)
+    executor = FleetExecutor(semantics, n_lanes=wide_lanes)
     try:
-        table = compile_table(machine, semantics)
+        executor.table_for(machine)
     except FleetUnsupported as exc:
         report.unsupported = str(exc)
         return report
-    interp = InterpreterExecutor(semantics)
-    traced = FleetExecutor(semantics)
-    traced._tables[machine] = table     # share the compile
-
-    for events in scenarios:
-        report.scenarios_run += 1
-        try:
-            ref = run_scenario(interp, machine, events)
-        except ExecutionError as exc:
-            report.mismatches.append((tuple(events),
-                                      f"interpreter raised: {exc}"))
-            continue
-        try:
-            lane = run_scenario(traced, machine, events)
-        except FleetExecutionError as exc:
-            report.mismatches.append((tuple(events),
-                                      f"fleet raised: {exc}"))
-            continue
-        if ref.trace.observable_payloads() != \
-                lane.trace.observable_payloads():
-            report.mismatches.append((tuple(events),
-                                      "observable trace mismatch"))
-            continue
-        if ref.in_final != lane.in_final:
-            report.mismatches.append((tuple(events),
-                                      "final-state mismatch"))
-            continue
-        # Vectorized path: every lane of a wide, untraced fleet must
-        # land exactly where the interpreter did.
-        try:
-            wide = Fleet(table, wide_lanes).start()
-            for event in events:
-                wide.dispatch_all(event)
-        except FleetExecutionError as exc:
-            report.mismatches.append((tuple(events),
-                                      f"wide fleet raised: {exc}"))
-            continue
-        report.fast_lane_events += wide.stats.fast_lane_events
-        report.scalar_lane_events += wide.stats.scalar_lane_events
-        expected_attrs = ref.attributes()
-        for l in range(wide.n):
-            if wide.lane_in_final(l) != ref.in_final:
-                report.mismatches.append(
-                    (tuple(events), f"lane {l}: final-state mismatch "
-                     "on vectorized path"))
-                break
-            if wide.attributes_of(l) != expected_attrs:
-                report.mismatches.append(
-                    (tuple(events), f"lane {l}: attribute mismatch on "
-                     f"vectorized path ({wide.attributes_of(l)} != "
-                     f"{expected_attrs})"))
-                break
+    reference = observe(InterpreterExecutor(semantics), machine, scenarios)
+    observed = observe(executor, machine, scenarios)
+    report.scenarios_run = len(scenarios)
+    mismatched = dict(diff(reference, observed))
+    for index, (events, obs) in enumerate(zip(scenarios, observed)):
+        reason = mismatched.get(index)
+        if reason is None and obs.extra is not None:
+            report.fast_lane_events += obs.extra.fast_lane_events
+            report.scalar_lane_events += obs.extra.scalar_lane_events
+            reason = obs.extra.disagreement
+        if reason is not None:
+            report.mismatches.append((tuple(events), reason))
     return report

@@ -22,8 +22,6 @@ from .case import FuzzCase, Stimulus
 from .corpus import Corpus, ReplayOutcome, entry_from_json, entry_to_json
 from .generate import (DEFAULT_PROFILES, FuzzProfile, generate_case,
                        random_machine, random_stimulus)
-from .observe import (Observation, observe_interpreter_many,
-                      observe_vm_many)
 from .oracle import (CaseResult, DifferentialOracle, Divergence,
                      MODEL_OPT_EXECUTOR, OracleConfig)
 from .runner import CoverageMap, FuzzReport, FuzzRunner, FuzzStats
@@ -34,7 +32,6 @@ __all__ = [
     "Corpus", "ReplayOutcome", "entry_from_json", "entry_to_json",
     "DEFAULT_PROFILES", "FuzzProfile", "generate_case", "random_machine",
     "random_stimulus",
-    "Observation", "observe_interpreter_many", "observe_vm_many",
     "CaseResult", "DifferentialOracle", "Divergence",
     "MODEL_OPT_EXECUTOR", "OracleConfig",
     "CoverageMap", "FuzzReport", "FuzzRunner", "FuzzStats",

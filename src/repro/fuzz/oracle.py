@@ -7,16 +7,18 @@ stimulus through
 2. the **model-optimizer executor**: the interpreter on the optimized
    clone (default pipeline — or the deliberately broken pipeline when
    ``inject_bug``/an explicit ``model_selection`` says so);
-3. one **compiled VM per grid cell**: pattern × optimization level ×
+3. the **fleet**: the vectorized table engine on the case machine;
+4. one **compiled VM per grid cell**: pattern × optimization level ×
    target, generated, compiled, assembled and executed on the ISA
    simulator.
 
-and compares the :class:`~repro.fuzz.observe.Observation` of every
-executor against the reference.  All executor runs go through the
-:class:`~repro.engine.ExperimentEngine` — content-addressed caching
-dedupes repeated (machine, stimuli, cell) work across cases, shrink
-attempts and corpus replays, and ``engine.map`` runs the grid on the
-engine's worker pool.
+Each executor run is one :func:`repro.exec.cached_observations` call —
+the :mod:`repro.exec` differential runner behind the
+:class:`~repro.engine.ExperimentEngine`'s content-addressed cache,
+which dedupes repeated (machine, stimuli, executor) work across cases,
+shrink attempts and corpus replays; ``engine.map`` runs the grid on the
+engine's worker pool.  Every executor is judged against the reference
+by the runner's one rule (:func:`repro.exec.diff`).
 
 Cases whose *reference* run is not well defined (the interpreter raises
 — unguarded completion cycles, emit storms past the RTC budget — or an
@@ -31,7 +33,7 @@ cross-region transitions under nested-switch) is counted as skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.driver import OptLevel
 from ..engine import ExperimentEngine
@@ -39,8 +41,9 @@ from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ..uml.statemachine import StateMachine
 from .bugs import INJECTED_PIPELINE, buggy_pass_manager
 from .case import FuzzCase
-from .observe import (Observation, cached_fleet_observations,
-                      cached_interp_observations, cached_vm_observations)
+
+if TYPE_CHECKING:
+    from ..exec import Executor, Observation
 
 __all__ = ["OracleConfig", "Divergence", "CaseResult",
            "DifferentialOracle", "MODEL_OPT_EXECUTOR", "FLEET_EXECUTOR",
@@ -238,11 +241,16 @@ class DifferentialOracle:
                                           semantics=self.semantics).optimized
 
     def run_case(self, case: FuzzCase) -> CaseResult:
+        # Imported here: the fleet executor pulls in NumPy, which
+        # importing the fuzz package should not pay for.
+        from ..exec import (FleetExecutor, InterpreterExecutor, VMExecutor,
+                            cached_observations, diff)
         result = CaseResult(case=case,
                             coverage=_case_coverage_shape(case))
         stimuli = case.plain_stimuli()
-        reference = cached_interp_observations(self.engine, case.machine,
-                                               stimuli, self.semantics)
+        interp = InterpreterExecutor(self.semantics)
+        reference = cached_observations(self.engine, interp, case.machine,
+                                        stimuli)
         result.coverage = result.coverage + _observation_coverage(reference)
 
         # Csmith-style screen: only judge fully defined references.
@@ -258,49 +266,42 @@ class DifferentialOracle:
                                         "assigned value exceeds the 32-bit "
                                         "agreement range")
                 return result
-            if obs.pool_depth > 1:
+            if obs.extra > 1:   # the interpreter's pool high-water mark
                 result.status = "rejected"
                 result.reject_reason = (
                     f"reference stimulus {index}: queues "
-                    f"{obs.pool_depth} pending events (the generated "
+                    f"{obs.extra} pending events (the generated "
                     "runtimes hold a single-slot pool)")
                 return result
 
-        executors: List[Tuple[str, Any]] = []
+        runs: List[Tuple[str, Executor, StateMachine]] = []
         if self.config.check_optimized:
-            optimized = self._optimized_machine(case.machine)
-            executors.append((
-                MODEL_OPT_EXECUTOR,
-                lambda optimized=optimized: cached_interp_observations(
-                    self.engine, optimized, stimuli, self.semantics)))
+            runs.append((MODEL_OPT_EXECUTOR, interp,
+                         self._optimized_machine(case.machine)))
         if self.config.check_fleet:
-            executors.append((
-                FLEET_EXECUTOR,
-                lambda: cached_fleet_observations(
-                    self.engine, case.machine, stimuli, self.semantics)))
+            runs.append((FLEET_EXECUTOR, FleetExecutor(self.semantics),
+                         case.machine))
         for pattern, level, target in self.config.cells():
-            executors.append((
-                _vm_executor_id(pattern, level, target),
-                lambda p=pattern, l=level, t=target:
-                    cached_vm_observations(self.engine, case.machine,
-                                           stimuli, pattern=p, level=l,
-                                           target=t)))
+            vm = VMExecutor(pattern, level=level, target=target)
+            # Mutant chains share most units: compile on the engine's
+            # unit tier.
+            vm.unit_cache = self.engine.units
+            runs.append((_vm_executor_id(pattern, level, target), vm,
+                         case.machine))
 
-        observations = self.engine.map(lambda item: item[1](), executors)
-        for (executor, _), observed in zip(executors, observations):
-            if all(obs.unsupported for obs in observed) and observed:
+        observations = self.engine.map(
+            lambda run: cached_observations(self.engine, run[1], run[2],
+                                            stimuli), runs)
+        for (name, _, _), observed in zip(runs, observations):
+            if observed and all(obs.unsupported for obs in observed):
                 result.cells_skipped += 1
                 continue
             result.executors_run += 1
             result.coverage = result.coverage + \
                 _observation_coverage(observed)
-            for index, (ref, obs) in enumerate(zip(reference, observed)):
-                if not obs.ok:
-                    result.divergences.append(Divergence(
-                        executor, index, f"executor raised: {obs.error}"))
-                elif not ref.matches(obs):
-                    result.divergences.append(Divergence(
-                        executor, index, ref.first_difference(obs)))
+            result.divergences.extend(
+                Divergence(name, index, reason)
+                for index, reason in diff(reference, observed))
         if result.divergences:
             result.status = "diverged"
         return result

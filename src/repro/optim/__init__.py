@@ -6,15 +6,13 @@ Main public names: :func:`optimize` / :class:`PassManager` /
 optimized clone), the pass classes (:class:`RemoveUnreachableStates`,
 :class:`RemoveShadowedTransitions`, :class:`RemoveDeadComposites`, …),
 :func:`suggest_optimizations` / :func:`auto_optimize` (the advisor),
-and the preservation checks: :func:`check_equivalence` (model vs.
-model, on the interpreter) and :func:`check_codegen_conformance`
-(model vs. generated code *executed* on the :mod:`repro.vm`
-simulator).
+and the preservation check :func:`check_equivalence` (model vs. model
+on the interpreter, through the :mod:`repro.exec` differential runner).
 """
 
 from .advisor import Suggestion, auto_optimize, suggest_optimizations
-from .equivalence import (EquivalenceReport, check_codegen_conformance,
-                          check_equivalence, make_scenarios)
+from .equivalence import (EquivalenceReport, check_equivalence,
+                          make_scenarios)
 from .manager import (DEFAULT_PIPELINE, OptimizationReport, PassManager,
                       default_pass_catalog, optimize)
 from .pass_base import ModelPass, PassResult
@@ -25,7 +23,7 @@ from .passes import (FlattenTrivialComposites, MergeFinalStates,
 
 __all__ = [
     "Suggestion", "auto_optimize", "suggest_optimizations",
-    "EquivalenceReport", "check_codegen_conformance", "check_equivalence",
+    "EquivalenceReport", "check_equivalence",
     "make_scenarios",
     "DEFAULT_PIPELINE", "OptimizationReport", "PassManager",
     "default_pass_catalog", "optimize",

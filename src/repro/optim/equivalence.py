@@ -5,24 +5,19 @@ The paper positions model optimization as *refactoring*: a transformation
 one by keeping unchanged its behavior" (§V).  This module checks that
 property empirically: it executes the original and the optimized machine
 side by side on event scenarios (exhaustive short sequences over the
-alphabet plus pseudo-random long ones) and compares the *observable*
-traces — external calls, attribute assignments and emitted events.
-State entries/exits are internal and may legitimately differ (that is the
-point of removing dead states).
+alphabet plus pseudo-random long ones) and compares them by the one rule
+of the :mod:`repro.exec` differential runner: the *observable* traces
+(external calls, attribute assignments and emitted events) plus the
+final and terminated flags.  State entries/exits are internal and may
+legitimately differ (that is the point of removing dead states).
 
 This is a bounded check, not a proof; with exhaustive depth-k scenarios
 it is exact for machines whose guards only depend on event history, which
 covers every model in the paper and the generated workloads.
 
-Two behaviour-preservation questions live here:
-
-* **model vs. model** (:func:`check_equivalence`) — did a model
-  optimization change observable behavior?
-* **model vs. compiled code** (:func:`check_codegen_conformance`) — does
-  the generated code, compiled to a target and *executed on the ISA
-  simulator*, behave like the reference interpreter?  This delegates to
-  :mod:`repro.vm.conformance` and extends the refactoring guarantee down
-  through the whole toolchain.
+The same question one layer down — does the generated code, compiled
+and *executed on the ISA simulator*, behave like the model? — is
+:func:`repro.vm.check_vm_conformance`.
 """
 
 from __future__ import annotations
@@ -32,13 +27,10 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..semantics.runtime import ExecutionError
-from ..semantics.trace import observable_equal
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ..uml.statemachine import StateMachine
 
-__all__ = ["EquivalenceReport", "check_equivalence", "make_scenarios",
-           "check_codegen_conformance"]
+__all__ = ["EquivalenceReport", "check_equivalence", "make_scenarios"]
 
 
 @dataclass
@@ -90,56 +82,16 @@ def check_equivalence(original: StateMachine, optimized: StateMachine,
     """Compare the two machines' observable behavior over scenarios built
     from the **original** machine's alphabet (the optimized machine may
     have dropped unused events — it must still *react* identically, i.e.
-    ignore them)."""
+    ignore them).  The original is the reference side of the diff."""
     if scenarios is None:
         scenarios = make_scenarios(original, exhaustive_depth=exhaustive_depth,
                                    n_random=n_random,
                                    random_length=random_length, seed=seed)
-    from ..exec.adapters import InterpreterExecutor
-    from ..exec.protocol import run_scenario
+    from ..exec import InterpreterExecutor, diff, observe
     interp = InterpreterExecutor(semantics)
-    report = EquivalenceReport()
-    for events in scenarios:
-        report.scenarios_run += 1
-        try:
-            a = run_scenario(interp, original, events).inner
-        except ExecutionError as exc:
-            report.mismatches.append((tuple(events),
-                                      f"original raised: {exc}"))
-            continue
-        try:
-            b = run_scenario(interp, optimized, events).inner
-        except ExecutionError as exc:
-            report.mismatches.append((tuple(events),
-                                      f"optimized raised: {exc}"))
-            continue
-        if not observable_equal(a.trace, b.trace):
-            report.mismatches.append((tuple(events), "trace mismatch"))
-        elif a.in_final != b.in_final or a.is_terminated != b.is_terminated:
-            report.mismatches.append((tuple(events),
-                                      "termination status mismatch"))
-    return report
-
-
-def check_codegen_conformance(machine: StateMachine,
-                              pattern: str = "nested-switch",
-                              level=None, target=None,
-                              semantics: SemanticsConfig =
-                              UML_DEFAULT_SEMANTICS,
-                              scenarios: Optional[Sequence[Tuple[str, ...]]]
-                              = None):
-    """Check that *machine*'s generated+compiled code, executed on the
-    ISA simulator, is observationally equivalent to the interpreter.
-
-    Thin entry point over :func:`repro.vm.check_vm_conformance` (the
-    import is deferred so the optimizer does not pull in the compiler
-    stack unless conformance is actually requested).  *level* defaults
-    to ``-Os``, the paper's measurement level.  Returns a
-    :class:`repro.vm.ConformanceReport`.
-    """
-    from ..compiler.driver import OptLevel
-    from ..vm.conformance import check_vm_conformance
-    return check_vm_conformance(
-        machine, pattern=pattern,
-        level=OptLevel.OS if level is None else level,
-        target=target, semantics=semantics, scenarios=scenarios)
+    mismatches = diff(observe(interp, original, scenarios),
+                      observe(interp, optimized, scenarios))
+    return EquivalenceReport(
+        scenarios_run=len(scenarios),
+        mismatches=[(tuple(scenarios[index]), reason)
+                    for index, reason in mismatches])

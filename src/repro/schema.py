@@ -30,8 +30,10 @@ __all__ = ["SCHEMA_VERSION", "schema_stamp"]
 #: Generation counter of the engine's cached result schemas.  Bump on
 #: any change that alters what a cached artifact deserializes to.
 #: Generation 2: fuzz Observations (pool_depth field) + expression-call
-#: tracing in interpreter traces.
-SCHEMA_VERSION = 2
+#: tracing in interpreter traces.  Generation 3: Observation moved to
+#: repro.exec (the pool depth became its per-executor ``extra``) and the
+#: observation caches share one fingerprint kind.
+SCHEMA_VERSION = 3
 
 
 def schema_stamp() -> str:

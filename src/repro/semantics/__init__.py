@@ -1,8 +1,9 @@
 """Executable semantics: variation points, interpreter, traces.
 
 The reference behavior every implementation is judged against.  Main
-public names: :class:`MachineInstance` / :func:`run_scenario` (the
-run-to-completion interpreter), :class:`SemanticsConfig` and its
+public names: :class:`MachineInstance` (the run-to-completion
+interpreter; scenarios run through :func:`repro.exec.run_scenario`),
+:class:`SemanticsConfig` and its
 variation-point enums (:class:`EventPoolPolicy`,
 :class:`UnconsumedPolicy`, :class:`ConflictPolicy`) with
 :data:`UML_DEFAULT_SEMANTICS`, and :class:`Trace` /
@@ -11,13 +12,13 @@ the observable-trace equality that defines behavioral equivalence for
 :mod:`repro.optim` and :mod:`repro.vm` alike.
 """
 
-from .runtime import ExecutionError, MachineInstance, run_scenario
+from .runtime import ExecutionError, MachineInstance
 from .trace import Trace, TraceKind, TraceRecord, observable_equal
 from .variation import (ConflictPolicy, EventPoolPolicy, SemanticsConfig,
                         UnconsumedPolicy, UML_DEFAULT_SEMANTICS)
 
 __all__ = [
-    "ExecutionError", "MachineInstance", "run_scenario",
+    "ExecutionError", "MachineInstance",
     "Trace", "TraceKind", "TraceRecord", "observable_equal",
     "ConflictPolicy", "EventPoolPolicy", "SemanticsConfig",
     "UnconsumedPolicy", "UML_DEFAULT_SEMANTICS",

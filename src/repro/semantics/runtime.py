@@ -32,7 +32,7 @@ from .trace import Trace, TraceKind
 from .variation import (ConflictPolicy, EventPoolPolicy, SemanticsConfig,
                         UnconsumedPolicy, UML_DEFAULT_SEMANTICS)
 
-__all__ = ["MachineInstance", "ExecutionError", "run_scenario"]
+__all__ = ["MachineInstance", "ExecutionError"]
 
 
 class ExecutionError(Exception):
@@ -528,30 +528,3 @@ class MachineInstance:
                 "run-to-completion step budget exceeded "
                 f"({self.config.max_run_to_completion_steps}); "
                 "the model likely has an unguarded completion cycle")
-
-
-def run_scenario(machine: StateMachine, events: Sequence[object],
-                 config: SemanticsConfig = UML_DEFAULT_SEMANTICS,
-                 externals: Optional[Mapping[str, Callable]] = None,
-                 ) -> MachineInstance:
-    """Start *machine*, dispatch *events* in order, return the instance.
-
-    .. deprecated::
-        Thin shim over the :mod:`repro.exec` protocol — new callers
-        should use ``repro.exec.run_scenario(InterpreterExecutor(config),
-        machine, events)``, which works unchanged across all backends.
-    """
-    import warnings
-    warnings.warn(
-        "repro.semantics.runtime.run_scenario is deprecated; use "
-        "repro.exec.run_scenario(InterpreterExecutor(config), machine, "
-        "events) instead", DeprecationWarning, stacklevel=2)
-    from ..exec.adapters import InterpreterExecutor
-    adapter = InterpreterExecutor(config).load(machine,
-                                               externals=externals)
-    adapter.start()
-    for event in events:
-        if adapter.is_terminated:
-            break
-        adapter.dispatch(event)
-    return adapter.inner

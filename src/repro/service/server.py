@@ -71,6 +71,10 @@ __all__ = ["BusyRejection", "ClientStats", "CompileService",
 _JOB_PARAM_KEYS = ("machine", "pattern", "level", "target", "semantics",
                    "want_asm", "chaos")
 
+#: The wire operations.  Metric labels and span names use these, and
+#: ``invalid`` for anything else, so client input cannot mint series.
+_OPS = ("ping", "stats", "metrics", "compile", "batch")
+
 
 class BusyRejection(Exception):
     """The bounded queue cannot admit this request right now."""
@@ -198,6 +202,7 @@ class CompileService:
         self.totals.requests += 1
         request_id = None
         op: Any = None
+        label = "invalid"
         span = NOOP_SPAN
         remote: Optional[SpanContext] = None
         started = time.perf_counter()
@@ -205,19 +210,20 @@ class CompileService:
             message = decode_message(line)
             request_id = message.get("id")
             op = message.get("op")
+            label = op if op in _OPS else "invalid"
             # Re-parent this request under the client's span when the
             # message carries a trace context (a recording remote parent
             # always records); otherwise the server samples on its own.
             remote = SpanContext.from_wire(message.get("trace"))
             tracer = get_tracer()
-            span = tracer.span(f"service.{op}", parent=remote) \
-                if remote is not None else tracer.span(f"service.{op}")
+            span = tracer.span(f"service.{label}", parent=remote) \
+                if remote is not None else tracer.span(f"service.{label}")
             result = await self._dispatch(op, message, name, client, span)
         except BusyRejection as busy:
             client.busy += 1
             self.totals.busy += 1
             self.metrics.reject()
-            self.metrics.observe(str(op), time.perf_counter() - started,
+            self.metrics.observe(label, time.perf_counter() - started,
                                  "busy")
             return self._finish_span(span, remote, "busy", {
                 "id": request_id, "ok": False, "busy": True,
@@ -225,12 +231,12 @@ class CompileService:
         except Exception as exc:
             client.errors += 1
             self.totals.errors += 1
-            self.metrics.observe(str(op) if op else "invalid",
-                                 time.perf_counter() - started, "error")
+            self.metrics.observe(label, time.perf_counter() - started,
+                                 "error")
             return self._finish_span(span, remote, "error", {
                 "id": request_id, "ok": False,
                 "error": f"{type(exc).__name__}: {exc}"})
-        self.metrics.observe(str(op), time.perf_counter() - started, "ok")
+        self.metrics.observe(label, time.perf_counter() - started, "ok")
         return self._finish_span(span, remote, "ok", {
             "id": request_id, "ok": True, "result": result})
 
@@ -624,7 +630,6 @@ class ServiceThread:
                  shards: int = 1,
                  cache_dir: Optional[str] = None,
                  backend: Optional[str] = None,
-                 delta: bool = True,
                  engine_spec: Optional[EngineSpec] = None,
                  queue_limit: Optional[int] = None,
                  allow_chaos: bool = False,
@@ -632,11 +637,11 @@ class ServiceThread:
         self.workers = max(0, int(workers))
         if self.workers > 0 and engine_spec is None:
             engine_spec = EngineSpec(backend=backend, cache_dir=cache_dir,
-                                     shards=shards, delta=delta)
+                                     shards=shards)
         if self.workers == 0 and engine is None and \
                 (cache_dir or backend or shards > 1):
             engine = ExperimentEngine(backend=backend, cache_dir=cache_dir,
-                                      shards=shards, delta=delta)
+                                      shards=shards)
         self.engine = engine
         self.engine_spec = engine_spec
         self.queue_limit = queue_limit

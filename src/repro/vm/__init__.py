@@ -14,8 +14,8 @@ cost* can be measured too.  Main public names:
 * :class:`~.machine.Machine` — the cycle-counting in-order simulator
   (registers, flat memory, stack, ABI argument bank, watchpoints);
 * :class:`~.harness.CompiledProgram` /
-  :class:`~.harness.CompiledMachineVM` / :func:`~.harness.run_vm_scenario`
-  — the event-queue harness feeding a compiled machine the same
+  :class:`~.harness.CompiledMachineVM` — the event-queue harness
+  feeding a compiled machine the same
   ``Event`` sequences the UML interpreter consumes, reconstructing a
   :class:`~repro.semantics.trace.Trace` and :class:`~.harness.VmMetrics`;
 * :func:`~.conformance.check_vm_conformance` /
@@ -27,8 +27,7 @@ cost* can be measured too.  Main public names:
 from .conformance import (ConformanceReport, check_vm_conformance,
                           conformance_scenarios)
 from .encoding import EncodingError, OperandPool, TargetEncoding
-from .harness import (CompiledMachineVM, CompiledProgram, VmMetrics,
-                      run_vm_scenario)
+from .harness import CompiledMachineVM, CompiledProgram, VmMetrics
 from .image import (DATA_BASE, HALT_ADDRESS, STACK_BASE, TEXT_BASE, Image,
                     assemble)
 from .machine import Machine, VMError, cycle_cost
@@ -36,7 +35,7 @@ from .machine import Machine, VMError, cycle_cost
 __all__ = [
     "ConformanceReport", "check_vm_conformance", "conformance_scenarios",
     "EncodingError", "OperandPool", "TargetEncoding",
-    "CompiledMachineVM", "CompiledProgram", "VmMetrics", "run_vm_scenario",
+    "CompiledMachineVM", "CompiledProgram", "VmMetrics",
     "Image", "assemble", "TEXT_BASE", "DATA_BASE", "STACK_BASE",
     "HALT_ADDRESS",
     "Machine", "VMError", "cycle_cost",

@@ -2,13 +2,14 @@
 
 The paper's refactoring argument needs the generated, compiled code to
 *behave* like the model, not merely be smaller.  This module checks that
-end to end: for each event scenario it runs the UML interpreter
-(:func:`repro.semantics.runtime.run_scenario`) and the compiled machine
-on the ISA simulator (:mod:`repro.vm.harness`), and compares the
-**observable traces** — external calls with argument values, context
-attribute assignments, events emitted to self — plus final-state
-agreement.  A machine passes when every scenario matches for the chosen
-codegen pattern x optimization level x target.
+end to end with the :mod:`repro.exec` differential runner: for each
+event scenario it observes the UML interpreter and the compiled machine
+on the ISA simulator (:mod:`repro.vm.harness`) and compares them by the
+runner's one rule — the **observable traces** (external calls with
+argument values, context attribute assignments, events emitted to
+self), plus final-state and termination agreement.  A machine passes
+when every scenario matches for the chosen codegen pattern x
+optimization level x target.
 
 The generated runtimes implement the semantics the paper fixes before
 generating code (UML defaults: FIFO-equivalent single-slot pool,
@@ -18,9 +19,10 @@ different config checks how far the fixed-code semantics diverge from
 that variation instead.
 
 Because the simulator also counts cycles, a conformance run doubles as
-the dynamic measurement: the report aggregates instructions, cycles per
-dispatched event and peak dispatch latency over all scenarios — all
-deterministic, simulated quantities.
+the dynamic measurement: every VM observation carries its cycle
+accounting as the runner's per-executor extra, and the report
+aggregates instructions, cycles per dispatched event and peak dispatch
+latency over all scenarios — all deterministic, simulated quantities.
 """
 
 from __future__ import annotations
@@ -31,11 +33,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..compiler.driver import OptLevel
 from ..compiler.target.description import TargetDescription
 from ..compiler.target.registry import resolve_target
-from ..semantics.runtime import ExecutionError
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ..uml.statemachine import StateMachine
-from .encoding import EncodingError
-from .machine import VMError
 
 __all__ = ["ConformanceReport", "check_vm_conformance",
            "conformance_scenarios"]
@@ -122,20 +121,19 @@ def check_vm_conformance(machine: StateMachine,
                          ) -> ConformanceReport:
     """Execute compiled code against the interpreter on every scenario.
 
-    Both backends run through the :mod:`repro.exec` protocol: the
-    reference via :class:`~repro.exec.InterpreterExecutor`, the
-    compiled code via :class:`~repro.exec.VMExecutor` (which memoizes
-    the compile, so the sweep still assembles one image and boots a
-    fresh simulator per scenario).
+    One :mod:`repro.exec` differential run: the reference observed on
+    :class:`~repro.exec.InterpreterExecutor`, the compiled code on
+    :class:`~repro.exec.VMExecutor` (one compile, a fresh simulator
+    boot per scenario), compared by :func:`repro.exec.diff`.  The
+    dynamic metrics sum the VM observations' extras over the scenarios
+    both sides completed.
     """
-    from ..exec.adapters import InterpreterExecutor, VMExecutor
-    from ..exec.protocol import run_scenario
+    from ..exec import InterpreterExecutor, VMExecutor, diff, observe
     tgt = resolve_target(target)
     report = ConformanceReport(machine_name=machine.name, pattern=pattern,
                                level=level, target_name=tgt.name)
     if scenarios is None:
         scenarios = conformance_scenarios(machine)
-    interp = InterpreterExecutor(semantics)
     executor = VMExecutor(pattern, level=level, target=tgt)
     try:
         program = executor.program_for(machine)
@@ -144,32 +142,18 @@ def check_vm_conformance(machine: StateMachine,
         return report
     report.text_bytes = len(program.image.text)
 
-    for events in scenarios:
-        report.scenarios_run += 1
-        try:
-            ref = run_scenario(interp, machine, events)
-        except ExecutionError as exc:
-            report.mismatches.append((tuple(events),
-                                      f"interpreter raised: {exc}"))
-            continue
-        try:
-            instance = run_scenario(executor, machine, events)
-        except (VMError, EncodingError) as exc:
-            report.mismatches.append((tuple(events),
-                                      f"simulator raised: {exc}"))
-            continue
-        metrics = instance.metrics
-        report.instructions += metrics.instructions
-        report.cycles += metrics.cycles
-        report.init_cycles += metrics.init_cycles
-        report.events_dispatched += metrics.events_dispatched
-        report.peak_dispatch_cycles = max(report.peak_dispatch_cycles,
-                                          metrics.peak_dispatch_cycles)
-        if ref.trace.observable_payloads() != \
-                instance.trace.observable_payloads():
-            report.mismatches.append((tuple(events),
-                                      "observable trace mismatch"))
-        elif ref.in_final != instance.in_final:
-            report.mismatches.append((tuple(events),
-                                      "final-state mismatch"))
+    reference = observe(InterpreterExecutor(semantics), machine, scenarios)
+    observed = observe(executor, machine, scenarios)
+    report.scenarios_run = len(scenarios)
+    for ref, obs in zip(reference, observed):
+        if ref.ok and obs.ok:
+            metrics = obs.extra
+            report.instructions += metrics.instructions
+            report.cycles += metrics.cycles
+            report.init_cycles += metrics.init_cycles
+            report.events_dispatched += metrics.events_dispatched
+            report.peak_dispatch_cycles = max(report.peak_dispatch_cycles,
+                                              metrics.peak_dispatch_cycles)
+    report.mismatches = [(tuple(scenarios[index]), reason)
+                         for index, reason in diff(reference, observed)]
     return report

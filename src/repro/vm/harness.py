@@ -56,8 +56,7 @@ _VM_CYCLES = REGISTRY.counter("vm_cycles_total",
 _VM_EVENTS = REGISTRY.counter("vm_events_total",
                               "events dispatched on compiled-machine VMs")
 
-__all__ = ["CompiledProgram", "CompiledMachineVM", "VmMetrics",
-           "run_vm_scenario"]
+__all__ = ["CompiledProgram", "CompiledMachineVM", "VmMetrics"]
 
 _NO_EVENT = -1
 
@@ -289,40 +288,3 @@ class _TracingCallLog(list):
         name, args = item
         self._trace.append(TraceKind.CALL, name, args)
         super().append(item)
-
-
-def run_vm_scenario(machine: StateMachine,
-                    events: Sequence[object],
-                    pattern: Union[CodeGenerator, str] = "nested-switch",
-                    level: OptLevel = OptLevel.OS,
-                    target: Union[TargetDescription, str, None] = None,
-                    externals: Optional[Mapping[str, Callable]] = None,
-                    ) -> CompiledMachineVM:
-    """Compile *machine*, execute *events* on the simulator, return the
-    harness (mirrors :func:`repro.semantics.runtime.run_scenario`).
-
-    .. deprecated::
-        Thin shim over the :mod:`repro.exec` protocol — new callers
-        should use ``repro.exec.run_scenario(VMExecutor(pattern, level,
-        target), machine, events)``.  Only a :class:`CodeGenerator`
-        *instance* (outside the string-keyed executor config) still
-        takes the direct path.
-    """
-    import warnings
-    warnings.warn(
-        "repro.vm.run_vm_scenario is deprecated; use "
-        "repro.exec.run_scenario(VMExecutor(pattern, level, target), "
-        "machine, events) instead", DeprecationWarning, stacklevel=2)
-    if isinstance(pattern, str):
-        from ..exec.adapters import VMExecutor
-        instance = VMExecutor(pattern, level=level,
-                              target=target).load(machine,
-                                                  externals=externals)
-        instance.start()
-        for event in events:
-            instance.dispatch(event)
-        return instance.vm
-    vm = CompiledMachineVM(machine, pattern, level=level, target=target,
-                           externals=externals)
-    vm.send_all(events)
-    return vm

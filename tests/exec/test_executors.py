@@ -3,8 +3,7 @@
 import pytest
 
 from repro.exec import (FleetExecutor, InterpreterExecutor, VMExecutor,
-                        default_executors, normalize_stimuli, run_scenario)
-from repro.semantics.runtime import MachineInstance
+                        normalize_stimuli, run_scenario)
 from repro.semantics.trace import observable_equal
 from repro.uml import Event
 
@@ -43,12 +42,6 @@ class TestCanonicalRunScenario:
             assert observable_equal(reference.trace, instance.trace), \
                 executor.name
 
-    def test_step_returns_trace_delta(self, flat_machine):
-        instance = InterpreterExecutor().load(flat_machine).start()
-        delta = instance.step("e1")
-        assert delta, "dispatch must produce trace records"
-        assert delta == instance.trace.records[-len(delta):]
-
     def test_externals_flow_through_load(self, flat_machine):
         seen = []
         executor = InterpreterExecutor()
@@ -60,13 +53,6 @@ class TestCanonicalRunScenario:
 
 
 class TestAdapters:
-    def test_default_executors_names(self):
-        executors = default_executors()
-        assert set(executors) == {"interp", "vm", "fleet"}
-        for name, executor in executors.items():
-            assert executor.name == name
-            assert executor.describe()
-
     def test_vm_executor_memoizes_compile(self, flat_machine):
         executor = VMExecutor()
         assert executor.program_for(flat_machine) is \
@@ -84,29 +70,3 @@ class TestAdapters:
         instance.start()
         with pytest.raises(RuntimeError):
             instance.start()
-
-
-class TestDeprecationShims:
-    """The pre-redesign entry points still work, now delegating to the
-    protocol — identical signatures and return types."""
-
-    def test_semantics_run_scenario_returns_machine_instance(
-            self, flat_machine):
-        from repro.semantics.runtime import run_scenario as legacy
-        instance = legacy(flat_machine, ["e1", "e4"])
-        assert isinstance(instance, MachineInstance)
-        assert instance.in_final
-
-    def test_vm_run_scenario_returns_compiled_vm(self, flat_machine):
-        from repro.vm import run_vm_scenario
-        from repro.vm.harness import CompiledMachineVM
-        vm = run_vm_scenario(flat_machine, ["e1", "e4"], "nested-switch")
-        assert isinstance(vm, CompiledMachineVM)
-        assert vm.is_final()
-
-    def test_shim_and_protocol_agree(self, flat_machine):
-        from repro.semantics.runtime import run_scenario as legacy
-        events = ["e1", "e3"]
-        old = legacy(flat_machine, events)
-        new = run_scenario(InterpreterExecutor(), flat_machine, events)
-        assert observable_equal(old.trace, new.trace)

@@ -12,9 +12,9 @@ import pathlib
 import pytest
 
 from repro.engine.cache import CompileCache
-from repro.fuzz import FuzzCase
+from repro.exec import VMExecutor, observe
+from repro.fuzz import DifferentialOracle, FuzzCase, OracleConfig
 from repro.fuzz.corpus import entry_from_json
-from repro.fuzz.observe import cached_vm_observations, observe_vm_many
 from repro.vm.harness import CompiledProgram
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -42,29 +42,22 @@ def test_observations_identical_with_and_without_unit_cache():
     case = fixture_case(ALL[0])
     stimuli = tuple(s.events for s in case.stimuli) or \
         ((("e1", 0),),)
-    plain = observe_vm_many(case.machine, stimuli)
+    plain = observe(VMExecutor("flat-switch"), case.machine, stimuli)
     cache = CompileCache()
-    cold = observe_vm_many(case.machine, stimuli, unit_cache=cache)
-    warm = observe_vm_many(case.machine, stimuli, unit_cache=cache)
-    assert cold == plain
-    assert warm == plain
+    for _ in range(2):                  # cold, then warm
+        executor = VMExecutor("flat-switch")
+        executor.unit_cache = cache
+        assert observe(executor, case.machine, stimuli) == plain
     assert cache.stats.hits > 0, "second compile must reuse units"
 
 
 def test_oracle_path_uses_engine_unit_tier_by_default(memory_engine):
     case = fixture_case(ALL[0])
-    stimuli = tuple(s.events for s in case.stimuli) or \
-        ((("e1", 0),),)
-    assert memory_engine.delta
-    cached_vm_observations(memory_engine, case.machine, stimuli)
+    oracle = DifferentialOracle(
+        engine=memory_engine,
+        config=OracleConfig(patterns=("flat-switch",), targets=("rt32",),
+                            levels=("-Os",), check_optimized=False,
+                            check_fleet=False))
+    oracle.run_case(case)
     assert memory_engine.units.stats.lookups > 0, \
-        "delta-mode engine must compile observations per unit"
-
-
-def test_oracle_path_respects_delta_off():
-    from repro.engine import ExperimentEngine
-    engine = ExperimentEngine(delta=False)
-    case = fixture_case(ALL[0])
-    stimuli = ((("e1", 0),),)
-    cached_vm_observations(engine, case.machine, stimuli)
-    assert engine.units.stats.lookups == 0
+        "the oracle's VM cells must compile per unit"

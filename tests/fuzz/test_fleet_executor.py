@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.exec import (UNSUPPORTED_PREFIX, FleetExecutor,
+                        InterpreterExecutor, observe)
 from repro.fuzz.case import FuzzCase, Stimulus
-from repro.fuzz.observe import (UNSUPPORTED_PREFIX, observe_fleet_many,
-                                observe_interpreter_many)
 from repro.fuzz.oracle import (FLEET_EXECUTOR, DifferentialOracle,
                                OracleConfig)
 from repro.semantics.variation import (ConflictPolicy,
@@ -17,11 +17,11 @@ def _case(machine, *events):
                     stimuli=(Stimulus(tuple((e, 0) for e in events)),))
 
 
-class TestObserveFleetMany:
+class TestFleetObservations:
     def test_agrees_with_interpreter(self, flat_machine):
         stimuli = [[("e1", 0), ("e4", 0)], [("e3", 0)]]
-        fleet = observe_fleet_many(flat_machine, stimuli)
-        interp = observe_interpreter_many(flat_machine, stimuli)
+        fleet = observe(FleetExecutor(), flat_machine, stimuli)
+        interp = observe(InterpreterExecutor(), flat_machine, stimuli)
         assert len(fleet) == len(interp) == 2
         for f, i in zip(fleet, interp):
             assert i.matches(f), i.first_difference(f)
@@ -29,8 +29,8 @@ class TestObserveFleetMany:
     def test_unsupported_shape_marked_not_raised(self, flat_machine):
         variant = UML_DEFAULT_SEMANTICS.with_(
             conflict_resolution=ConflictPolicy.OUTERMOST_FIRST)
-        observations = observe_fleet_many(flat_machine, [[("e1", 0)]],
-                                          semantics=variant)
+        observations = observe(FleetExecutor(variant), flat_machine,
+                               [[("e1", 0)]])
         assert all(o.unsupported for o in observations)
         assert observations[0].error.startswith(UNSUPPORTED_PREFIX)
 

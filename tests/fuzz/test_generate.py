@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from repro.exec import InterpreterExecutor, run_scenario
 from repro.fuzz import (DEFAULT_PROFILES, FuzzProfile, generate_case,
                         random_machine, random_stimulus)
 from repro.fuzz.generate import _int_expr
-from repro.semantics.runtime import ExecutionError, run_scenario
+from repro.semantics.runtime import ExecutionError
 from repro.uml import called_functions, check_machine
 from repro.uml.actions import CallExpr
 
@@ -62,7 +63,8 @@ class TestRandomMachine:
                 for stimulus in case.stimuli:
                     total += 1
                     try:
-                        run_scenario(case.machine, stimulus.names)
+                        run_scenario(InterpreterExecutor(), case.machine,
+                                     stimulus.names)
                         runnable += 1
                     except ExecutionError:
                         pass

@@ -15,10 +15,11 @@ from repro.compiler import OptLevel, compile_unit
 from repro.compiler.gimple.interp import GimpleInterpreter
 from repro.cpp import ast as C
 from repro.cpp.types import INT
+from repro.exec import InterpreterExecutor, run_scenario
 from repro.experiments.workload import WorkloadSpec, generate_machine
 from repro.optim import check_equivalence, optimize
 from repro.pipeline import compile_machine
-from repro.semantics import observable_equal, run_scenario
+from repro.semantics import observable_equal
 from repro.uml import eval_expr, EvalError
 from repro.uml.serialize import expr_from_dict, expr_to_dict
 from repro.uml import actions as A
@@ -131,8 +132,8 @@ class TestModelProperties:
     def test_interpreter_deterministic(self, spec, event_ids):
         machine = generate_machine(spec)
         events = [f"ev{i}" for i in event_ids]
-        a = run_scenario(machine, events)
-        b = run_scenario(machine, events)
+        a = run_scenario(InterpreterExecutor(), machine, events).inner
+        b = run_scenario(InterpreterExecutor(), machine, events).inner
         assert observable_equal(a.trace, b.trace)
         assert a.active_states == b.active_states
 

@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.exec import InterpreterExecutor, run_scenario
 from repro.uml import (Assign, IntLit, StateMachineBuilder, calls, parse_expr)
 from repro.semantics import (ConflictPolicy, EventPoolPolicy, ExecutionError,
                              MachineInstance, SemanticsConfig,
-                             UnconsumedPolicy, run_scenario)
+                             UnconsumedPolicy)
+
+
+def interpret(machine, events, config=SemanticsConfig(), externals=None):
+    """The interpreter after *events*, run through the Executor
+    protocol."""
+    return run_scenario(InterpreterExecutor(config), machine, events,
+                        externals=externals).inner
 
 
 def toggle_machine():
@@ -25,16 +33,16 @@ class TestBasics:
         assert inst.current_state == "Off"
 
     def test_dispatch_moves_between_states(self):
-        inst = run_scenario(toggle_machine(), ["flip", "flip", "flip"])
+        inst = interpret(toggle_machine(), ["flip", "flip", "flip"])
         assert inst.current_state == "On"
 
     def test_unknown_event_discarded_by_default(self):
-        inst = run_scenario(toggle_machine(), ["nonsense"])
+        inst = interpret(toggle_machine(), ["nonsense"])
         assert inst.current_state == "Off"
         assert any(r.kind.value == "dropped" for r in inst.trace)
 
     def test_final_state_completes_machine(self):
-        inst = run_scenario(toggle_machine(), ["kill"])
+        inst = interpret(toggle_machine(), ["kill"])
         assert inst.in_final
         assert inst.current_state is None
 
@@ -49,7 +57,7 @@ class TestBasics:
             inst.start()
 
     def test_entry_behaviors_traced_as_calls(self):
-        inst = run_scenario(toggle_machine(), ["flip"])
+        inst = interpret(toggle_machine(), ["flip"])
         assert ("off_entered", ()) in inst.trace.calls()
         assert ("on_entered", ()) in inst.trace.calls()
 
@@ -67,7 +75,7 @@ class TestGuardsAndEffects:
 
     def test_guard_blocks_until_true(self):
         m = self.make_counter()
-        inst = run_scenario(m, ["check", "inc", "check", "inc", "inc", "check"])
+        inst = interpret(m, ["check", "inc", "check", "inc", "inc", "check"])
         assert inst.in_final
         assert inst.attributes["n"] == 3
 
@@ -78,7 +86,7 @@ class TestGuardsAndEffects:
         b.initial_to("A")
         b.transition("A", "final", on="x")
         m = b.build()
-        run_scenario(m, [], externals={"hello": lambda: seen.append(1)})
+        interpret(m, [], externals={"hello": lambda: seen.append(1)})
         assert seen == [1]
 
 
@@ -98,11 +106,11 @@ class TestCompletionSemantics:
         return b.build()
 
     def test_completion_fires_immediately_on_entry(self):
-        inst = run_scenario(self.machine_with_shadowed_exit(), ["e1"])
+        inst = interpret(self.machine_with_shadowed_exit(), ["e1"])
         assert inst.in_final  # S2 completed straight to final
 
     def test_event_transition_from_shadowed_state_never_fires(self):
-        inst = run_scenario(self.machine_with_shadowed_exit(), ["e1", "e2"])
+        inst = interpret(self.machine_with_shadowed_exit(), ["e1", "e2"])
         assert "S3" not in inst.trace.entered_states()
 
     def test_guarded_completion_does_not_shadow(self):
@@ -116,7 +124,7 @@ class TestCompletionSemantics:
         b.transition("S2", "S3", on="e2")
         b.completion("S2", "final", guard="ok == 1")
         m = b.build()
-        inst = run_scenario(m, ["e1", "e2"])
+        inst = interpret(m, ["e1", "e2"])
         assert inst.current_state == "S3"
 
 
@@ -137,25 +145,25 @@ class TestHierarchy:
         return b.build()
 
     def test_default_entry_reaches_nested_initial(self):
-        inst = run_scenario(self.composite_machine(), ["enter_c"])
+        inst = interpret(self.composite_machine(), ["enter_c"])
         assert inst.active_states == ["S3", "S31"]
 
     def test_entry_order_outer_then_inner(self):
-        inst = run_scenario(self.composite_machine(), ["enter_c"])
+        inst = interpret(self.composite_machine(), ["enter_c"])
         names = [c[0] for c in inst.trace.calls()]
         assert names.index("s3_in") < names.index("s31_in")
 
     def test_event_bubbles_to_composite(self):
         # 'leave_c' is handled by the composite while an inner state is active
-        inst = run_scenario(self.composite_machine(), ["enter_c", "leave_c"])
+        inst = interpret(self.composite_machine(), ["enter_c", "leave_c"])
         assert inst.in_final
 
     def test_inner_transition_preferred_innermost_first(self):
-        inst = run_scenario(self.composite_machine(), ["enter_c", "step"])
+        inst = interpret(self.composite_machine(), ["enter_c", "step"])
         assert inst.active_states == ["S3", "S32"]
 
     def test_region_completion_triggers_composite_completion(self):
-        inst = run_scenario(self.composite_machine(),
+        inst = interpret(self.composite_machine(),
                             ["enter_c", "step", "finish_inner"])
         # completion transition S3 -> S1 fires
         assert inst.current_state == "S1"
@@ -170,9 +178,9 @@ class TestHierarchy:
         b.state("Out")
         b.transition("C", "Out", on="e")
         m = b.build()
-        inner_first = run_scenario(m, ["e"])
+        inner_first = interpret(m, ["e"])
         assert inner_first.active_states == ["C"]  # inner consumed the event
-        outer_first = run_scenario(
+        outer_first = interpret(
             m, ["e"], config=SemanticsConfig(
                 conflict_resolution=ConflictPolicy.OUTERMOST_FIRST))
         assert outer_first.current_state == "Out"
@@ -249,7 +257,7 @@ class TestPseudostates:
         b.transition(ch, "Low", guard="v < 3")
         b.transition(ch, "High", guard="v >= 3")
         m = b.build()
-        inst = run_scenario(m, ["go"])
+        inst = interpret(m, ["go"])
         assert inst.current_state == "High"
 
     def test_choice_else_branch(self):
@@ -264,7 +272,7 @@ class TestPseudostates:
         b.transition(ch, "Low", guard="v > 100")
         b.transition(ch, "Other")  # acts as [else]
         m = b.build()
-        inst = run_scenario(m, ["go"])
+        inst = interpret(m, ["go"])
         assert inst.current_state == "Other"
 
     def test_stuck_choice_raises(self):
@@ -278,7 +286,7 @@ class TestPseudostates:
         b.transition(ch, "B", guard="v > 100")
         m = b.build()
         with pytest.raises(ExecutionError):
-            run_scenario(m, ["go"])
+            interpret(m, ["go"])
 
     def test_terminate_pseudostate(self):
         from repro.uml import PseudostateKind
@@ -288,7 +296,7 @@ class TestPseudostates:
         b.initial_to("A")
         b.transition("A", term, on="die")
         m = b.build()
-        inst = run_scenario(m, ["die"])
+        inst = interpret(m, ["die"])
         assert inst.is_terminated
 
     def test_shallow_history_restores_substate(self):
@@ -305,7 +313,7 @@ class TestPseudostates:
         b.transition("C", "Out", on="pause")
         b.transition("Out", hist, on="resume")
         m = b.build()
-        inst = run_scenario(m, ["adv", "pause", "resume"])
+        inst = interpret(m, ["adv", "pause", "resume"])
         assert inst.active_states == ["C", "C2"]
 
 
@@ -317,6 +325,6 @@ class TestInternalTransitions:
         b.internal("A", on="tick", effect=calls("tock"))
         b.transition("A", "final", on="stop")
         m = b.build()
-        inst = run_scenario(m, ["tick", "tick"])
+        inst = interpret(m, ["tick", "tick"])
         names = [c[0] for c in inst.trace.calls()]
         assert names == ["enter_a", "tock", "tock"]

@@ -93,6 +93,17 @@ class TestEndToEnd:
                 client.request("compile", machine={"format": 99})
             assert client.ping()["pong"] is True
 
+    def test_unknown_ops_share_one_metric_label(self, handle):
+        with handle.client() as client:
+            for n in range(20):
+                with pytest.raises(ServiceError, match="unknown operation"):
+                    client.request(f"bogus-{n}")
+            doc = client.metrics()
+        assert set(doc["endpoints"]) == {"invalid"}
+        assert doc["endpoints"]["invalid"]["errors"] == 20
+        series = doc["registry"]["service_request_seconds"]["series"]
+        assert set(series) == {"op=invalid"}
+
     def test_tcp_mode(self, machine):
         with ServiceThread(ExperimentEngine(), port=0) as running:
             assert running.address.startswith("tcp:")

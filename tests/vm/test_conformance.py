@@ -13,7 +13,7 @@ from repro.experiments.models import (
     flat_machine_with_unreachable_state,
     hierarchical_machine_with_shadowed_composite)
 from repro.experiments.workload import WorkloadSpec, generate_machine
-from repro.optim import check_codegen_conformance, optimize
+from repro.optim import optimize
 from repro.vm import check_vm_conformance, conformance_scenarios
 
 PATTERNS = ["nested-switch", "state-table", "state-pattern", "flat-switch"]
@@ -80,10 +80,10 @@ def test_optimized_model_still_conforms():
     assert report.conformant, report.summary()
 
 
-def test_check_codegen_conformance_entry_point():
+def test_default_level_is_the_paper_measurement_level():
     machine = flat_machine_with_unreachable_state()
-    report = check_codegen_conformance(machine, pattern="state-table",
-                                       target="rt16")
+    report = check_vm_conformance(machine, pattern="state-table",
+                                  target="rt16")
     assert report.conformant
     assert report.level is OptLevel.OS
     assert report.target_name == "rt16"

@@ -13,12 +13,21 @@ import pytest
 from repro.codegen import generator_by_name
 from repro.codegen.harness import GeneratedMachine
 from repro.compiler import OptLevel
+from repro.exec import InterpreterExecutor, VMExecutor, run_scenario
 from repro.experiments.models import (
     flat_machine_with_unreachable_state,
     hierarchical_machine_with_shadowed_composite)
 from repro.uml import Assign, CallStmt, StateMachineBuilder, parse_expr
-from repro.vm import CompiledProgram, VMError, run_vm_scenario
+from repro.vm import CompiledProgram, VMError
 from repro.vm.image import STACK_BASE
+
+
+def run_vm(machine, events, pattern, level=OptLevel.OS, target=None,
+           externals=None):
+    """The simulator harness after *events*, run through the Executor
+    protocol."""
+    executor = VMExecutor(pattern, level=level, target=target)
+    return run_scenario(executor, machine, events, externals=externals).vm
 
 
 def machine_with_arithmetic():
@@ -51,7 +60,7 @@ def test_vm_matches_gimple_interpreter(level, target):
     ref = GeneratedMachine(machine, generator_by_name("nested-switch"),
                            level=level)
     ref.send_all(events)
-    vm = run_vm_scenario(machine, events, "nested-switch", level=level,
+    vm = run_vm(machine, events, "nested-switch", level=level,
                          target=target)
     assert vm.calls == ref.calls
     assert vm.is_final() == ref.is_final()
@@ -61,7 +70,7 @@ def test_vm_matches_gimple_interpreter(level, target):
 
 def test_vm_arithmetic_values():
     machine = machine_with_arithmetic()
-    vm = run_vm_scenario(machine, ["go", "back"], "nested-switch")
+    vm = run_vm(machine, ["go", "back"], "nested-switch")
     # y := 5*7-2 = 33, then y := 0-33 = -33 (signed 32-bit wrap applies)
     assert vm.calls == [("log", (33,)), ("log", (-33,))]
     assert vm.read_attribute("y") == -33
@@ -77,7 +86,7 @@ def test_externals_receive_arguments_and_return_values():
                  effect=[Assign("v", parse_expr("sensor(3, 4)")),
                          CallStmt(parse_expr("report(v)"))])
     machine = b.build()
-    vm = run_vm_scenario(machine, ["tick"], "nested-switch",
+    vm = run_vm(machine, ["tick"], "nested-switch",
                          externals={"sensor": lambda a, c: a * 10 + c})
     assert vm.calls == [("sensor", (3, 4)), ("report", (34,))]
     assert vm.read_attribute("v") == 34
@@ -88,8 +97,8 @@ def test_externals_receive_arguments_and_return_values():
 def test_metrics_are_deterministic_and_populated(pattern):
     machine = hierarchical_machine_with_shadowed_composite()
     events = ["e1", "e2", "e5", "e3"]
-    a = run_vm_scenario(machine, events, pattern).metrics
-    b = run_vm_scenario(machine, events, pattern).metrics
+    a = run_vm(machine, events, pattern).metrics
+    b = run_vm(machine, events, pattern).metrics
     assert a == b                       # simulated, not wall clock
     assert a.instructions > 0
     assert a.cycles >= a.instructions   # every instruction costs >= 1
@@ -100,17 +109,16 @@ def test_metrics_are_deterministic_and_populated(pattern):
 
 
 def test_state_trace_matches_interpreter_on_flat_machine():
-    from repro.semantics.runtime import run_scenario
     machine = flat_machine_with_unreachable_state()
     events = ["e1", "e3", "e1", "e4"]
-    ref = run_scenario(machine, events)
-    vm = run_vm_scenario(machine, events, "nested-switch")
+    ref = run_scenario(InterpreterExecutor(), machine, events)
+    vm = run_vm(machine, events, "nested-switch")
     assert vm.trace.entered_states() == ref.trace.entered_states()
 
 
 def test_stack_discipline_restores_sp():
     machine = hierarchical_machine_with_shadowed_composite()
-    vm = run_vm_scenario(machine, ["e1", "e2", "e3"], "state-pattern")
+    vm = run_vm(machine, ["e1", "e2", "e3"], "state-pattern")
     assert vm.vm.regs["sp"] == STACK_BASE
 
 
