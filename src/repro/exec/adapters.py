@@ -19,7 +19,7 @@ from ..compiler.target.description import TargetDescription
 from ..fleet.engine import Fleet
 from ..fleet.table import (FleetExecutionError, FleetUnsupported,
                            TableProgram, compile_table)
-from ..semantics.runtime import ExecutionError, MachineInstance
+from ..semantics.runtime import ExecutionError, MachineInstance, MachinePlan
 from ..semantics.trace import Trace
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ..uml.statemachine import StateMachine
@@ -37,11 +37,11 @@ __all__ = ["InterpreterExecutor", "VMExecutor", "FleetExecutor",
 # ---------------------------------------------------------------------------
 
 class _InterpreterInstance(Instance):
-    def __init__(self, machine: StateMachine, semantics: SemanticsConfig,
+    def __init__(self, plan: MachinePlan, semantics: SemanticsConfig,
                  externals: Optional[Mapping[str, Callable]]) -> None:
-        self.machine = machine
-        self.inner = MachineInstance(machine, config=semantics,
-                                     externals=externals)
+        self.machine = plan.machine
+        self.inner = MachineInstance(plan.machine, config=semantics,
+                                     externals=externals, plan=plan)
 
     def start(self) -> "Instance":
         self.inner.start()
@@ -78,7 +78,14 @@ class _InterpreterInstance(Instance):
 
 
 class InterpreterExecutor(Executor):
-    """The reference semantics (:mod:`repro.semantics.runtime`)."""
+    """The reference semantics (:mod:`repro.semantics.runtime`).
+
+    ``load`` indexes each machine once (its
+    :class:`~repro.semantics.runtime.MachinePlan`, weakly memoized), so
+    a replay of many scenarios walks the model once.  A shape the
+    interpreter does not run (several top regions, orthogonal regions)
+    fails the load with :class:`~repro.semantics.runtime.ExecutionError`.
+    """
 
     name = "interp"
     run_errors = (ExecutionError,)
@@ -86,11 +93,21 @@ class InterpreterExecutor(Executor):
     def __init__(self, semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS
                  ) -> None:
         self.semantics = semantics
+        self._plans: "weakref.WeakKeyDictionary[StateMachine, MachinePlan]" = \
+            weakref.WeakKeyDictionary()
+
+    def plan_for(self, machine: StateMachine) -> MachinePlan:
+        plan = self._plans.get(machine)
+        if plan is None:
+            plan = MachinePlan(machine)
+            self._plans[machine] = plan
+        return plan
 
     def load(self, machine: StateMachine, *,
              externals: Optional[Mapping[str, Callable]] = None
              ) -> Instance:
-        return _InterpreterInstance(machine, self.semantics, externals)
+        return _InterpreterInstance(self.plan_for(machine), self.semantics,
+                                    externals)
 
     def describe(self) -> str:
         return f"interp[{self.semantics.describe()}]"

@@ -68,21 +68,25 @@ class Observation:
         """Summarize *instance* after its run (with *error*: after it
         raised, keeping the trace up to the failure)."""
         payloads = []
-        kinds = set()
+        seen: List[TraceKind] = []
         if instance.is_started:
+            # Enum hashing and ``.value`` are Python-level calls: compare
+            # kinds by identity, and spell out only the ones kept.
             for record in instance.trace.records:
-                kinds.add(record.kind.value)
-                if record.kind in _OBSERVABLE:
-                    payloads.append((record.kind.value, record.detail))
+                kind = record.kind
+                if kind not in seen:
+                    seen.append(kind)
+                if kind in _OBSERVABLE:
+                    payloads.append((kind.value, record.detail))
+        kinds = tuple(sorted(kind.value for kind in seen))
         if error is not None:
-            return cls(payloads=tuple(payloads), kinds=tuple(sorted(kinds)),
-                       error=error)
+            return cls(payloads=tuple(payloads), kinds=kinds, error=error)
         # Read the extra first: asking the VM for its final flag runs
         # simulated code, which its cycle accounting must not include.
         extra = instance.extra
         return cls(payloads=tuple(payloads), final=instance.in_final,
-                   terminated=instance.is_terminated,
-                   kinds=tuple(sorted(kinds)), extra=extra)
+                   terminated=instance.is_terminated, kinds=kinds,
+                   extra=extra)
 
     @property
     def ok(self) -> bool:

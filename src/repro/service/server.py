@@ -51,7 +51,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import threading
 
@@ -154,6 +154,8 @@ class CompileService:
         self.clients: Dict[str, ClientStats] = {}
         #: request digest / fingerprint -> in-flight task (coalescing).
         self._inflight: Dict[str, asyncio.Task] = {}
+        #: Live :meth:`handle_client` tasks (see :meth:`drop_connections`).
+        self._connections: Set[asyncio.Task] = set()
         self._shard_view: Optional[ShardedBackend] = None
 
     def close(self) -> None:
@@ -161,6 +163,26 @@ class CompileService:
             self.pool.shutdown()
 
     # -- connection handling ------------------------------------------------
+
+    def accept(self, reader: asyncio.StreamReader,
+               writer: asyncio.StreamWriter) -> None:
+        """The stream server's connection callback: serve the connection
+        on a task this service tracks (see :meth:`drop_connections`)."""
+        task = asyncio.get_running_loop().create_task(
+            self.handle_client(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
+    async def drop_connections(self) -> None:
+        """Cancel every connection handler and wait until each has
+        closed its stream.  A shutdown runs this before the loop stops:
+        a handler still awaiting an idle client's next line would be
+        destroyed pending, and ``Server.wait_closed()`` (3.12) waits for
+        open connections."""
+        tasks = list(self._connections)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def handle_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
@@ -596,10 +618,10 @@ async def start_service(engine: Optional[ExperimentEngine] = None,
                              max_retries=max_retries)
     if socket_path is not None:
         server = await asyncio.start_unix_server(
-            service.handle_client, path=socket_path, limit=MAX_LINE_BYTES)
+            service.accept, path=socket_path, limit=MAX_LINE_BYTES)
     elif port is not None:
         server = await asyncio.start_server(
-            service.handle_client, host=host or "127.0.0.1", port=port,
+            service.accept, host=host or "127.0.0.1", port=port,
             limit=MAX_LINE_BYTES)
     else:
         raise ValueError("need socket_path or port to serve on")
@@ -696,8 +718,9 @@ class ServiceThread:
         if self._loop is None:
             return
         if self.server is not None:
-            async def _close(server=self.server):
+            async def _close(server=self.server, service=self.service):
                 server.close()
+                await service.drop_connections()
                 await server.wait_closed()
             asyncio.run_coroutine_threadsafe(_close(),
                                              self._loop).result(timeout=30)

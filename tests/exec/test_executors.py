@@ -1,5 +1,7 @@
 """The Executor protocol: one call surface over three backends."""
 
+import weakref
+
 import pytest
 
 from repro.exec import (FleetExecutor, InterpreterExecutor, VMExecutor,
@@ -57,6 +59,15 @@ class TestAdapters:
         executor = VMExecutor()
         assert executor.program_for(flat_machine) is \
             executor.program_for(flat_machine)
+
+    def test_interpreter_executor_memoizes_plan(self, flat_machine,
+                                                hierarchical_machine):
+        executor = InterpreterExecutor()
+        plan = executor.plan_for(flat_machine)
+        assert executor.plan_for(flat_machine) is plan
+        assert executor.load(flat_machine).inner.plan is plan
+        assert executor.plan_for(hierarchical_machine) is not plan
+        assert isinstance(executor._plans, weakref.WeakKeyDictionary)
 
     def test_fleet_executor_memoizes_table(self, flat_machine):
         executor = FleetExecutor()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exec import (FleetExecutor, InterpreterExecutor, Observation,
                         VMExecutor, diff, observe)
-from repro.uml import StateMachineBuilder
+from repro.uml import Region, StateMachineBuilder
 from repro.vm import VmMetrics
 
 REFERENCE = Observation(payloads=(("call", ("s1_entry", ())),), final=True)
@@ -68,3 +68,37 @@ def test_shape_rejection_is_unsupported_on_every_stimulus():
                            [["deep"], ["out"]])
     assert len(observations) == 2
     assert all(obs.unsupported for obs in observations)
+
+
+def two_top_regions():
+    b = StateMachineBuilder("TwoTops")
+    b.state("A")
+    b.initial_to("A")
+    b.transition("A", "final", on="e")
+    machine = b.build()
+    machine.add_region(Region("second"))
+    return machine
+
+
+def orthogonal_regions():
+    b = StateMachineBuilder("Orthogonal")
+    comp = b.composite("C")
+    comp.state("X")
+    comp.initial_to("X")
+    b.initial_to("C")
+    b.transition("C", "final", on="e")
+    machine = b.build()
+    machine.find_state("C").add_region(Region("second"))
+    return machine
+
+
+@pytest.mark.parametrize("build, reason", [
+    (two_top_regions, "exactly one top region"),
+    (orthogonal_regions, "orthogonal regions not supported"),
+], ids=["two-top-regions", "orthogonal"])
+def test_interpreter_shape_rejection_fails_every_load(build, reason):
+    observations = observe(InterpreterExecutor(), build(), [["e"], []])
+    assert len(observations) == 2
+    for obs in observations:
+        assert obs.error.startswith("load failed: ExecutionError: ")
+        assert reason in obs.error

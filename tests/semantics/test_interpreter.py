@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.exec import InterpreterExecutor, run_scenario
-from repro.uml import (Assign, IntLit, StateMachineBuilder, calls, parse_expr)
+from repro.exec import InterpreterExecutor, observe, run_scenario
+from repro.optim.equivalence import make_scenarios
+from repro.uml import (AnyEvent, Assign, Element, PseudostateKind, Region,
+                       State, StateMachineBuilder, Vertex, calls, parse_expr)
 from repro.semantics import (ConflictPolicy, EventPoolPolicy, ExecutionError,
-                             MachineInstance, SemanticsConfig,
+                             MachineInstance, MachinePlan, SemanticsConfig,
                              UnconsumedPolicy)
 
 
@@ -14,6 +16,53 @@ def interpret(machine, events, config=SemanticsConfig(), externals=None):
     protocol."""
     return run_scenario(InterpreterExecutor(config), machine, events,
                         externals=externals).inner
+
+
+def choice_machine(v=5):
+    b = StateMachineBuilder("Choice")
+    b.attribute("v", v)
+    b.state("A")
+    b.state("Low")
+    b.state("High")
+    ch = b.choice()
+    b.initial_to("A")
+    b.transition("A", ch, on="go")
+    b.transition(ch, "Low", guard="v < 3")
+    b.transition(ch, "High", guard="v >= 3")
+    return b.build()
+
+
+def history_machine():
+    b = StateMachineBuilder("Hist")
+    sub = b.composite("C")
+    sub.state("C1")
+    sub.state("C2")
+    hist = sub.pseudostate(PseudostateKind.SHALLOW_HISTORY, "H")
+    sub.initial_to("C1")
+    sub.transition("C1", "C2", on="adv")
+    b.state("Out")
+    b.initial_to("C")
+    b.transition("C", "Out", on="pause")
+    b.transition("Out", hist, on="resume")
+    return b.build()
+
+
+def terminate_machine():
+    b = StateMachineBuilder("Term")
+    b.state("A")
+    term = b.pseudostate(PseudostateKind.TERMINATE, "T")
+    b.initial_to("A")
+    b.transition("A", term, on="die")
+    return b.build()
+
+
+def internal_machine():
+    b = StateMachineBuilder("Int")
+    b.state("A", entry=calls("enter_a"), exit=calls("exit_a"))
+    b.initial_to("A")
+    b.internal("A", on="tick", effect=calls("tock"))
+    b.transition("A", "final", on="stop")
+    return b.build()
 
 
 def toggle_machine():
@@ -127,6 +176,21 @@ class TestCompletionSemantics:
         inst = interpret(m, ["e1", "e2"])
         assert inst.current_state == "S3"
 
+    def test_nested_state_named_like_its_parent_completes_itself(self):
+        # Validation only makes sibling names unique: the inner A's
+        # completion fires A -> B, not the outer A's completion to final.
+        b = StateMachineBuilder("SameName")
+        outer = b.composite("A")
+        outer.state("A")
+        outer.state("B")
+        outer.initial_to("A")
+        outer.completion("A", "B")
+        b.initial_to("A")
+        b.completion("A", "final")
+        inst = interpret(b.build(), [])
+        assert inst.active_states == ["A", "B"]
+        assert not inst.in_final
+
 
 class TestHierarchy:
     def composite_machine(self):
@@ -184,6 +248,70 @@ class TestHierarchy:
             m, ["e"], config=SemanticsConfig(
                 conflict_resolution=ConflictPolicy.OUTERMOST_FIRST))
         assert outer_first.current_state == "Out"
+
+
+class TestTriggers:
+    def wildcard_machine(self, wildcard_first):
+        b = StateMachineBuilder("Wild")
+        b.state("A")
+        b.state("Any")
+        b.state("Go")
+        b.initial_to("A")
+        arcs = [("Any", AnyEvent()), ("Go", "go")]
+        for target, on in (arcs if wildcard_first else arcs[::-1]):
+            b.transition("A", target, on=on)
+        return b.build()
+
+    @pytest.mark.parametrize("wildcard_first, on_go",
+                             [(True, "Any"), (False, "Go")])
+    def test_wildcard_and_named_triggers_keep_outgoing_order(
+            self, wildcard_first, on_go):
+        machine = self.wildcard_machine(wildcard_first)
+        assert interpret(machine, ["go"]).current_state == on_go
+        assert interpret(machine, ["other"]).current_state == "Any"
+
+
+class TestExternalCalls:
+    """Calls inside guard and assign expressions go through the same
+    traced wrappers as call statements."""
+
+    def guarded(self, guard, validate=True, effect=None):
+        b = StateMachineBuilder("Guarded")
+        b.attribute("n", 0)
+        b.state("A")
+        b.state("B")
+        b.initial_to("A")
+        b.transition("A", "B", on="go", guard=guard, effect=effect)
+        return b.build(validate=validate)
+
+    def test_declared_unmapped_call_in_a_guard_returns_zero(self):
+        machine = self.guarded("f(7) == 0")
+        assert "f" in machine.context.operations   # declared by validation
+        inst = interpret(machine, ["go"])
+        assert inst.current_state == "B"
+        assert inst.trace.calls() == [("f", (7,))]
+
+    def test_mapped_undeclared_external_in_a_guard_and_an_assign(self):
+        machine = self.guarded("probe(2) > 10", validate=False,
+                               effect=[Assign("n", parse_expr("probe(3)"))])
+        assert "probe" not in machine.context.operations
+        inst = interpret(machine, ["go"],
+                         externals={"probe": lambda x: 10 * x})
+        assert inst.current_state == "B"
+        assert inst.attributes["n"] == 30
+        assert inst.trace.calls() == [("probe", (2,)), ("probe", (3,))]
+
+    def test_short_circuit_traces_only_the_calls_made(self):
+        machine = self.guarded("f() || g()")
+        inst = interpret(machine, ["go"],
+                         externals={"f": lambda: 1, "g": lambda: 0})
+        assert inst.current_state == "B"
+        assert inst.trace.calls() == [("f", ())]
+
+    def test_undeclared_unmapped_call_in_a_guard_raises(self):
+        machine = self.guarded("ghost() == 0", validate=False)
+        with pytest.raises(ExecutionError, match="ghost"):
+            interpret(machine, ["go"])
 
 
 class TestVariationPoints:
@@ -246,18 +374,7 @@ class TestVariationPoints:
 
 class TestPseudostates:
     def test_choice_selects_guarded_branch(self):
-        b = StateMachineBuilder("Choice")
-        b.attribute("v", 5)
-        b.state("A")
-        b.state("Low")
-        b.state("High")
-        ch = b.choice()
-        b.initial_to("A")
-        b.transition("A", ch, on="go")
-        b.transition(ch, "Low", guard="v < 3")
-        b.transition(ch, "High", guard="v >= 3")
-        m = b.build()
-        inst = interpret(m, ["go"])
+        inst = interpret(choice_machine(), ["go"])
         assert inst.current_state == "High"
 
     def test_choice_else_branch(self):
@@ -289,42 +406,46 @@ class TestPseudostates:
             interpret(m, ["go"])
 
     def test_terminate_pseudostate(self):
-        from repro.uml import PseudostateKind
-        b = StateMachineBuilder("Term")
-        b.state("A")
-        term = b.pseudostate(PseudostateKind.TERMINATE, "T")
-        b.initial_to("A")
-        b.transition("A", term, on="die")
-        m = b.build()
-        inst = interpret(m, ["die"])
+        inst = interpret(terminate_machine(), ["die"])
         assert inst.is_terminated
 
     def test_shallow_history_restores_substate(self):
-        b = StateMachineBuilder("Hist")
-        from repro.uml import PseudostateKind
-        sub = b.composite("C")
-        sub.state("C1")
-        sub.state("C2")
-        hist = sub.pseudostate(PseudostateKind.SHALLOW_HISTORY, "H")
-        sub.initial_to("C1")
-        sub.transition("C1", "C2", on="adv")
-        b.state("Out")
-        b.initial_to("C")
-        b.transition("C", "Out", on="pause")
-        b.transition("Out", hist, on="resume")
-        m = b.build()
-        inst = interpret(m, ["adv", "pause", "resume"])
+        inst = interpret(history_machine(), ["adv", "pause", "resume"])
         assert inst.active_states == ["C", "C2"]
 
 
 class TestInternalTransitions:
     def test_internal_does_not_exit_or_enter(self):
-        b = StateMachineBuilder("Int")
-        b.state("A", entry=calls("enter_a"), exit=calls("exit_a"))
-        b.initial_to("A")
-        b.internal("A", on="tick", effect=calls("tock"))
-        b.transition("A", "final", on="stop")
-        m = b.build()
-        inst = interpret(m, ["tick", "tick"])
+        inst = interpret(internal_machine(), ["tick", "tick"])
         names = [c[0] for c in inst.trace.calls()]
         assert names == ["enter_a", "tock", "tock"]
+
+
+class TestMachinePlan:
+    def test_replay_never_walks_the_model(self, flat_machine,
+                                          hierarchical_machine, monkeypatch):
+        machines = [flat_machine, hierarchical_machine, choice_machine(),
+                    choice_machine(v=0), history_machine(),
+                    terminate_machine(), internal_machine()]
+        executor = InterpreterExecutor()
+        runs = []
+        for machine in machines:
+            stimuli = make_scenarios(machine)
+            runs.append((machine, stimuli,
+                         observe(InterpreterExecutor(), machine, stimuli)))
+            executor.load(machine)
+
+        def walk(*args, **kwargs):
+            raise AssertionError("replay walked the model")
+        for owner, name in ((Region, "all_transitions"), (Vertex, "outgoing"),
+                            (State, "ancestors"), (Element, "owner_chain")):
+            monkeypatch.setattr(owner, name, walk)
+        for machine, stimuli, expected in runs:
+            assert observe(executor, machine, stimuli) == expected
+
+    def test_a_plan_serves_only_its_machine(self, flat_machine,
+                                            hierarchical_machine):
+        plan = MachinePlan(flat_machine)
+        assert MachineInstance(flat_machine, plan=plan).plan is plan
+        with pytest.raises(ValueError):
+            MachineInstance(hierarchical_machine, plan=plan)

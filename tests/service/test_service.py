@@ -2,7 +2,12 @@
 results to in-process engine runs, batching, coalescing, stats."""
 
 import asyncio
+import gc
+import logging
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -111,6 +116,25 @@ class TestEndToEnd:
                                port=running.port) as client:
                 payload = client.compile_machine(machine)
         assert payload["total_size"] > 0
+
+    def test_stop_with_an_idle_client_connected(self, caplog, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        running = ServiceThread(ExperimentEngine()).start()
+        with socket.socket(socket.AF_UNIX) as idle:
+            idle.connect(running.socket_path)
+            # One round trip: the connection's handler is up, then idle.
+            idle.sendall(b'{"op": "ping"}\n')
+            assert idle.makefile("rb").readline()
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                began = time.monotonic()
+                running.stop()
+                elapsed = time.monotonic() - began
+                gc.collect()     # a pending handler task logs when freed
+        assert elapsed < 5
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
+        assert unraisable == []
 
     def test_service_over_persistent_store(self, machine, tmp_path):
         cache_dir = str(tmp_path / "cache")
