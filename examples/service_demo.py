@@ -35,8 +35,8 @@ with ServiceThread(engine) as handle:
               f"{result['level']}, {result['target']}] -> "
               f"{result['total_size']} bytes")
 
-        # A batch grid with a repeat: the engine's planner compiles
-        # each unique job once, results come back in input order.
+        # A batch grid with a repeat: the service compiles each unique
+        # job once, results come back in input order.
         jobs = [compile_params(flat, pattern=p)
                 for p in ("nested-switch", "state-table", "state-pattern",
                           "nested-switch")]
@@ -47,8 +47,7 @@ with ServiceThread(engine) as handle:
               f"({batch['deduplicated']} deduplicated)")
         assert sizes[0] == sizes[3], "repeat job must match"
 
-        stats = client.stats()
-        print("per-client stats:", stats["clients"]["client-1"])
+        print("service totals:", client.metrics()["service"])
 print("cold engine:", engine.describe())
 
 print()

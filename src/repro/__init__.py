@@ -30,8 +30,8 @@ The package implements the paper's full pipeline:
   integrity-checked, LRU-collected entries keyed by engine
   fingerprints, safe across processes;
 * :mod:`repro.service` — the batch compile service: an asyncio
-  JSON-lines server (unix socket / TCP) with request coalescing and
-  per-client stats, a blocking client, and the
+  JSON-lines server (unix socket / TCP) with request coalescing and a
+  ``metrics`` endpoint, a blocking client, and the
   ``python -m repro.service`` CLI;
 * :mod:`repro.experiments` — harnesses regenerating the paper's Figure 1,
   Table 1 and Table 2, plus parameter sweeps and the simulated dynamics

@@ -99,10 +99,13 @@ class Counter(_Metric):
         with self._lock:
             return self._series.get(_label_key(labels), 0)
 
-    def total(self) -> float:
-        """Sum across every label set."""
+    def total(self, **labels: Any) -> float:
+        """Sum across every label set that includes *labels* (all of
+        them when none are given)."""
+        want = set(_label_key(labels))
         with self._lock:
-            return sum(self._series.values())
+            return sum(value for key, value in self._series.items()
+                       if want.issubset(key))
 
     def series(self) -> Dict[str, float]:
         with self._lock:

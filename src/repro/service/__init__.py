@@ -12,16 +12,16 @@ sharing a process:
   canonical result payload (built by the same function the in-process
   path uses, so service answers are identical to local engine runs);
 * :mod:`~repro.service.server` — :class:`CompileService`, an asyncio
-  server over a unix socket or TCP port.  In-process mode fronts one
-  :class:`~repro.engine.ExperimentEngine`; cluster mode
-  (``workers=N``) runs compiles on a process pool over a
-  consistent-hash-sharded store, with bounded-queue backpressure
-  (``busy`` replies) and a ``metrics`` endpoint.
+  server over a unix socket or TCP port, with bounded-queue
+  backpressure (``busy`` replies) and a ``metrics`` endpoint.  Every
+  compile runs in chunks on a worker pool: threads over one
+  :class:`~repro.engine.ExperimentEngine` in-process, or
+  (``workers=N``) processes over a consistent-hash-sharded store.
   :class:`ServiceThread` runs the whole thing on a background thread
   for examples/tests;
-* :mod:`~repro.service.workers` — :class:`WorkerPool`, the fault-
-  tolerant process pool (dead workers are respawned, interrupted
-  chunks retried);
+* :mod:`~repro.service.workers` — :class:`WorkerPool`, the chunk
+  runner's pool: threads over a live engine, or fault-tolerant
+  processes (dead workers are respawned, interrupted chunks retried);
 * :mod:`~repro.service.batching` — batch dedup, the unit-cache
   locality sort, and chunk planning;
 * :mod:`~repro.service.metrics` — latency histograms and the
@@ -31,7 +31,7 @@ sharing a process:
 * :mod:`~repro.service.client` — :class:`ServiceClient`, a thin
   blocking client with busy-reply backoff.
 
-CLI: ``python -m repro.service serve|submit|stats|metrics|loadgen``.
+CLI: ``python -m repro.service serve|submit|metrics|loadgen``.
 """
 
 from .batching import (dedup_params, params_digest, plan_chunks,

@@ -1,5 +1,5 @@
 """Compile-service CLI:
-``python -m repro.service <serve|submit|stats|metrics|loadgen>``.
+``python -m repro.service <serve|submit|metrics|loadgen>``.
 
 ``serve`` runs the asyncio server in the foreground — in-process by
 default, a worker cluster with ``--workers``::
@@ -13,9 +13,9 @@ batched when several are given)::
     python -m repro.service submit --socket /tmp/repro.sock \\
         --model flat --pattern nested-switch --pattern state-table
 
-``stats`` prints the server's engine + per-client statistics as JSON;
-``metrics`` prints the latency/queue/worker telemetry document
-(``--json`` for one scrape-friendly line).
+``metrics`` prints the server's telemetry document as JSON — request
+totals, latency, queue, workers and cache counters (``--json`` for one
+scrape-friendly line).
 
 ``serve`` and ``loadgen`` accept ``--trace-out TRACE.json``: sampling
 is flipped to 1.0 and every span the process saw — for loadgen that is
@@ -156,12 +156,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    with _client(args) as client:
-        print(json.dumps(client.stats(), indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     with _client(args) as client:
         print(json.dumps(client.metrics(),
@@ -261,12 +255,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "result")
     submit.set_defaults(func=_cmd_submit)
 
-    stats = sub.add_parser("stats", help="print server statistics")
-    _add_address_args(stats)
-    stats.set_defaults(func=_cmd_stats)
-
-    metrics = sub.add_parser("metrics", help="print server latency/"
-                                             "queue/worker telemetry")
+    metrics = sub.add_parser("metrics", help="print server request/"
+                                             "latency/queue/worker/cache "
+                                             "telemetry")
     _add_address_args(metrics)
     metrics.add_argument("--json", action="store_true",
                          help="print the document as one JSON line "

@@ -152,9 +152,6 @@ class ServiceClient:
     def ping(self) -> Dict[str, Any]:
         return self.request("ping")
 
-    def stats(self) -> Dict[str, Any]:
-        return self.request("stats")
-
     def metrics(self) -> Dict[str, Any]:
         """The server's latency/queue/worker/cache telemetry document
         (see :mod:`repro.service.metrics` for the schema)."""

@@ -36,55 +36,14 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from ..obs.metrics import REGISTRY, Histogram, MetricsRegistry
+from ..obs.metrics import REGISTRY, MetricsRegistry
 
-__all__ = ["METRICS_SCHEMA_VERSION", "LatencyHistogram", "ServiceMetrics"]
+__all__ = ["METRICS_SCHEMA_VERSION", "ServiceMetrics"]
 
 #: Bump when the ``payload()`` shape changes incompatibly.
 #: v2 (PR 9): same keys as v1 plus a ``registry`` section; figures now
 #: sourced from :mod:`repro.obs.metrics` instruments.
 METRICS_SCHEMA_VERSION = 2
-
-
-class LatencyHistogram:
-    """Log-bucketed latency histogram (seconds in, milliseconds out).
-
-    Thin veneer over one unlabeled :class:`repro.obs.metrics.Histogram`
-    series — kept because "seconds in, ms out, ``None`` when empty" is
-    the contract the service payload and its tests speak.
-    """
-
-    __slots__ = ("_histogram",)
-
-    def __init__(self, histogram: Optional[Histogram] = None) -> None:
-        self._histogram = histogram \
-            if histogram is not None else Histogram("latency_seconds")
-
-    def record(self, seconds: float) -> None:
-        self._histogram.record(seconds)
-
-    @property
-    def count(self) -> int:
-        return self._histogram.count()
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Upper bound (ms) of the bucket covering quantile *q*."""
-        seconds = self._histogram.percentile(q)
-        return None if seconds is None else seconds * 1000.0
-
-    @property
-    def mean_ms(self) -> Optional[float]:
-        mean = self._histogram.mean()
-        return None if mean is None else mean * 1000.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.percentile(0.50),
-            "p90_ms": self.percentile(0.90),
-            "p99_ms": self.percentile(0.99),
-        }
 
 
 class ServiceMetrics:
@@ -119,6 +78,11 @@ class ServiceMetrics:
             "service_jobs_done_total", "compile jobs completed")
         self._busy = reg.counter(
             "service_busy_seconds_total", "summed job execution time")
+        self._connections = reg.counter(
+            "service_connections_total", "client connections accepted")
+        self._coalesced = reg.counter(
+            "service_coalesced_total",
+            "compile requests folded onto an in-flight computation")
 
     # -- v1 attribute compatibility ------------------------------------------
 
@@ -166,6 +130,16 @@ class ServiceMetrics:
     def reject(self) -> None:
         self._rejections.inc()
 
+    def connect(self) -> None:
+        self._connections.inc()
+
+    def coalesce(self) -> None:
+        self._coalesced.inc()
+
+    @property
+    def coalesced(self) -> int:
+        return int(self._coalesced.value())
+
     # -- scraping -----------------------------------------------------------
 
     def utilization(self, workers: int) -> Optional[float]:
@@ -195,8 +169,9 @@ class ServiceMetrics:
                 shard_sizes: Optional[Dict[str, int]] = None,
                 ) -> Dict[str, Any]:
         """The ``metrics`` endpoint's JSON document (schema v2: every
-        v1 key, plus ``registry`` — this service's instruments merged
-        with the process-global :data:`~repro.obs.metrics.REGISTRY`)."""
+        v1 key, the ``service`` request totals, plus ``registry`` — this
+        service's instruments merged with the process-global
+        :data:`~repro.obs.metrics.REGISTRY`)."""
         ops = sorted({labels["op"]
                       for labels in self._latency.labelsets()
                       if "op" in labels})
@@ -220,6 +195,13 @@ class ServiceMetrics:
             },
             "workers": worker_block,
             "cache": cache or {},
+            "service": {
+                "connections": int(self._connections.value()),
+                "requests": int(self._requests.total()),
+                "errors": int(self._requests.total(outcome="error")),
+                "busy": int(self._requests.total(outcome="busy")),
+                "coalesced": self.coalesced,
+            },
             "registry": {**REGISTRY.snapshot(), **self.registry.snapshot()},
         }
         if shard_sizes is not None:

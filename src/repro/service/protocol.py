@@ -11,11 +11,10 @@ ping     ``{}`` -> ``{"pong": true, "version": ...}``
 compile  one compile-job description (see :func:`compile_params`) ->
          the canonical result payload (:func:`compile_result_payload`)
 batch    ``{"jobs": [<compile params>, ...]}`` -> ``{"results": [...],
-         "deduplicated": N}`` — results in input order, grid deduped
-         by the engine's batch planner
-stats    ``{}`` -> engine cache statistics + per-client counters
-metrics  ``{}`` -> latency histograms, queue gauges, worker fault
-         counters, cache counters, shard sizes
+         "deduplicated": N}`` — results in input order, jobs deduped
+         by canonical request digest
+metrics  ``{}`` -> request totals, latency histograms, queue gauges,
+         worker fault counters, cache counters, shard sizes
          (:mod:`repro.service.metrics`; schema-stamped)
 ======== ==============================================================
 

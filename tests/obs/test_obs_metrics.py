@@ -19,6 +19,15 @@ class TestCounter:
         assert counter.value(op="absent") == 0
         assert counter.total() == 4
 
+    def test_total_over_a_partial_label_set(self):
+        counter = Counter("requests_total")
+        counter.inc(op="compile", outcome="ok")
+        counter.inc(2, op="compile", outcome="error")
+        counter.inc(op="ping", outcome="error")
+        assert counter.total(outcome="error") == 3
+        assert counter.total(op="compile") == 3
+        assert counter.total(op="ping", outcome="ok") == 0
+
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
@@ -69,6 +78,21 @@ class TestHistogram:
         p50 = hist.percentile(0.50)
         # Bucketed answer: the covering bucket's upper bound.
         assert 0.010 <= p50 <= 0.010 * 1.35
+
+    def test_tail_quantile_lands_in_the_tail(self):
+        hist = Histogram("h")
+        for _ in range(99):
+            hist.record(0.001)
+        hist.record(1.0)                     # one 1 s outlier in 100
+        assert hist.percentile(0.50) < 0.005
+        assert hist.percentile(0.99) < 0.005     # 99/100 are 1 ms
+        assert hist.percentile(0.999) >= 1.0     # the outlier's bucket
+
+    def test_out_of_range_samples_still_count(self):
+        hist = Histogram("h")
+        hist.record(10_000.0)                # beyond the last finite bound
+        assert hist.count() == 1
+        assert hist.percentile(0.5) is not None
 
     def test_labeled_series(self):
         hist = Histogram("h", exact=True)

@@ -8,7 +8,9 @@ A slow-engine stub saturates a tiny queue; the contract under test:
   drains its whole batch;
 * a single batch larger than the entire queue is rejected
   non-retryably (waiting could never admit it);
-* rejections and high-water marks land in the metrics document.
+* rejections and high-water marks land in the metrics document;
+* duplicates in a batch are folded before admission, so they take one
+  queue slot.
 """
 
 import threading
@@ -112,3 +114,13 @@ class TestUnboundedDefault:
                 metrics = client.metrics()
         assert metrics["queue"]["limit"] is None
         assert metrics["queue"]["busy_rejections"] == 0
+
+
+class TestAdmission:
+    def test_duplicates_take_one_queue_slot(self, machines):
+        job = compile_params(machines[0])
+        with ServiceThread(ExperimentEngine(), queue_limit=2) as handle:
+            with handle.client(busy_retries=0) as client:
+                response = client.request("batch", jobs=[job] * 3)
+        assert len(response["results"]) == 3
+        assert response["deduplicated"] == 2

@@ -9,8 +9,10 @@ expensive part) backs every test here:
 * crash-loop worker — retries exhaust gracefully: the one poisoned
   request gets an error reply, the service keeps serving, and
   ``failed_chunks`` records the abandonment;
-* stats/metrics endpoints report the cluster view (aggregated worker
-  cache counters, shard sizes).
+* the metrics endpoint reports the cluster view (aggregated worker
+  cache counters, shard sizes);
+* an in-process service runs the same chunk path, so both modes
+  dedup, count and report a batch the same way.
 """
 
 import json
@@ -125,14 +127,14 @@ class TestWorkerDeath:
 
 
 class TestClusterIntrospection:
-    def test_stats_aggregates_worker_caches(self, cluster, machines):
+    def test_metrics_cache_aggregates_worker_caches(self, cluster,
+                                                    machines):
         with cluster.client() as client:
             client.compile_machine(machines[0])
-            stats = client.stats()
-        engine_block = stats["engine"]
-        assert engine_block["lookups"] >= 1
-        assert set(stats["units"]) == {"hits", "disk_hits", "misses",
-                                       "reused", "compiled"}
+            cache = client.metrics()["cache"]
+        assert cache["lookups"] >= 1
+        assert {"unit_hits", "unit_disk_hits", "unit_misses",
+                "reused_units", "compiled_units"} <= set(cache)
 
     def test_metrics_reports_shards_and_schema(self, cluster):
         with cluster.client() as client:
@@ -148,3 +150,52 @@ class TestClusterIntrospection:
         from repro.service import CompileService
         with pytest.raises(ValueError):
             CompileService(ExperimentEngine(), workers=2)
+
+
+def _batch_and_metrics(handle, jobs):
+    """``(batch response, metrics after, jobs compiled by the batch)``."""
+    with handle.client() as client:
+        before = client.metrics()["cache"]["jobs"]
+        response = client.request("batch", jobs=jobs)
+        doc = client.metrics()
+    return response, doc, doc["cache"]["jobs"] - before
+
+
+@pytest.fixture(scope="module")
+def three_spellings(cluster, machines):
+    """One job spelled three ways (level ``-Os``, omitted, ``Os``),
+    batched by a fresh in-process service and by the cluster."""
+    spelled = compile_params(machines[1], pattern="state-table")
+    no_level = {key: value for key, value in spelled.items()
+                if key != "level"}
+    jobs = [spelled, no_level, dict(spelled, level="Os")]
+    with ServiceThread(ExperimentEngine()) as in_process:
+        local = _batch_and_metrics(in_process, jobs)
+    return {"in-process": local,
+            "cluster": _batch_and_metrics(cluster, jobs)}
+
+
+class TestModesAgree:
+    """An in-process service and the cluster share one compile path."""
+
+    def test_same_payloads_and_dedup(self, three_spellings):
+        local, served = (three_spellings[mode][0]
+                         for mode in ("in-process", "cluster"))
+        payloads = {_canonical(payload)
+                    for payload in local["results"] + served["results"]}
+        assert len(payloads) == 1
+        assert local["deduplicated"] == served["deduplicated"]
+
+    def test_cache_jobs_counts_jobs_compiled(self, three_spellings):
+        for response, _doc, compiled in three_spellings.values():
+            unique = len(response["results"]) - response["deduplicated"]
+            assert compiled == unique
+        _response, local_doc, compiled = three_spellings["in-process"]
+        assert local_doc["cache"]["jobs"] == compiled    # fresh service
+
+    def test_both_documents_carry_per_worker(self, three_spellings):
+        local_doc = three_spellings["in-process"][1]
+        cluster_doc = three_spellings["cluster"][1]
+        assert local_doc["workers"]["mode"] == "in-process"
+        assert len(local_doc["workers"]["per_worker"]) == 1
+        assert cluster_doc["workers"]["per_worker"]

@@ -1,44 +1,8 @@
-"""Metrics registry: histogram math and the scrape-document schema."""
+"""Service metrics: queue gauges and the scrape-document schema."""
 
 import pytest
 
-from repro.service.metrics import (METRICS_SCHEMA_VERSION,
-                                   LatencyHistogram, ServiceMetrics)
-
-
-class TestLatencyHistogram:
-    def test_empty_reports_none(self):
-        histogram = LatencyHistogram()
-        assert histogram.percentile(0.5) is None
-        assert histogram.mean_ms is None
-        assert histogram.as_dict()["count"] == 0
-
-    def test_percentile_brackets_the_samples(self):
-        histogram = LatencyHistogram()
-        for _ in range(100):
-            histogram.record(0.010)          # 10 ms
-        p50 = histogram.percentile(0.50)
-        # bucketed: the answer is the covering bucket's upper bound,
-        # within one x1.35 step of the true value.
-        assert 10.0 <= p50 <= 10.0 * 1.35
-        assert histogram.as_dict()["count"] == 100
-        assert histogram.mean_ms == pytest.approx(10.0, rel=1e-6)
-
-    def test_tail_quantile_lands_in_the_tail(self):
-        histogram = LatencyHistogram()
-        for _ in range(99):
-            histogram.record(0.001)
-        histogram.record(1.0)                # one 1 s outlier
-        assert histogram.percentile(0.50) < 5.0
-        assert histogram.percentile(0.99) < 5.0      # 99/100 are 1 ms
-        p999 = histogram.percentile(0.999)
-        assert p999 >= 1000.0                # the outlier's bucket
-
-    def test_out_of_range_samples_still_count(self):
-        histogram = LatencyHistogram()
-        histogram.record(10_000.0)           # beyond the last bound
-        assert histogram.as_dict()["count"] == 1
-        assert histogram.percentile(0.5) is not None
+from repro.service.metrics import METRICS_SCHEMA_VERSION, ServiceMetrics
 
 
 class TestServiceMetricsQueue:
@@ -69,6 +33,8 @@ class TestPayloadSchema:
         metrics.enqueue(2)
         metrics.dequeue(2, busy_seconds=0.3)
         metrics.reject()
+        metrics.connect()
+        metrics.coalesce()
         doc = metrics.payload(workers=2,
                               pool_stats={"deaths": 1, "restarts": 1,
                                           "retried_chunks": 2,
@@ -92,6 +58,8 @@ class TestPayloadSchema:
         assert 0.0 < workers["utilization"] <= 1.0
         assert doc["cache"]["hit_rate"] == 0.625
         assert doc["shards"] == {"shard-00": 4, "shard-01": 4}
+        assert doc["service"] == {"connections": 1, "requests": 3,
+                                  "errors": 1, "busy": 1, "coalesced": 1}
 
     def test_in_process_mode_omits_shards(self):
         doc = ServiceMetrics().payload(workers=0)

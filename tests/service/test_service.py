@@ -1,5 +1,5 @@
 """The compile service end to end: unix socket and TCP, identical
-results to in-process engine runs, batching, coalescing, stats."""
+results to in-process engine runs, batching, coalescing, metrics."""
 
 import asyncio
 import gc
@@ -77,18 +77,26 @@ class TestEndToEnd:
         stats = handle.service.engine.stats
         assert stats.misses == 1 and stats.hits == 1
 
-    def test_per_client_stats(self, handle, machine):
+    def test_service_block_counts_connections(self, handle, machine):
         with handle.client() as first:
             first.compile_machine(machine)
             with handle.client() as second:
                 second.ping()
-                stats = second.stats()
-        clients = stats["clients"]
-        assert len(clients) == 2
-        assert clients["client-1"]["compiles"] == 1
-        assert clients["client-2"]["requests"] == 2
-        assert stats["service"]["connections"] == 2
-        assert stats["engine"]["misses"] == 1
+                doc = second.metrics()
+        assert doc["service"]["connections"] == 2
+        # compile + ping; the metrics request counts once it is answered
+        assert doc["service"]["requests"] == 2
+        assert doc["endpoints"]["compile"]["count"] == 1
+        assert doc["cache"]["misses"] == 1
+
+    def test_stats_op_is_retired(self, handle):
+        with handle.client() as client:
+            with pytest.raises(ServiceError,
+                               match="unknown operation 'stats'"):
+                client.request("stats")
+            doc = client.metrics()
+        assert doc["endpoints"]["invalid"]["errors"] == 1
+        assert doc["service"]["errors"] == 1
 
     def test_errors_do_not_kill_the_connection(self, handle, machine):
         with handle.client() as client:
@@ -136,6 +144,61 @@ class TestEndToEnd:
                 if record.name == "asyncio"] == []
         assert unraisable == []
 
+    def test_stop_with_compiles_in_flight(self, caplog, monkeypatch,
+                                          machine, hierarchical):
+        """A batch and a single compile are queued on the pool's one
+        thread when the service stops; the chunk still running finishes
+        afterwards.  Nothing is left pending and no callback fails."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        engine = ExperimentEngine()
+        release = threading.Event()
+        compiling = []
+        original = engine.compile_machine
+
+        def held_compile(*args, **kwargs):
+            compiling.append(threading.current_thread())
+            release.wait(30)
+            return original(*args, **kwargs)
+
+        engine.compile_machine = held_compile
+        running = ServiceThread(engine).start()
+
+        def request(op, **params):
+            try:
+                with running.client() as client:
+                    client.request(op, **params)
+            except (ConnectionError, ServiceError):
+                pass                     # the server went away mid-request
+
+        jobs = [compile_params(machine, pattern=pattern)
+                for pattern in ("nested-switch", "state-table")]
+        clients = [
+            threading.Thread(target=request, args=("batch",),
+                             kwargs={"jobs": jobs}),
+            threading.Thread(target=request, args=("compile",),
+                             kwargs=compile_params(hierarchical))]
+        for thread in clients:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while running.service.metrics.queue_depth < 3:
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.01)
+        with caplog.at_level(logging.WARNING):
+            began = time.monotonic()
+            running.stop()
+            elapsed = time.monotonic() - began
+            release.set()                # the running chunk completes late
+            for thread in compiling + clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            gc.collect()                 # a pending task logs when freed
+        assert elapsed < 5
+        assert not running.service._inflight, "in-flight table must drain"
+        assert [record.getMessage() for record in caplog.records
+                if record.name in ("asyncio", "concurrent.futures")] == []
+        assert unraisable == []
+
     def test_service_over_persistent_store(self, machine, tmp_path):
         cache_dir = str(tmp_path / "cache")
         with ServiceThread(ExperimentEngine(cache_dir=cache_dir)) as run:
@@ -170,25 +233,24 @@ class TestCoalescing:
         params = compile_params(machine)
 
         async def scenario():
-            from repro.service.server import ClientStats
-            client = ClientStats()
-            request = dict(params)
             first = asyncio.ensure_future(
-                service._compile_one(request, client))
+                service._compile_one(dict(params)))
             # let the first request install its in-flight task
             while not service._inflight:
                 await asyncio.sleep(0.01)
             second = asyncio.ensure_future(
-                service._compile_one(dict(params), client))
-            while client.compiles < 2:
+                service._compile_one(dict(params)))
+            while service.metrics.coalesced < 1:
                 await asyncio.sleep(0.01)
             release.set()
-            results = await asyncio.gather(first, second)
-            return client, results
+            return await asyncio.gather(first, second)
 
-        client, results = asyncio.run(scenario())
+        try:
+            results = asyncio.run(scenario())
+        finally:
+            service.close()
         assert results[0] == results[1]
         assert len(computed) == 1, "coalesced request must not recompute"
-        assert client.coalesced == 1
-        assert service.totals.coalesced == 1
+        assert service.metrics.coalesced == 1
+        assert service.metrics_payload()["service"]["coalesced"] == 1
         assert not service._inflight, "in-flight table must drain"
