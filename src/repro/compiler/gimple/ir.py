@@ -20,7 +20,6 @@ paper's era made in their RTL.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -30,7 +29,7 @@ __all__ = [
     "Call", "CallIndirect", "Phi",
     "Terminator", "Jump", "Branch", "SwitchTerm", "Ret",
     "BasicBlock", "GimpleFunction", "DataItem", "SymbolRef", "DataObject",
-    "Program", "IRError",
+    "Program", "IRError", "copy_node",
 ]
 
 BIN_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!="}
@@ -450,6 +449,24 @@ class Ret(Terminator):
         return f"ret {_fmt(self.value)}" if self.value is not None else "ret"
 
 
+def copy_node(node):
+    """A shallow copy of one instruction or terminator.
+
+    Passes rewrite nodes in place (``dce`` clears ``dst``; ``ssa``,
+    ``simplify_cfg`` and the inliner edit a phi's ``incoming``), so a copy
+    owns its attributes and its one mutable container: a phi's
+    ``incoming`` or a switch's ``cases``.  Operands are immutable
+    (registers, ints, tuples) and stay shared.
+    """
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__)
+    if isinstance(clone, Phi):
+        clone.incoming = dict(clone.incoming)
+    elif isinstance(clone, SwitchTerm):
+        clone.cases = dict(clone.cases)
+    return clone
+
+
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
@@ -487,12 +504,22 @@ class GimpleFunction:
         self.params: List[Reg] = list(params or [])
         self.blocks: Dict[str, BasicBlock] = {}
         self.entry: str = ""
-        self._label_counter = itertools.count()
-        self._reg_counter = itertools.count()
+        # Plain ints: functions are pickled into the store, and Python
+        # 3.12 deprecates pickling iterator counters.
+        self._next_label = 0
+        self._next_reg = 0
 
     # -- construction ---------------------------------------------------
+    def label_id(self) -> int:
+        """Take the next block-label number (the suffix of
+        :meth:`new_block` labels; the inliner numbers its blocks from
+        the same sequence)."""
+        number = self._next_label
+        self._next_label = number + 1
+        return number
+
     def new_block(self, hint: str = "bb") -> BasicBlock:
-        label = f"{hint}{next(self._label_counter)}"
+        label = f"{hint}{self.label_id()}"
         block = BasicBlock(label)
         self.blocks[label] = block
         if not self.entry:
@@ -500,7 +527,25 @@ class GimpleFunction:
         return block
 
     def new_reg(self, hint: str = "t") -> Reg:
-        return Reg(f"{hint}{next(self._reg_counter)}")
+        number = self._next_reg
+        self._next_reg = number + 1
+        return Reg(f"{hint}{number}")
+
+    def clone(self) -> "GimpleFunction":
+        """An independent copy that passes may mutate: new blocks holding
+        a :func:`copy_node` of every instruction and terminator, the same
+        entry, and label and register numbering that continues where this
+        function's stopped."""
+        fn = GimpleFunction(self.name, self.params)
+        fn.entry = self.entry
+        fn._next_label = self._next_label
+        fn._next_reg = self._next_reg
+        for label, block in self.blocks.items():
+            term = block.terminator
+            fn.blocks[label] = BasicBlock(
+                label, [copy_node(instr) for instr in block.instrs],
+                None if term is None else copy_node(term))
+        return fn
 
     def block(self, label: str) -> BasicBlock:
         return self.blocks[label]

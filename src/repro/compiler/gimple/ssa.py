@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .cfg import predecessors, remove_unreachable_blocks
 from .dom import DomInfo, compute_dominators
 from .ir import (BasicBlock, GimpleFunction, Instr, Jump, Move, Operand, Phi,
-                 Reg)
+                 Reg, copy_node)
 
 __all__ = ["to_ssa", "from_ssa", "verify_ssa", "SSAError"]
 
@@ -144,7 +144,7 @@ def _rewrite_term_uses(term, rewrite):
 
 
 def _with_dst(instr: Instr, dst: Reg) -> Instr:
-    clone = instr.replace_uses({})
+    clone = copy_node(instr)
     clone.dst = dst
     return clone
 

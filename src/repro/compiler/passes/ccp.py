@@ -5,7 +5,10 @@ propagation, the flagship "mathematical" SSA optimization GCC gained with
 Tree-SSA (paper §II.C).  Lattice per SSA name: TOP (unknown) -> constant
 -> BOTTOM (varying).  Branches on known constants mark only the taken
 edge executable, so code guarded by statically-false conditions is never
-visited and falls to the unreachable-block pass afterwards.
+visited and falls to the unreachable-block pass afterwards.  The
+propagation is sparse: SSA def-use chains, built once per run, take a
+changed register straight to the instructions and terminators that read
+it.
 
 Note the limit the paper leans on: the dispatch value of a generated
 state machine is *loaded from memory* (``this->state``), which CCP must
@@ -15,9 +18,8 @@ a model-level-unreachable state.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..gimple.cfg import predecessors
 from ..gimple.ir import (BinOp, Branch, Call, CallIndirect, Const,
                          GimpleFunction, Instr, Jump, Load, LoadAddr,
                          LoadGlobal, Move, Operand, Phi, Reg, Ret,
@@ -83,7 +85,17 @@ def run_ccp(fn: GimpleFunction) -> int:
 
     block_work = [fn.entry]
     instr_work: list = []
-    preds = predecessors(fn)
+
+    # Def-use chains: per register, the instructions (phis included) and
+    # the terminators that read it.
+    instr_users: Dict[Reg, List[Tuple[str, Instr]]] = {}
+    term_users: Dict[Reg, List[str]] = {}
+    for label, block in fn.blocks.items():
+        for instr in block.instrs:
+            for use in instr.uses():
+                instr_users.setdefault(use, []).append((label, instr))
+        for use in block.terminator.uses():
+            term_users.setdefault(use, []).append(label)
 
     def update(reg: Reg, new_value) -> None:
         old = lattice.get(reg, _TOP)
@@ -165,18 +177,14 @@ def run_ccp(fn: GimpleFunction) -> int:
     while block_work or instr_work:
         while instr_work:
             changed_reg = instr_work.pop()
-            # Re-visit every instruction using the changed register in an
-            # executable block (sparse propagation).
-            for label in list(executable):
-                block = fn.blocks.get(label)
-                if block is None:
-                    continue
-                for instr in block.instrs:
-                    if changed_reg in instr.uses() or (
-                            isinstance(instr, Phi)
-                            and changed_reg in instr.incoming.values()):
-                        visit_instr(label, instr)
-                if changed_reg in block.terminator.uses():
+            # Re-visit the users of the changed register that sit in
+            # executable blocks; the others are visited whole once their
+            # block becomes executable.
+            for label, instr in instr_users.get(changed_reg, ()):
+                if label in executable:
+                    visit_instr(label, instr)
+            for label in term_users.get(changed_reg, ()):
+                if label in executable:
                     visit_terminator(label)
         while block_work:
             label = block_work.pop()

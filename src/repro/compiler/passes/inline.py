@@ -12,11 +12,11 @@ runs before the SSA optimizers so they can see through the call.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 from ..gimple.ir import (BasicBlock, Call, GimpleFunction, Instr, Jump, Move,
-                         Operand, Phi, Program, Reg, Ret, Terminator)
+                         Operand, Phi, Program, Reg, Ret, Terminator,
+                         copy_node)
 
 __all__ = ["run_inline", "InlinePolicy"]
 
@@ -53,7 +53,7 @@ def _clone_into(caller: GimpleFunction, callee: GimpleFunction,
                 args: List[Operand], dst: Optional[Reg],
                 cont_label: str) -> str:
     """Clone *callee*'s body into *caller*; returns the cloned entry label."""
-    suffix = f"_inl{next(caller._label_counter)}"
+    suffix = f"_inl{caller.label_id()}"
     label_map = {label: f"{label}{suffix}" for label in callee.blocks}
     reg_map: Dict[Reg, Reg] = {}
 
@@ -82,10 +82,7 @@ def _clone_into(caller: GimpleFunction, callee: GimpleFunction,
             else:
                 new_instr = instr.replace_uses(mapping)
                 if new_instr is instr:
-                    new_instr = instr.replace_uses({})  # force a copy
-                    if new_instr is instr:
-                        import copy as _copy
-                        new_instr = _copy.copy(instr)
+                    new_instr = copy_node(instr)
                 if new_instr.dst is not None:
                     new_instr.dst = remap(new_instr.dst)
             clone.instrs.append(new_instr)
@@ -131,7 +128,7 @@ def run_inline(program: Program, policy: InlinePolicy,
                     if callee is None or callee is caller:
                         continue
                     # Split the block at the call site.
-                    cont = BasicBlock(f"cont{next(caller._label_counter)}")
+                    cont = BasicBlock(f"cont{caller.label_id()}")
                     cont.instrs = block.instrs[i + 1:]
                     cont.terminator = block.terminator
                     caller.blocks[cont.label] = cont

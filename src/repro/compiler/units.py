@@ -21,12 +21,13 @@ only recompiles the changed handlers and **relinks**:
   virtual-dispatch patterns independent of their handlers.
 * :func:`compile_one_unit` compiles a single unit through the very same
   lower → inline → SSA passes → isel → regalloc → asm-prologue
-  pipeline, on a **mini-program** holding deep copies of the unit's
-  closure in original program order — the inliner sees exactly the
-  bodies (and mutation order) it would see in a whole-program run, so
-  the produced RTL is byte-identical.  Pass statistics are attributed
-  to the unit function only; summed across units they equal the
-  whole-program numbers.
+  pipeline, on a **mini-program** holding a
+  :meth:`~repro.compiler.gimple.ir.GimpleFunction.clone` of each member
+  of the unit's closure in original program order — the inliner sees
+  exactly the bodies (and mutation order) it would see in a
+  whole-program run, so the produced RTL is byte-identical.  Pass
+  statistics are attributed to the unit function only; summed across
+  units they equal the whole-program numbers.
 * :func:`link_units` is the **link step**: it reassembles the module
   from per-unit artifacts — functions in program order, the program's
   data objects, then every unit's jump tables in function order — and
@@ -46,7 +47,6 @@ whole-program IR snapshots are inherently whole-program.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -234,12 +234,13 @@ def compile_one_unit(program: Program, unit: CompilationUnit,
     """Compile one unit in isolation, byte-identical to its share of a
     whole-program compile.
 
-    The mini-program holds *deep copies* of the closure (the pipeline
-    mutates IR in place; *program* stays pristine for the other units),
-    in original program order, so the inliner's caller iteration and
-    callee mutation sequence match the monolithic run exactly.  After
-    the inline phase only the unit's own function is optimized — the
-    closure copies exist solely to be cloned *from*.
+    The mini-program holds a :meth:`GimpleFunction.clone` of each
+    closure member (the pipeline mutates IR in place; *program* stays
+    pristine for the other units), in original program order, so the
+    inliner's caller iteration and callee mutation sequence match the
+    monolithic run exactly.  After the inline phase only the unit's own
+    function is optimized — the closure copies exist solely to be
+    inlined *from*.
     """
     sp = _span("unit.compile")
     if sp.recording:
@@ -249,7 +250,7 @@ def compile_one_unit(program: Program, unit: CompilationUnit,
         mini = Program(program.name)
         mini.externs = list(program.externs)
         for name in unit.closure:
-            mini.add_function(copy.deepcopy(program.functions[name]))
+            mini.add_function(program.functions[name].clone())
         fn = mini.functions[unit.name]
 
         stats: Dict[str, int] = {}

@@ -32,8 +32,11 @@ __all__ = ["SCHEMA_VERSION", "schema_stamp"]
 #: Generation 2: fuzz Observations (pool_depth field) + expression-call
 #: tracing in interpreter traces.  Generation 3: Observation moved to
 #: repro.exec (the pool depth became its per-executor ``extra``) and the
-#: observation caches share one fingerprint kind.
-SCHEMA_VERSION = 3
+#: observation caches share one fingerprint kind.  Generation 4:
+#: ``GimpleFunction`` (pickled in ``CompileResult.program`` and
+#: ``UnitArtifact.optimized_fn``) keeps its label and register counters
+#: as ints.
+SCHEMA_VERSION = 4
 
 
 def schema_stamp() -> str:

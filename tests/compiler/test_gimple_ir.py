@@ -5,9 +5,14 @@ import pytest
 from repro.compiler.gimple.cfg import (predecessors, reachable_blocks,
                                        remove_unreachable_blocks,
                                        reverse_postorder, successors)
+from repro.codegen import generator_by_name
+from repro.compiler import OptLevel
+from repro.compiler.driver import optimize_function
+from repro.compiler.frontend.lower import lower_unit
 from repro.compiler.gimple.dom import compute_dominators
-from repro.compiler.gimple.ir import (BinOp, Branch, Const, GimpleFunction,
-                                      IRError, Jump, Move, Phi, Reg, Ret)
+from repro.compiler.gimple.ir import (BinOp, Branch, Call, Const,
+                                      GimpleFunction, IRError, Jump, Move,
+                                      Phi, Reg, Ret, SwitchTerm)
 
 
 def diamond() -> GimpleFunction:
@@ -67,6 +72,66 @@ class TestContainers:
         instr = BinOp(Reg("d"), "+", Reg("a"), Reg("b"))
         out = instr.replace_uses({Reg("a"): 7})
         assert out.a == 7 and out.b == Reg("b")
+
+
+def switch_join() -> GimpleFunction:
+    """A switch into two arms that meet at a phi (SSA-shaped by hand)."""
+    fn = GimpleFunction("switch_join", [Reg("x")])
+    entry = fn.new_block("entry")
+    a = fn.new_block("a")
+    b = fn.new_block("b")
+    join = fn.new_block("join")
+    entry.terminator = SwitchTerm(Reg("x"), {0: a.label, 1: b.label},
+                                  b.label)
+    a.add(Const(Reg("v", 1), 10))
+    a.add(Call(Reg("r"), "log", (Reg("v", 1),)))
+    a.terminator = Jump(join.label)
+    b.add(Const(Reg("v", 2), 20))
+    b.terminator = Jump(join.label)
+    join.add(Phi(Reg("v", 3), {a.label: Reg("v", 1), b.label: Reg("v", 2)}))
+    join.terminator = Ret(Reg("v", 3))
+    fn.new_reg()
+    return fn
+
+
+class TestClone:
+    def test_clone_prints_the_same(self):
+        for fn in (diamond(), switch_join()):
+            assert str(fn.clone()) == str(fn)
+
+    def test_clone_shares_no_node(self):
+        fn = switch_join()
+        clone = fn.clone()
+        assert clone.params == fn.params and clone.params is not fn.params
+        for label, block in fn.blocks.items():
+            copy = clone.blocks[label]
+            assert copy is not block and copy.instrs is not block.instrs
+            for original, cloned in zip(block.instrs, copy.instrs):
+                assert cloned is not original
+            assert copy.terminator is not block.terminator
+        phi, = clone.blocks["join3"].phis()
+        phi.incoming["elsewhere"] = 0
+        clone.blocks["entry0"].terminator.cases[2] = "a1"
+        clone.blocks["a1"].instrs[1].dst = None
+        assert str(fn) == str(switch_join())
+
+    def test_clone_continues_numbering(self):
+        fn = switch_join()
+        clone = fn.clone()
+        assert clone.entry == fn.entry
+        assert clone.new_block("bb").label == fn.new_block("bb").label
+        assert clone.new_reg() == fn.new_reg() == Reg("t1")
+        assert clone.label_id() == fn.label_id() == 5
+
+    def test_optimizing_a_clone_leaves_the_original(self,
+                                                    hierarchical_machine):
+        program = lower_unit(
+            generator_by_name("nested-switch").generate(hierarchical_machine))
+        for fn in [diamond(), *program.functions.values()]:
+            before = str(fn)
+            clone = fn.clone()
+            optimize_function(clone, OptLevel.OS, {})
+            assert str(fn) == before
 
 
 class TestCFG:

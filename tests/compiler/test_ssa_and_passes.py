@@ -5,8 +5,9 @@ import pytest
 from repro.compiler.gimple.cfg import remove_unreachable_blocks
 from repro.compiler.gimple.interp import GimpleInterpreter
 from repro.compiler.gimple.ir import (BinOp, Branch, Call, Const,
-                                      GimpleFunction, Jump, Move, Phi,
-                                      Program, Reg, Ret, Store, SwitchTerm)
+                                      GimpleFunction, Instr, Jump, Move,
+                                      Phi, Program, Reg, Ret, Store,
+                                      SwitchTerm)
 from repro.compiler.gimple.ssa import SSAError, from_ssa, to_ssa, verify_ssa
 from repro.compiler.passes.ccp import run_ccp
 from repro.compiler.passes.copyprop import run_copyprop
@@ -83,6 +84,15 @@ class TestSSA:
         with pytest.raises(SSAError):
             to_ssa(fn)
 
+    def test_renaming_leaves_input_instructions_alone(self):
+        fn = GimpleFunction("f")
+        block = fn.new_block()
+        const = block.add(Const(Reg("x"), 1))
+        block.terminator = Ret(Reg("x"))
+        to_ssa(fn)
+        assert fn.blocks[block.label].instrs[0].dst == Reg("x", 1)
+        assert const.dst == Reg("x")
+
 
 class TestCCP:
     def test_folds_constants(self):
@@ -151,6 +161,51 @@ class TestCCP:
         run_ccp(fn)
         run_simplify_cfg(fn)
         assert run(fn) == 5
+
+    def test_loop_carried_constant_is_found_optimistically(self):
+        # x = 1; do x = x * 1; while (x < n); return x  ->  the phi is 1
+        fn = GimpleFunction("f", [Reg("n")])
+        entry = fn.new_block("entry")
+        loop = fn.new_block("loop")
+        exit_ = fn.new_block("exit")
+        entry.add(Const(Reg("x"), 1))
+        entry.terminator = Jump(loop.label)
+        loop.add(BinOp(Reg("x"), "*", Reg("x"), 1))
+        loop.add(BinOp(Reg("c"), "<", Reg("x"), Reg("n")))
+        loop.terminator = Branch(Reg("c"), loop.label, exit_.label)
+        exit_.terminator = Ret(Reg("x"))
+        to_ssa(fn)
+        phi, = fn.blocks[loop.label].phis()
+        run_ccp(fn)
+        head = fn.blocks[loop.label].instrs[0]
+        assert isinstance(head, Const) and head.dst == phi.dst
+        assert head.value == 1
+        assert run(fn, 0) == 1
+
+    def test_propagation_reads_each_instruction_a_bounded_number_of_times(
+            self, monkeypatch):
+        # A chain of N blocks, each adding 1 to the previous block's value.
+        n = 200
+        fn = GimpleFunction("chain")
+        blocks = [fn.new_block() for _ in range(n)]
+        blocks[0].add(Const(Reg("x"), 0))
+        for prev, block in zip(blocks, blocks[1:]):
+            block.add(BinOp(Reg("x"), "+", Reg("x"), 1))
+            prev.terminator = Jump(block.label)
+        blocks[-1].terminator = Ret(Reg("x"))
+        to_ssa(fn)
+        instrs = sum(len(block.instrs) for block in fn.blocks.values())
+        calls = []
+        uses = Instr.uses
+
+        def counted(instr):
+            calls.append(instr)
+            return uses(instr)
+        monkeypatch.setattr(Instr, "uses", counted)
+        run_ccp(fn)
+        monkeypatch.undo()
+        assert len(calls) <= 2 * instrs
+        assert run(fn) == n - 1
 
 
 class TestDCE:

@@ -67,6 +67,19 @@ class TestByteIdentity:
         assert stats.reused_units == stats.total_units > 0
         assert warm.module.listing() == cold.module.listing()
 
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_unit_compiles_leave_the_program_untouched(
+            self, hierarchical_machine, pattern):
+        """Each unit compiles clones of its closure: the passes and the
+        inliner (which rewrites every closure member it calls from)
+        must not reach the program the other units compile from."""
+        program = lowered(hierarchical_machine, pattern)
+        before = program.dump()
+        for unit in split_units(program, OptLevel.OS,
+                                extra_key=pattern).units:
+            compile_one_unit(program, unit, OptLevel.OS)
+        assert program.dump() == before
+
 
 class TestUnitHashes:
     def test_target_is_part_of_the_hash(self, flat_machine):

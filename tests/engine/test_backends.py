@@ -1,6 +1,8 @@
 """Cache backends: memory/disk/tiered semantics, stats attribution,
 schema stamping of fingerprints, thread-safe statistics."""
 
+import itertools
+import pickle
 import threading
 
 import pytest
@@ -128,6 +130,16 @@ class TestCacheOverBackends:
         assert restored.module.listing() == reference.module.listing()
         assert restored.total_size == reference.total_size
         assert warm.stats.disk_hits == 1 and warm.stats.misses == 0
+
+    def test_compile_results_pickle_without_itertools(self, machine):
+        """Python 3.12 deprecates pickling itertools objects (and tier-1
+        turns the warning into an error), so nothing the disk tier
+        stores may hold one."""
+        result = ExperimentEngine().compile_machine(machine)
+        assert b"itertools" not in pickle.dumps(result)
+        for fn in result.program.functions.values():
+            assert not any(isinstance(value, itertools.count)
+                           for value in vars(fn).values())
 
     def test_engine_rejects_conflicting_cache_args(self):
         with pytest.raises(ValueError):
