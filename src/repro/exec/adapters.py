@@ -43,6 +43,15 @@ class _InterpreterInstance(Instance):
         self.inner = MachineInstance(plan.machine, config=semantics,
                                      externals=externals, plan=plan)
 
+    def fork(self) -> "_InterpreterInstance":
+        """An independent copy at the same point of the run
+        (:meth:`MachineInstance.fork`); the differential runner forks
+        at the branch points of a scenario trie."""
+        clone = _InterpreterInstance.__new__(_InterpreterInstance)
+        clone.machine = self.machine
+        clone.inner = self.inner.fork()
+        return clone
+
     def start(self) -> "Instance":
         self.inner.start()
         return self

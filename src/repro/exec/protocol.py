@@ -48,7 +48,11 @@ def normalize_stimuli(stimuli: Iterable[object]) -> List[PlainEvent]:
 
 
 class Instance(abc.ABC):
-    """One executing machine instance behind some backend."""
+    """One executing machine instance behind some backend.
+
+    An instance may also offer ``fork()``: an independent copy at the
+    same point of its run.  The differential runner then replays a
+    scenario set as a prefix trie (:func:`repro.exec.observe`)."""
 
     machine: StateMachine
 

@@ -19,7 +19,10 @@ variation points of :mod:`repro.semantics.variation`.
 A machine's structure is indexed once, into a :class:`MachinePlan`; an
 instance reads only its plan and never walks the model, so one plan
 serves every instance of a machine (:class:`repro.exec.InterpreterExecutor`
-memoizes it per machine).
+memoizes it per machine).  :meth:`MachineInstance.fork` copies an
+instance mid-run, so scenarios that share a prefix can share its
+dispatches: the differential runner (:func:`repro.exec.observe`) replays
+a scenario set as a prefix trie, forking at each branch point.
 """
 
 from __future__ import annotations
@@ -266,6 +269,42 @@ class MachineInstance:
         for event in events:
             self.dispatch(event)
         return self
+
+    def fork(self) -> "MachineInstance":
+        """An independent instance at the same point of the same run:
+        dispatching on either leaves the other untouched.
+
+        The plan and the config are read-only and shared; everything a
+        run mutates is copied, the trace included.  The copy gets its
+        own expression environment, because the cached call wrappers
+        write into the trace they were built for.  An instance with
+        externals cannot be forked: an external callable may keep state
+        that two copies would share.
+        """
+        if self.externals:
+            raise ValueError("cannot fork an instance with externals "
+                             f"({', '.join(sorted(self.externals))})")
+        clone = MachineInstance.__new__(MachineInstance)
+        clone.machine = self.machine
+        clone.plan = self.plan
+        clone.config = self.config
+        clone.externals = {}
+        clone.attributes = dict(self.attributes)
+        clone.trace = self.trace.copy()
+        clone._env = _ExternalEnv(clone.trace, clone.externals,
+                                  self.plan.operations)
+        clone._active = list(self._active)
+        clone._history = dict(self._history)
+        clone._pool = deque(self._pool)
+        clone.max_pool_depth = self.max_pool_depth
+        clone._deferred = list(self._deferred)
+        clone._completion_queue = deque(self._completion_queue)
+        clone._completion_consumed = set(self._completion_consumed)
+        clone._region_done = set(self._region_done)
+        clone._terminated = self._terminated
+        clone._started = self._started
+        clone._steps = self._steps
+        return clone
 
     # -- observers -------------------------------------------------------
     @property

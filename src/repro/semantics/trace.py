@@ -74,6 +74,14 @@ class Trace:
         self._step += 1
         return record
 
+    def copy(self) -> "Trace":
+        """An independent trace holding the same records (which are
+        immutable) and continuing from the same step counter."""
+        clone = Trace()
+        clone.records = list(self.records)
+        clone._step = self._step
+        return clone
+
     # -- views -----------------------------------------------------------
     def observable(self) -> List[TraceRecord]:
         """Only the records an external observer can see."""

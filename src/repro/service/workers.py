@@ -268,13 +268,25 @@ class WorkerPool:
 
     def wait_ready(self, timeout: float = 60.0) -> int:
         """Block until every worker is up (a worker process has built
-        its engine); returns the number of distinct workers seen, 1 for
-        a thread-backed pool.  Load generators call this so pool
-        spin-up is excluded from throughput windows."""
-        barrier = [self._executor.submit(self._ping, 0.2)
-                   for _ in range(self.workers)]
-        tokens = {future.result(timeout=timeout) for future in barrier}
-        return len(tokens)
+        its engine), or until *timeout* seconds have passed; returns
+        the number of distinct workers that answered, 1 for a
+        thread-backed pool.  Load generators call this so pool spin-up
+        is excluded from throughput windows.
+
+        Pings go out in rounds, one per worker: a worker that is up may
+        answer several pings of a round while a sibling is still
+        spawning, so one round can miss a worker."""
+        target = 1 if self._threads else self.workers
+        deadline = time.monotonic() + timeout
+        tokens = set()
+        while True:
+            barrier = [self._executor.submit(self._ping, 0.2)
+                       for _ in range(self.workers)]
+            for future in barrier:
+                tokens.add(future.result(
+                    timeout=max(0.0, deadline - time.monotonic())))
+            if len(tokens) >= target or time.monotonic() >= deadline:
+                return len(tokens)
 
     def shutdown(self) -> None:
         with self._lock:

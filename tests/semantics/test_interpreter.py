@@ -4,8 +4,9 @@ import pytest
 
 from repro.exec import InterpreterExecutor, observe, run_scenario
 from repro.optim.equivalence import make_scenarios
-from repro.uml import (AnyEvent, Assign, Element, PseudostateKind, Region,
-                       State, StateMachineBuilder, Vertex, calls, parse_expr)
+from repro.uml import (AnyEvent, Assign, EmitStmt, Element, PseudostateKind,
+                       Region, State, StateMachineBuilder, Vertex, calls,
+                       parse_expr)
 from repro.semantics import (ConflictPolicy, EventPoolPolicy, ExecutionError,
                              MachineInstance, MachinePlan, SemanticsConfig,
                              UnconsumedPolicy)
@@ -62,6 +63,18 @@ def internal_machine():
     b.initial_to("A")
     b.internal("A", on="tick", effect=calls("tock"))
     b.transition("A", "final", on="stop")
+    return b.build()
+
+
+def burst_machine():
+    """``burst`` emits two ``inc`` at once (pool high-water mark 2);
+    each ``inc`` counts in ``n``."""
+    b = StateMachineBuilder("Burst")
+    b.attribute("n", 0)
+    b.state("A")
+    b.initial_to("A")
+    b.internal("A", on="inc", effect=[Assign("n", parse_expr("n + 1"))])
+    b.internal("A", on="burst", effect=[EmitStmt("inc"), EmitStmt("inc")])
     return b.build()
 
 
@@ -308,6 +321,16 @@ class TestExternalCalls:
         assert inst.current_state == "B"
         assert inst.trace.calls() == [("f", ())]
 
+    def test_a_fork_records_its_calls_in_its_own_trace(self):
+        machine = self.guarded("f(7) == 1")
+        # The first dispatch caches the call wrapper of f.
+        original = MachineInstance(machine).start().dispatch("go")
+        copy = original.fork()
+        copy.dispatch("go")
+        assert original.current_state == copy.current_state == "A"
+        assert original.trace.calls() == [("f", (7,))]
+        assert copy.trace.calls() == [("f", (7,)), ("f", (7,))]
+
     def test_undeclared_unmapped_call_in_a_guard_raises(self):
         machine = self.guarded("ghost() == 0", validate=False)
         with pytest.raises(ExecutionError, match="ghost"):
@@ -412,6 +435,50 @@ class TestPseudostates:
     def test_shallow_history_restores_substate(self):
         inst = interpret(history_machine(), ["adv", "pause", "resume"])
         assert inst.active_states == ["C", "C2"]
+
+
+def snapshot(inst):
+    """Everything a dispatch may change, as comparable values."""
+    return (inst.trace.dump(), dict(inst.attributes), inst.active_states,
+            inst.max_pool_depth, dict(inst._history))
+
+
+class TestFork:
+    @pytest.mark.parametrize("build, before, on_copy, on_original", [
+        (history_machine, ["adv"], ["pause"], ["pause", "resume"]),
+        (history_machine, ["adv", "pause"], ["resume"], ["resume", "pause"]),
+        (burst_machine, ["inc"], ["burst"], ["inc"]),
+        (burst_machine, ["burst"], ["inc"], ["burst"]),
+    ], ids=["history-written", "history-read", "pool-deepened",
+            "pool-deep"])
+    def test_a_copy_and_its_original_run_independently(
+            self, build, before, on_copy, on_original):
+        machine = build()
+        original = MachineInstance(machine).start().send_all(before)
+        at_fork = snapshot(original)
+        copy = original.fork()
+        assert snapshot(copy) == at_fork
+        copy.send_all(on_copy)
+        assert snapshot(original) == at_fork
+        after_copy = snapshot(copy)
+        assert after_copy != at_fork
+        original.send_all(on_original)
+        assert snapshot(copy) == after_copy
+        # Each ran on as a fresh instance given its whole sequence does.
+        for inst, events in ((copy, before + on_copy),
+                             (original, before + on_original)):
+            fresh = MachineInstance(machine).start().send_all(events)
+            assert snapshot(inst) == snapshot(fresh)
+
+    def test_a_copy_of_a_terminated_run_is_terminated(self):
+        copy = interpret(terminate_machine(), ["die"]).fork()
+        assert copy.is_started and copy.is_terminated and not copy.in_final
+
+    def test_an_instance_with_externals_cannot_fork(self):
+        inst = MachineInstance(toggle_machine(),
+                               externals={"on_entered": lambda: 0}).start()
+        with pytest.raises(ValueError, match="externals"):
+            inst.fork()
 
 
 class TestInternalTransitions:

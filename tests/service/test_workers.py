@@ -4,10 +4,12 @@ An in-process service runs ``engine.jobs`` threads over one live
 engine, all reporting as one worker.  Its job count and the snapshot
 the pool keeps are shared state, so a lost update would show as a
 short ``jobs`` count or stale cache counters; snapshots can reach the
-pool out of order, and the newest must win.
+pool out of order, and the newest must win.  Readiness waits until
+every worker has answered a ping, however the pings land.
 """
 
 import sys
+from concurrent.futures import Future
 
 from repro.engine import ExperimentEngine
 from repro.experiments.models import flat_machine_with_unreachable_state
@@ -43,3 +45,34 @@ def test_an_older_snapshot_does_not_replace_a_newer_one():
     finally:
         pool.shutdown()
     assert pool.per_worker() == [{"token": "t", "jobs": 5, "hits": 4}]
+
+
+class ScriptedPings:
+    """An executor whose pings answer with scripted worker tokens, in
+    order; running out of tokens fails the submit."""
+
+    def __init__(self, tokens):
+        self.tokens = iter(tokens)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(next(self.tokens))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_readiness_pings_until_every_worker_has_answered():
+    pool = WorkerPool(workers=2)
+    pool._executor.shutdown()
+    # Round one: worker a takes both pings while b still spawns.
+    pool._executor = ScriptedPings(["a", "a", "a", "b"])
+    assert pool.wait_ready(timeout=5) == 2
+
+
+def test_a_thread_backed_pool_is_ready_after_one_round():
+    pool = WorkerPool(engine=ExperimentEngine(jobs=2))
+    pool._executor.shutdown()
+    pool._executor = ScriptedPings(["t", "t"])
+    assert pool.wait_ready(timeout=5) == 1
