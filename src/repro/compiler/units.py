@@ -9,16 +9,20 @@ machine that shares 95 % of its structure with an already-compiled one
 only recompiles the changed handlers and **relinks**:
 
 * :func:`split_units` partitions a lowered :class:`Program` into units
-  and computes each unit's **content fingerprint**: a digest over the
-  unit's own canonical IR dump *plus* the dumps of its transitive
-  direct-call closure (in program order), the optimization level, the
-  resolved target, the codegen pattern and the repo schema stamp.  The
-  closure is part of the hash because inlining (the middle end's only
-  cross-function pass) clones callee bodies into callers: a unit's
-  compiled output is a pure function of exactly these inputs.  Indirect
-  calls (vtable dispatch) are never inlined and therefore never extend
-  a closure — which is what keeps the dispatch skeletons of the
-  virtual-dispatch patterns independent of their handlers.
+  and gives each unit two content keys.  The **middle-end key** is a
+  digest over the unit's own canonical IR dump *plus* the dumps of its
+  transitive direct-call closure (in program order), the optimization
+  level, the codegen pattern and the repo schema stamp: everything that
+  determines the unit's post-middle-end GIMPLE, and no target, since
+  the middle end is target-independent (GCC's GIMPLE/RTL split).  The
+  **fingerprint**, the unit-cache key, is a digest of the middle-end
+  key plus the resolved target's name: everything that determines the
+  unit's compiled bytes, and nothing that doesn't.  The closure is part
+  of both because inlining (the middle end's only cross-function pass)
+  clones callee bodies into callers.  Indirect calls (vtable dispatch)
+  are never inlined and therefore never extend a closure — which is
+  what keeps the dispatch skeletons of the virtual-dispatch patterns
+  independent of their handlers.
 * :func:`compile_one_unit` compiles a single unit through the very same
   lower → inline → SSA passes → isel → regalloc → asm-prologue
   pipeline, on a **mini-program** holding a
@@ -28,6 +32,19 @@ only recompiles the changed handlers and **relinks**:
   whole-program run, so the produced RTL is byte-identical.  Pass
   statistics are attributed to the unit function only; summed across
   units they equal the whole-program numbers.
+* **Sharing rule:** the middle end runs once per (lowered program,
+  middle-end key).  Its output — the optimized function and the
+  middle-end pass statistics — is memoized in memory, weakly keyed by
+  the :class:`Program` object, so compiling the same unit for a second
+  target runs only that target's backend, and the two artifacts share
+  one ``optimized_fn``.  The key is the closure's content, so a program
+  mutated in place between two compiles misses rather than reusing a
+  stale middle end.  The memo never reaches the unit cache.  Compile one
+  program on one thread at a time: cloning and pickling read each
+  object's ``__dict__``, and on CPython 3.11 two threads doing that to
+  one object for the first time at once can corrupt memory
+  (:class:`~repro.vm.harness.CompiledProgram` serializes the grid cells
+  that share a program).
 * :func:`link_units` is the **link step**: it reassembles the module
   from per-unit artifacts — functions in program order, the program's
   data objects, then every unit's jump tables in function order — and
@@ -48,6 +65,7 @@ whole-program IR snapshots are inherently whole-program.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -80,12 +98,14 @@ class CompilationUnit:
     ``closure`` is the transitive direct-call closure (unit included),
     ordered by position in the source program — the exact function set
     and relative order the inliner may consult while compiling this
-    unit.
+    unit.  ``fingerprint`` is the unit-cache key; ``middle_end_key``
+    hashes the same inputs except the target.
     """
 
     name: str
     fingerprint: str
     closure: Tuple[str, ...]
+    middle_end_key: str
 
 
 @dataclass
@@ -94,7 +114,8 @@ class UnitArtifact:
 
     Stored as a first-class artifact in the content-addressed caches
     (memory, disk store); treat as immutable once published — linked
-    modules share these objects.
+    modules share these objects, and a unit's artifacts for different
+    targets share one ``optimized_fn``.
     """
 
     name: str
@@ -169,19 +190,12 @@ def _transitive_closure(root: str, edges: Dict[str, List[str]]
     return out
 
 
-def unit_fingerprint(name: str, closure: Tuple[str, ...],
-                     fn_dumps: Dict[str, str], level: OptLevel,
-                     target: TargetDescription, extra_key: str = "") -> str:
-    """Canonical content hash of one unit.
-
-    Covers the unit's lowered IR, the lowered IR of every closure
-    member in program order, the optimization level, the target name,
-    the pattern/extra key, and the repo schema stamp — everything that
-    determines the unit's compiled bytes, and nothing that doesn't.
-    """
+def _middle_end_key(name: str, closure: Tuple[str, ...],
+                    fn_dumps: Dict[str, str], level: OptLevel,
+                    extra_key: str) -> str:
     hasher = hashlib.sha256()
     hasher.update(schema_stamp().encode("utf-8"))
-    for part in ("unit", name, level.value, target.name, extra_key):
+    for part in ("unit", name, level.value, extra_key):
         hasher.update(b"\x00")
         hasher.update(part.encode("utf-8"))
     for member in closure:
@@ -190,6 +204,27 @@ def unit_fingerprint(name: str, closure: Tuple[str, ...],
         hasher.update(b"\x00")
         hasher.update(fn_dumps[member].encode("utf-8"))
     return hasher.hexdigest()
+
+
+def _with_target(middle_end_key: str, target: TargetDescription) -> str:
+    return hashlib.sha256(
+        f"{middle_end_key}\x00{target.name}".encode("utf-8")).hexdigest()
+
+
+def unit_fingerprint(name: str, closure: Tuple[str, ...],
+                     fn_dumps: Dict[str, str], level: OptLevel,
+                     target: TargetDescription, extra_key: str = "") -> str:
+    """Canonical content hash of one unit.
+
+    Covers the unit's lowered IR, the lowered IR of every closure
+    member in program order, the optimization level, the target name,
+    the pattern/extra key, and the repo schema stamp — everything that
+    determines the unit's compiled bytes, and nothing that doesn't.  It
+    is the unit's middle-end key (every input but the target) hashed
+    with the target name.
+    """
+    return _with_target(
+        _middle_end_key(name, closure, fn_dumps, level, extra_key), target)
 
 
 def split_units(program: Program, level: OptLevel = OptLevel.OS,
@@ -214,11 +249,11 @@ def split_units(program: Program, level: OptLevel = OptLevel.OS,
         closure = tuple(sorted(_transitive_closure(name, edges),
                                key=position.__getitem__)) \
             if inlines else (name,)
+        middle_end_key = _middle_end_key(name, closure, fn_dumps, level,
+                                         extra_key)
         units.append(CompilationUnit(
-            name=name,
-            fingerprint=unit_fingerprint(name, closure, fn_dumps, level,
-                                         tgt, extra_key),
-            closure=closure))
+            name=name, fingerprint=_with_target(middle_end_key, tgt),
+            closure=closure, middle_end_key=middle_end_key))
     return UnitPlan(program=program, units=units, level=level, target=tgt,
                     extra_key=extra_key)
 
@@ -226,6 +261,35 @@ def split_units(program: Program, level: OptLevel = OptLevel.OS,
 # ---------------------------------------------------------------------------
 # per-unit compilation
 # ---------------------------------------------------------------------------
+
+_MiddleEnd = Tuple[GimpleFunction, Dict[str, int]]
+
+#: Post-middle-end output per lowered program:
+#: ``{middle_end_key: (optimized function, middle-end pass stats)}``.
+#: Weakly keyed, so an entry dies with its program.
+_MIDDLE_ENDS: "weakref.WeakKeyDictionary[Program, Dict[str, _MiddleEnd]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _run_middle_end(program: Program, unit: CompilationUnit,
+                    level: OptLevel) -> _MiddleEnd:
+    mini = Program(program.name)
+    mini.externs = list(program.externs)
+    for name in unit.closure:
+        mini.add_function(program.functions[name].clone())
+    fn = mini.functions[unit.name]
+
+    stats: Dict[str, int] = {}
+    if level.optimizes:
+        if level in (OptLevel.O2, OptLevel.OS):
+            per_caller: Dict[str, int] = {}
+            with _span("stage.inline"):
+                run_inline(mini, inline_policy_for(level),
+                           per_caller=per_caller)
+            stats["inline"] = per_caller.get(unit.name, 0)
+        optimize_function(fn, level, stats)
+    return fn, stats
+
 
 def compile_one_unit(program: Program, unit: CompilationUnit,
                      level: OptLevel,
@@ -240,28 +304,26 @@ def compile_one_unit(program: Program, unit: CompilationUnit,
     inliner's caller iteration and callee mutation sequence match the
     monolithic run exactly.  After the inline phase only the unit's own
     function is optimized — the closure copies exist solely to be
-    inlined *from*.
+    inlined *from*.  The middle end runs once per (*program*,
+    ``unit.middle_end_key``); a compile for another target reuses it
+    and runs only its own backend.
     """
     sp = _span("unit.compile")
     if sp.recording:
         sp.set(unit=unit.name, closure=len(unit.closure))
     with sp:
         tgt = resolve_target(target)
-        mini = Program(program.name)
-        mini.externs = list(program.externs)
-        for name in unit.closure:
-            mini.add_function(program.functions[name].clone())
-        fn = mini.functions[unit.name]
-
-        stats: Dict[str, int] = {}
-        if level.optimizes:
-            if level in (OptLevel.O2, OptLevel.OS):
-                per_caller: Dict[str, int] = {}
-                with _span("stage.inline"):
-                    run_inline(mini, inline_policy_for(level),
-                               per_caller=per_caller)
-                stats["inline"] = per_caller.get(unit.name, 0)
-            optimize_function(fn, level, stats)
+        memo = _MIDDLE_ENDS.get(program)
+        if memo is None:
+            memo = _MIDDLE_ENDS.setdefault(program, {})
+        shared = memo.get(unit.middle_end_key)
+        if shared is None:
+            # Should two threads race here, their results are equal
+            # and setdefault keeps one.
+            shared = memo.setdefault(unit.middle_end_key,
+                                     _run_middle_end(program, unit, level))
+        fn, middle_end_stats = shared
+        stats = dict(middle_end_stats)
 
         jump_tables: List[DataObject] = []
         rodata_sink = make_rodata_sink(jump_tables, tgt)
@@ -422,9 +484,10 @@ def compile_program_incremental(
         else:
             artifact = unit_cache.get_or_compute(unit.fingerprint, compute)
             if not isinstance(artifact, UnitArtifact) \
-                    or artifact.name != unit.name:
-                # A corrupted or colliding cache entry must degrade to a
-                # recompile, never to a wrong link.
+                    or artifact.fingerprint != unit.fingerprint:
+                # A corrupted entry, or an artifact stored under another
+                # unit's key, must degrade to a recompile, never to a
+                # wrong link.
                 artifact = compute()
         artifacts[unit.name] = artifact
         if stats_out is not None:

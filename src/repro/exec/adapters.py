@@ -192,6 +192,8 @@ class VMExecutor(Executor):
     #: When set, compiles go through this per-unit cache
     #: (:mod:`repro.compiler.units`): byte-identical output, and the
     #: fuzz oracle's mutant chains reuse every unit their edit missed.
+    #: The executors of one grid then also share each machine's front
+    #: end and unit middle ends (:class:`~repro.vm.harness.CompiledProgram`).
     unit_cache = None
 
     def __init__(self, pattern: str = "nested-switch",

@@ -35,6 +35,8 @@ recognized as the constructor default and skipped.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -42,8 +44,10 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 from ..codegen import CodeGenerator, generator_by_name
 from ..codegen.common import event_index
 from ..compiler.driver import OptLevel, compile_unit
-from ..compiler.frontend.lower import _UnitContext, mangle
+from ..compiler.frontend.lower import _UnitContext, lower_unit, mangle
+from ..compiler.gimple.ir import Program
 from ..compiler.target.description import TargetDescription
+from ..compiler.units import compile_program_incremental
 from ..obs.metrics import REGISTRY
 from ..semantics.trace import Trace, TraceKind
 from ..uml.statemachine import StateMachine
@@ -86,12 +90,69 @@ class VmMetrics:
                 f"peak dispatch {self.peak_dispatch_cycles})")
 
 
+class _FrontEnd:
+    """The target-independent half of a compile: the generated
+    translation unit, its lowered program (when asked for) and the
+    layout facts the harness reads back."""
+
+    def __init__(self, machine: StateMachine, generator: CodeGenerator,
+                 lower: bool) -> None:
+        self.unit = generator.generate(machine)
+        self.cls_name = generator.class_name(machine)
+        self.program: Optional[Program] = \
+            lower_unit(self.unit) if lower else None
+        self.layout = _UnitContext(self.unit).layout(self.cls_name)
+        self.event_names = [e.name for e in machine.events.values()]
+        enum_name = f"{self.cls_name}_State"
+        self.state_enumerators: Optional[List[str]] = next(
+            (list(e.enumerators) for e in self.unit.enums
+             if e.name == enum_name), None)
+        #: Held while a cell compiles :attr:`program` (see
+        #: :class:`CompiledProgram`).
+        self.lock = threading.Lock()
+
+
+#: Lowered front ends of the unit-cache path, per machine, then per
+#: ``(type(generator), generator.config)``.  Machines are immutable once
+#: built by repo convention (as for ``machine_fingerprint``'s memo), and
+#: the unit path never mutates the lowered program, so every cell of a
+#: VM grid can share one.
+_FRONT_ENDS: "weakref.WeakKeyDictionary[StateMachine, Dict[tuple, _FrontEnd]]" \
+    = weakref.WeakKeyDictionary()
+
+
+def _shared_front_end(machine: StateMachine,
+                      generator: CodeGenerator) -> _FrontEnd:
+    per_machine = _FRONT_ENDS.get(machine)
+    if per_machine is None:
+        per_machine = _FRONT_ENDS.setdefault(machine, {})
+    key = (type(generator), generator.config)
+    front = per_machine.get(key)
+    if front is None:
+        # A generator that rejects the machine raises here and stores
+        # nothing, so every cell raises.  Threads racing on one machine
+        # build equal front ends; setdefault keeps one.
+        front = per_machine.setdefault(
+            key, _FrontEnd(machine, generator, lower=True))
+    return front
+
+
 class CompiledProgram:
     """One machine, generated + compiled + assembled for one target.
 
     Everything scenario-independent lives here; :meth:`boot` starts a
     fresh simulated instance (memory reset to the image's initial
     state, ``init()`` executed, watchpoints armed).
+
+    With a *unit_cache*, the front end (generated C++, lowered GIMPLE,
+    layout, event names, state enumerators) is shared: every
+    ``CompiledProgram`` of the same machine and generator takes it from
+    one per-machine memo, so the cells of a VM grid generate and lower
+    once, and :func:`~repro.compiler.units.compile_one_unit` runs each
+    unit's middle end once for all targets.  Only the unit-cache path
+    shares; without a unit cache every instance generates, lowers and
+    compiles its own.  Cells that share a front end compile one at a
+    time, even on a thread pool.
     """
 
     def __init__(self, machine: StateMachine,
@@ -104,28 +165,32 @@ class CompiledProgram:
         self.model = machine
         self.generator = generator
         self.level = level
-        self.unit = generator.generate(machine)
-        self.cls_name = generator.class_name(machine)
         if unit_cache is not None:
             # Delta path: per-unit compile against a shared unit cache.
             # Byte-identical to compile_unit (tests/compiler/test_units
             # pins it), but chains of machine variants — fuzz mutant
             # chains above all — reuse every unit their edit missed.
-            from ..compiler import compile_program_incremental
-            from ..compiler.frontend.lower import lower_unit
-            self.compile_result = compile_program_incremental(
-                lower_unit(self.unit), level, target=target,
-                unit_cache=unit_cache, extra_key=generator.name)
+            front = _shared_front_end(machine, generator)
+            # Compiling clones the program's nodes and may pickle the
+            # shared middle ends, which reads each object's __dict__ for
+            # the first time.  On CPython 3.11 two threads doing that to
+            # one object at once can corrupt memory: a collection that
+            # runs inside the first read can switch threads.  Compiles
+            # are GIL-bound, so serializing them costs no throughput.
+            with front.lock:
+                self.compile_result = compile_program_incremental(
+                    front.program, level, target=target,
+                    unit_cache=unit_cache, extra_key=generator.name)
         else:
-            self.compile_result = compile_unit(self.unit, level,
+            front = _FrontEnd(machine, generator, lower=False)
+            self.compile_result = compile_unit(front.unit, level,
                                                target=target)
+        self.unit = front.unit
+        self.cls_name = front.cls_name
+        self.layout = front.layout
+        self.event_names = front.event_names
+        self.state_enumerators = front.state_enumerators
         self.image: Image = assemble(self.compile_result.module)
-        self.layout = _UnitContext(self.unit).layout(self.cls_name)
-        self.event_names = [e.name for e in machine.events.values()]
-        enum_name = f"{self.cls_name}_State"
-        self.state_enumerators: Optional[List[str]] = next(
-            (list(e.enumerators) for e in self.unit.enums
-             if e.name == enum_name), None)
 
     def boot(self, externals: Optional[Mapping[str, Callable]] = None,
              trace_states: bool = True) -> "CompiledMachineVM":

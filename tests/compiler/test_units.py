@@ -81,6 +81,28 @@ class TestByteIdentity:
         assert program.dump() == before
 
 
+class TestSharedMiddleEnd:
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_middle_end_key_is_content_not_name(self, hierarchical_machine,
+                                                pattern):
+        """``compile_program`` mutates its program in place; a later
+        compile of the same object for the other target must run the
+        middle end on what the program now holds."""
+        program = lowered(hierarchical_machine, pattern)
+        compile_program_incremental(program, target="rt32",
+                                    extra_key=pattern)
+        compile_program(program, target="rt32")
+        shared = compile_program_incremental(program, target="rt16",
+                                             extra_key=pattern)
+
+        separate = lowered(hierarchical_machine, pattern)
+        compile_program(separate, target="rt32")
+        expected = compile_program(separate, target="rt16")
+        assert shared.module.listing() == expected.module.listing()
+        assert shared.pass_stats == expected.pass_stats
+        assert compiled_bytes(shared) == compiled_bytes(expected)
+
+
 class TestUnitHashes:
     def test_target_is_part_of_the_hash(self, flat_machine):
         """rt32 and rt16 units must never collide in a shared cache —
@@ -180,16 +202,24 @@ class TestLinkEdgeCases:
         assert stats.compiled_units == stats.total_units > 0
         assert second.module.listing() == first.module.listing()
 
+    @pytest.mark.parametrize("bad_entry", ["not-an-artifact",
+                                           "other-target-artifact"])
     def test_corrupted_cache_entry_falls_back_to_recompile(self,
-                                                           flat_machine):
-        """A wrong object under a unit key (collision, bit rot) must
-        degrade to a recompile, never to a wrong link."""
+                                                           flat_machine,
+                                                           bad_entry):
+        """A wrong object under a unit key (collision, bit rot, the
+        other target's artifact of the same unit) must degrade to a
+        recompile, never to a wrong link."""
         cache = CompileCache()
         program = lowered(flat_machine, "nested-switch")
         plan = split_units(program, OptLevel.OS, target="rt32")
-        for unit in plan.units:
-            cache.get_or_compute(unit.fingerprint,
-                                 lambda: "not a unit artifact")
+        other = split_units(program, OptLevel.OS, target="rt16")
+        for unit, rt16_unit in zip(plan.units, other.units):
+            entry = "not a unit artifact" \
+                if bad_entry == "not-an-artifact" \
+                else compile_one_unit(program, rt16_unit, OptLevel.OS,
+                                      "rt16")
+            cache.get_or_compute(unit.fingerprint, lambda: entry)
         inc = compile_program_incremental(
             lowered(flat_machine, "nested-switch"), unit_cache=cache)
         mono = compile_program(lowered(flat_machine, "nested-switch"))

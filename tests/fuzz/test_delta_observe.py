@@ -8,9 +8,11 @@ synthetic toys).
 """
 
 import pathlib
+import sys
 
 import pytest
 
+from repro.engine import ExperimentEngine
 from repro.engine.cache import CompileCache
 from repro.exec import VMExecutor, observe
 from repro.fuzz import DifferentialOracle, FuzzCase, OracleConfig
@@ -61,3 +63,26 @@ def test_oracle_path_uses_engine_unit_tier_by_default(memory_engine):
     oracle.run_case(case)
     assert memory_engine.units.stats.lookups > 0, \
         "the oracle's VM cells must compile per unit"
+
+
+@pytest.mark.fuzz
+def test_grid_on_worker_threads_equals_serial():
+    """The cells of one case share a front end and middle ends while
+    ``engine.map`` runs them on threads: results must not change."""
+    config = OracleConfig(patterns=("nested-switch", "flat-switch",
+                                    "state-table", "state-pattern"))
+
+    def outcomes(jobs):
+        oracle = DifferentialOracle(engine=ExperimentEngine(jobs=jobs),
+                                    config=config)
+        return [(result.status, result.divergences, result.executors_run,
+                 result.cells_skipped, result.coverage)
+                for result in (oracle.run_case(fixture_case(path))
+                               for path in ALL)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)          # interleave the cells finely
+    try:
+        threaded = outcomes(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == outcomes(1)
