@@ -52,11 +52,11 @@ def main():
     print("    ...")
 
     section("III.C - compiling with -Os; what dead code elimination sees")
-    result = compile_machine(flat, "nested-switch", OptLevel.OS,
-                             capture_dumps=True)
-    dump = result.dump_after("dce")
+    result = compile_machine(flat, "nested-switch", OptLevel.OS)
+    dump = result.program.dump()
     line = next(l for l in dump.splitlines() if "s2_exit_action" in l)
-    print("post-DCE GIMPLE still contains the unreachable state's code:")
+    print("final -Os GIMPLE (after DCE) still contains the unreachable "
+          "state's code:")
     print("   ", line.strip())
     print("paper: 'we have found that code related to the unreachable "
           "state still exists'")

@@ -10,10 +10,11 @@ Mirrors GCC's level structure (paper §II.C):
   for all measurements: "Since we deal with RTES design ... we are
   interested in -Os").
 
-``compile_unit`` also records per-pass statistics and an IR dump after
-every pass — the analogue of GCC's ``-fdump-tree-*`` files that the paper
-inspected to show the unreachable state's code surviving dead code
-elimination.
+``compile_unit`` also records per-pass statistics.  Its final GIMPLE
+(:attr:`CompileResult.program`) carries the paper's §III evidence: the
+paper inspected GCC's ``-fdump-tree-*`` files to show the unreachable
+state's code surviving dead code elimination, and the same code is still
+in the program MGCC hands to its backend.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ class OptLevel(enum.Enum):
     def for_size(self) -> bool:
         return self is OptLevel.OS
 
+    @property
+    def inlines(self) -> bool:
+        return self in (OptLevel.O2, OptLevel.OS)
+
 
 @dataclass
 class CompileResult:
@@ -72,30 +77,17 @@ class CompileResult:
     program: Program                       # final GIMPLE (post-middle-end)
     opt_level: OptLevel
     pass_stats: Dict[str, int] = field(default_factory=dict)
-    dumps: Dict[str, str] = field(default_factory=dict)
     target: Optional[TargetDescription] = None  # ISA compiled for
 
     @property
     def total_size(self) -> int:
         return self.module.total_size
 
-    def dump_after(self, pass_name: str) -> str:
-        """IR dump captured right after *pass_name* (``-fdump`` analogue)."""
-        try:
-            return self.dumps[pass_name]
-        except KeyError:
-            raise KeyError(
-                f"no dump for pass {pass_name!r}; captured: "
-                f"{sorted(self.dumps)}") from None
 
-
-#: The SSA pass pipeline, in execution order.  One source of truth for
-#: both compilation granularities: the whole-program middle end below
-#: runs each pass over every function (so dumps snapshot pass
-#: boundaries), and the per-unit pipeline
-#: (:mod:`repro.compiler.units`) runs the same sequence over a single
-#: function — the passes are function-local, so the two orders produce
-#: identical code per function.
+#: The SSA pass pipeline, in execution order.  :func:`optimize_function`
+#: runs it over one function; both compilation granularities (the
+#: whole-program compile below and :mod:`repro.compiler.units`) call it
+#: per function after the program-level inline phase.
 SSA_PASS_SEQUENCE = (("ccp", run_ccp), ("cse", run_cse),
                      ("copyprop", run_copyprop), ("dce", run_dce),
                      ("cfg", run_simplify_cfg))
@@ -129,10 +121,9 @@ def _finish_iteration(fn) -> None:
 def optimize_function(fn, level: OptLevel, stats: Dict[str, int]) -> None:
     """Run the full per-function SSA pipeline over one function.
 
-    Exactly the pass sequence and iteration count the whole-program
-    middle end applies — the per-unit compile path uses this after the
-    (program-level) inline phase, and the resulting function is
-    identical to what a whole-program compile produces for it.
+    Both compile paths call this after the (program-level) inline
+    phase, so a unit compile produces the same function a
+    whole-program compile does.
     """
     for i in range(middle_end_iterations(level)):
         suffix = "" if i == 0 else f"#{i + 1}"
@@ -145,43 +136,6 @@ def optimize_function(fn, level: OptLevel, stats: Dict[str, int]) -> None:
                 stats[key] = stats.get(key, 0) + run_pass(fn)
         with _span("stage.ssa-out"):
             _finish_iteration(fn)
-
-
-def _middle_end(program: Program, level: OptLevel,
-                stats: Dict[str, int], dumps: Dict[str, str],
-                capture_dumps: bool) -> None:
-    """Run the SSA optimization pipeline in place."""
-
-    def snapshot(name: str) -> None:
-        if capture_dumps:
-            dumps[name] = program.dump()
-
-    if not level.optimizes:
-        snapshot("lower")
-        return
-    snapshot("lower")
-
-    if level in (OptLevel.O2, OptLevel.OS):
-        with _span("stage.inline"):
-            stats["inline"] = run_inline(program, inline_policy_for(level))
-        snapshot("einline")
-
-    for i in range(middle_end_iterations(level)):
-        suffix = "" if i == 0 else f"#{i + 1}"
-        with _span("stage.ssa-build"):
-            for fn in program.functions.values():
-                to_ssa(fn)
-                verify_ssa(fn)
-        snapshot(f"ssa{suffix}")
-        for name, run_pass in SSA_PASS_SEQUENCE:
-            with _span(_PASS_SPAN_NAMES[name]):
-                stats[f"{name}{suffix}"] = sum(
-                    run_pass(fn) for fn in program.functions.values())
-            snapshot(f"{name}{suffix}")
-        with _span("stage.ssa-out"):
-            for fn in program.functions.values():
-                _finish_iteration(fn)
-        snapshot(f"optimized{suffix}")
 
 
 def make_switch_lowering(level: OptLevel,
@@ -227,18 +181,24 @@ def backend_function(fn, level: OptLevel, lowering: SwitchLowering,
 
 
 def compile_program(program: Program, level: OptLevel = OptLevel.OS,
-                    capture_dumps: bool = False,
                     target: Union[TargetDescription, str, None] = None,
                     ) -> CompileResult:
-    """Run the middle end + backend over an already-lowered program.
+    """Run the middle end + backend over an already-lowered program,
+    mutating it in place: whole-program inlining (at the levels that
+    inline), then :func:`optimize_function` on each function, then
+    :func:`backend_function` on each.
 
     *target* selects the backend ISA — a registered name (``"rt32"``,
     ``"rt16"``), a :class:`TargetDescription`, or None for the default.
     """
     tgt = resolve_target(target)
     stats: Dict[str, int] = {}
-    dumps: Dict[str, str] = {}
-    _middle_end(program, level, stats, dumps, capture_dumps)
+    if level.inlines:
+        with _span("stage.inline"):
+            stats["inline"] = run_inline(program, inline_policy_for(level))
+    if level.optimizes:
+        for fn in program.functions.values():
+            optimize_function(fn, level, stats)
 
     module = AsmModule(program.name, target=tgt)
     lowering = make_switch_lowering(level, tgt)
@@ -252,7 +212,7 @@ def compile_program(program: Program, level: OptLevel = OptLevel.OS,
     module.data_objects.extend(program.data.values())
     module.data_objects.extend(jump_tables)
     return CompileResult(module=module, program=program, opt_level=level,
-                         pass_stats=stats, dumps=dumps, target=tgt)
+                         pass_stats=stats, target=tgt)
 
 
 def _add_prologue_epilogue(rtl, target: TargetDescription) -> None:
@@ -281,12 +241,10 @@ def _add_prologue_epilogue(rtl, target: TargetDescription) -> None:
 
 
 def compile_unit(unit: cpp.TranslationUnit, level: OptLevel = OptLevel.OS,
-                 capture_dumps: bool = False,
                  target: Union[TargetDescription, str, None] = None,
                  ) -> CompileResult:
     """Compile a C++ translation unit down to assembly for *target*
     (default target when none is given)."""
     with _span("stage.lower"):
         program = lower_unit(unit)
-    return compile_program(program, level=level, capture_dumps=capture_dumps,
-                           target=target)
+    return compile_program(program, level=level, target=target)

@@ -641,8 +641,8 @@ class Program:
             fn.check()
 
     def dump(self) -> str:
-        """Textual IR dump (the ``-fdump-tree`` analogue used by tests to
-        check what survives each pass)."""
+        """Textual IR dump (the ``-fdump-tree`` analogue used to check
+        what survives the optimization pipeline)."""
         parts = [f"; program {self.name}"]
         for obj in self.data.values():
             words = ", ".join(

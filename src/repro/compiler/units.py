@@ -1,12 +1,14 @@
 """Incremental structure-sharing compilation: units, hashes, relink.
 
-The monolithic pipeline (:func:`repro.compiler.driver.compile_program`)
+The whole-program compile (:func:`repro.compiler.driver.compile_program`)
 recompiles a whole translation unit from cold whenever *anything* in it
-changed.  This module refactors that pipeline into a DAG of
-**compilation units** — one per lowered GIMPLE function, i.e. one per
-action body, per state event-handler, per dispatch skeleton — so a
-machine that shares 95 % of its structure with an already-compiled one
-only recompiles the changed handlers and **relinks**:
+changed.  It stays as the byte-identity reference and as the cheaper
+cold compile for callers without a unit cache.  This module splits the
+same stages into a DAG of **compilation units** — one per lowered
+GIMPLE function, i.e. one per action body, per state event-handler, per
+dispatch skeleton — so a machine that shares 95 % of its structure with
+an already-compiled one only recompiles the changed handlers and
+**relinks**:
 
 * :func:`split_units` partitions a lowered :class:`Program` into units
   and gives each unit two content keys.  The **middle-end key** is a
@@ -24,8 +26,9 @@ only recompiles the changed handlers and **relinks**:
   what keeps the dispatch skeletons of the virtual-dispatch patterns
   independent of their handlers.
 * :func:`compile_one_unit` compiles a single unit through the very same
-  lower → inline → SSA passes → isel → regalloc → asm-prologue
-  pipeline, on a **mini-program** holding a
+  stages as :func:`~repro.compiler.driver.compile_program` (inline, then
+  ``optimize_function`` and ``backend_function``), on a
+  **mini-program** holding a
   :meth:`~repro.compiler.gimple.ir.GimpleFunction.clone` of each member
   of the unit's closure in original program order — the inliner sees
   exactly the bodies (and mutation order) it would see in a
@@ -57,9 +60,6 @@ only recompiles the changed handlers and **relinks**:
   optional content-addressed unit cache (anything with the
   ``get_or_compute(key, compute)`` contract of
   :class:`repro.engine.cache.CompileCache`).
-
-``capture_dumps`` compiles stay on the monolithic path — per-pass
-whole-program IR snapshots are inherently whole-program.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ from ..schema import schema_stamp
 from .asm import AsmModule
 from .driver import (CompileResult, OptLevel, backend_function,
                      inline_policy_for, make_rodata_sink,
-                     make_switch_lowering, middle_end_iterations,
-                     optimize_function)
+                     make_switch_lowering, optimize_function)
 from .gimple.ir import (Call, DataObject, GimpleFunction, Program,
                         SymbolRef)
 from .passes.inline import run_inline
@@ -241,7 +240,7 @@ def split_units(program: Program, level: OptLevel = OptLevel.OS,
     order = list(program.functions)
     position = {name: i for i, name in enumerate(order)}
     fn_dumps = {name: str(fn) for name, fn in program.functions.items()}
-    inlines = level in (OptLevel.O2, OptLevel.OS)
+    inlines = level.inlines
     edges = {name: _direct_callees(fn, program.functions)
              for name, fn in program.functions.items()} if inlines else {}
     units: List[CompilationUnit] = []
@@ -280,13 +279,12 @@ def _run_middle_end(program: Program, unit: CompilationUnit,
     fn = mini.functions[unit.name]
 
     stats: Dict[str, int] = {}
+    if level.inlines:
+        per_caller: Dict[str, int] = {}
+        with _span("stage.inline"):
+            run_inline(mini, inline_policy_for(level), per_caller=per_caller)
+        stats["inline"] = per_caller.get(unit.name, 0)
     if level.optimizes:
-        if level in (OptLevel.O2, OptLevel.OS):
-            per_caller: Dict[str, int] = {}
-            with _span("stage.inline"):
-                run_inline(mini, inline_policy_for(level),
-                           per_caller=per_caller)
-            stats["inline"] = per_caller.get(unit.name, 0)
         optimize_function(fn, level, stats)
     return fn, stats
 
@@ -339,23 +337,13 @@ def compile_one_unit(program: Program, unit: CompilationUnit,
 # ---------------------------------------------------------------------------
 
 def _merged_stats(program: Program,
-                  artifacts: Dict[str, UnitArtifact],
-                  level: OptLevel) -> Dict[str, int]:
-    """Sum per-unit pass statistics in the monolithic key order."""
-    keys: List[str] = []
-    if level in (OptLevel.O2, OptLevel.OS):
-        keys.append("inline")
-    if level.optimizes:
-        for i in range(middle_end_iterations(level)):
-            suffix = "" if i == 0 else f"#{i + 1}"
-            keys.extend(f"{name}{suffix}"
-                        for name in ("ccp", "cse", "copyprop", "dce",
-                                     "cfg"))
-        keys.extend(("fuse", "peephole"))
+                  artifacts: Dict[str, UnitArtifact]) -> Dict[str, int]:
+    """Sum per-unit pass statistics in program order — the key order a
+    whole-program compile records them in."""
     merged: Dict[str, int] = {}
-    for key in keys:
-        merged[key] = sum(artifacts[name].pass_stats.get(key, 0)
-                          for name in program.functions)
+    for name in program.functions:
+        for key, count in artifacts[name].pass_stats.items():
+            merged[key] = merged.get(key, 0) + count
     return merged
 
 
@@ -445,9 +433,8 @@ def _link_units(program: Program, artifacts: Dict[str, UnitArtifact],
     module.data_objects.extend(jump_tables)
     check_link(module, linked)
     return CompileResult(module=module, program=linked, opt_level=level,
-                         pass_stats=_merged_stats(program, artifacts,
-                                                  level),
-                         dumps={}, target=tgt)
+                         pass_stats=_merged_stats(program, artifacts),
+                         target=tgt)
 
 
 # ---------------------------------------------------------------------------

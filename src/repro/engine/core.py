@@ -138,29 +138,22 @@ class ExperimentEngine:
     def compile_machine(self, machine: StateMachine,
                         pattern: str = "nested-switch",
                         level: OptLevel = OptLevel.OS,
-                        capture_dumps: bool = False,
                         target: Union[TargetDescription, str, None] = None,
                         semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS,
                         ) -> CompileResult:
         """Cached :func:`repro.pipeline.compile_machine`.
 
-        Module-cache misses route through the per-unit delta path
-        (structure sharing: units whose lowered IR is unchanged come
-        from the unit tier and only the rest recompile) unless
-        ``capture_dumps`` asks for whole-program IR snapshots — those
-        are inherently monolithic.  Both paths produce byte-identical
-        modules.
+        Module-cache misses compile through the per-unit delta path
+        (:func:`repro.pipeline.compile_machine_delta`): units whose
+        lowered IR is unchanged come from the unit tier and only the
+        rest recompile.  The linked module is byte-identical to a
+        whole-program compile.
         """
-        from ..pipeline import compile_machine as _compile_machine
         from ..pipeline import compile_machine_delta
         key = compile_fingerprint(machine, pattern, level, target,
-                                  semantics, capture_dumps)
+                                  semantics)
 
         def compute() -> CompileResult:
-            if capture_dumps:
-                return _compile_machine(machine, pattern=pattern,
-                                        level=level, capture_dumps=True,
-                                        target=target)
             return compile_machine_delta(
                 machine, pattern=pattern, level=level, target=target,
                 unit_cache=self.units, stats_out=self.delta_stats)
@@ -399,9 +392,7 @@ class ExperimentEngine:
 
     def _run_compile_job(self, job: CompileJob) -> CompileResult:
         return self.compile_machine(job.machine, pattern=job.pattern,
-                                    level=job.level,
-                                    capture_dumps=job.capture_dumps,
-                                    target=job.target,
+                                    level=job.level, target=job.target,
                                     semantics=job.semantics)
 
     def _run_compare_job(self, job: CompareJob):

@@ -8,9 +8,8 @@ everything that determines a job's result:
   identically even when they are distinct Python objects);
 * the **pattern** name, the **optimization level**, the resolved
   **target name**, and the **semantics configuration**;
-* job-type-specific extras (``capture_dumps`` for compiles, the pass
-  selection for model optimizations, the scenario parameters for
-  equivalence checks).
+* job-type-specific extras (the pass selection for model
+  optimizations, the scenario parameters for equivalence checks).
 
 Fingerprints are *content-addressed*: rebuilding the same machine from
 scratch (same builder calls, same seed) hits the same cache entry, while
@@ -103,11 +102,11 @@ def compile_fingerprint(machine: StateMachine, pattern: str,
                         level: OptLevel,
                         target: Union[TargetDescription, str, None],
                         semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS,
-                        capture_dumps: bool = False) -> str:
+                        ) -> str:
     """Key of one generate+compile job."""
     return _digest("compile", machine_fingerprint(machine), pattern,
                    level.value, target_key(target),
-                   semantics_key(semantics), str(bool(capture_dumps)))
+                   semantics_key(semantics))
 
 
 def optimize_fingerprint(machine: StateMachine,

@@ -40,12 +40,10 @@ class CompileJob:
     level: OptLevel = OptLevel.OS
     target: Union[TargetDescription, str, None] = None
     semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS
-    capture_dumps: bool = False
 
     def fingerprint(self) -> str:
         return compile_fingerprint(self.machine, self.pattern, self.level,
-                                   self.target, self.semantics,
-                                   self.capture_dumps)
+                                   self.target, self.semantics)
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,8 +102,8 @@ def _evidence(target: Union[TargetDescription, str, None] = None,
 
     # (2) Detection at the compiler level fails: DCE keeps the dead code.
     result = eng.compile_machine(machine, "nested-switch", OptLevel.OS,
-                                 capture_dumps=True)
-    kept = "s31_enter_action" in result.dump_after("dce")
+                                 target=target)
+    kept = "s31_enter_action" in result.program.dump()
     checks["easy to detect"] = (
         "model level: one reachability query; compiler level: post-DCE "
         f"dump still contains the dead composite's code (kept={kept})")

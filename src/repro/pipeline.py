@@ -60,7 +60,6 @@ class PipelineResult:
 
 def compile_machine(machine: StateMachine, pattern: str = "nested-switch",
                     level: OptLevel = OptLevel.OS,
-                    capture_dumps: bool = False,
                     target: Union[TargetDescription, str, None] = None,
                     ) -> CompileResult:
     """Generate code for *machine* with *pattern* and compile it for
@@ -68,8 +67,7 @@ def compile_machine(machine: StateMachine, pattern: str = "nested-switch",
     generator = generator_by_name(pattern)
     with _span("stage.generate"):
         unit = generator.generate(machine)
-    return compile_unit(unit, level, capture_dumps=capture_dumps,
-                        target=target)
+    return compile_unit(unit, level, target=target)
 
 
 def compile_machine_delta(machine: StateMachine,

@@ -260,14 +260,6 @@ class TestBackend:
         listing = result.module.listing()
         assert "add:" in listing and ".text" in listing
 
-    def test_dumps_capture_pass_pipeline(self):
-        result = compile_unit(simple_unit(), OptLevel.OS,
-                              capture_dumps=True)
-        assert "lower" in result.dumps
-        assert any(k.startswith("dce") for k in result.dumps)
-        with pytest.raises(KeyError):
-            result.dump_after("nonexistent-pass")
-
     def test_live_intervals_cover_loop_carried_values(self):
         from repro.compiler.rtl.ir import RInstr, RTLFunction, label
         rtl = RTLFunction("f")

@@ -86,11 +86,10 @@ class TestEngineCacheKeys:
             dict(level=OptLevel.O0),
             dict(target="rt16"),
             dict(semantics=SemanticsConfig(completion_priority=False)),
-            dict(capture_dumps=True),
         ]
         for overrides in variants:
             kwargs = dict(pattern="nested-switch", level=OptLevel.OS,
-                          target="rt32", capture_dumps=False)
+                          target="rt32")
             kwargs.update(overrides)
             eng.compile_machine(machine, **kwargs)
         assert eng.stats.misses == 1 + len(variants)

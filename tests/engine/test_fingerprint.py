@@ -14,8 +14,7 @@ from repro.uml import clone_machine
 def _fp(**overrides):
     defaults = dict(machine=hierarchical_machine_with_shadowed_composite(),
                     pattern="nested-switch", level=OptLevel.OS,
-                    target=None, semantics=SemanticsConfig(),
-                    capture_dumps=False)
+                    target=None, semantics=SemanticsConfig())
     defaults.update(overrides)
     return compile_fingerprint(**defaults)
 
@@ -62,9 +61,6 @@ class TestCompileFingerprint:
     def test_semantics_changes_key(self):
         assert _fp() != _fp(
             semantics=SemanticsConfig(completion_priority=False))
-
-    def test_capture_dumps_changes_key(self):
-        assert _fp() != _fp(capture_dumps=True)
 
 
 class TestOtherFingerprints:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis import find_dead_code, measure_model
+from repro.codegen import ALL_PATTERNS
+from repro.engine import CompareJob, ExperimentEngine
 from repro.experiments.figure1 import run_figure1
+from repro.experiments.models import (
+    flat_machine_with_unreachable_state,
+    hierarchical_machine_with_shadowed_composite)
 from repro.experiments.table1 import PAPER_TABLE1, run_table1
 from repro.experiments.table2 import PAPER_TABLE2, run_table2
 from repro.experiments.sweeps import (opt_level_sweep, pass_ablation,
@@ -75,6 +80,24 @@ class TestFigure1Harness:
 
     def test_hierarchical_gain_exceeds_paper_threshold(self, rows):
         assert rows[1].gain_percent > 45.0
+
+    @pytest.mark.parametrize("target", [None, "rt16"])
+    def test_dce_column_reads_each_rows_own_compile(self, target):
+        # The DCE column asks the comparison's size_before compile, so
+        # the figure misses the module cache exactly as often as its two
+        # comparisons do on their own.
+        engine = ExperimentEngine()
+        run_figure1(target=target, engine=engine)
+        alone = ExperimentEngine()
+        alone.compare_batch([
+            CompareJob(flat_machine_with_unreachable_state(), target=target),
+            CompareJob(hierarchical_machine_with_shadowed_composite(),
+                       target=target)])
+        assert engine.stats.misses == alone.stats.misses
+        for gen_cls in ALL_PATTERNS:
+            rows = run_figure1(pattern=gen_cls.name, target=target,
+                               engine=engine)
+            assert all(row.dce_kept_dead_code for row in rows), gen_cls.name
 
 
 class TestTable1Harness:

@@ -93,11 +93,6 @@ class TestOptimizeAndCompare:
 
 
 class TestCompileMachine:
-    def test_dumps_available_on_request(self):
-        result = compile_machine(build_flat_example(),
-                                 capture_dumps=True)
-        assert "lower" in result.dumps
-
     def test_unknown_pattern_raises(self):
         with pytest.raises(KeyError):
             compile_machine(build_flat_example(), pattern="nope")
