@@ -45,7 +45,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.codegen import generator_by_name                     # noqa: E402
 from repro.compiler import (OptLevel, compile_program,          # noqa: E402
-                            compile_program_incremental, DeltaStats)
+                            compile_program_incremental)
 from repro.compiler.frontend.lower import lower_unit            # noqa: E402
 from repro.engine.cache import CompileCache                     # noqa: E402
 from repro.experiments.workload import (WorkloadSpec,           # noqa: E402
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     level = OptLevel(args.level)
 
     cache = CompileCache()
-    reuse = DeltaStats()
+    reused = total = 0
     cold_seconds = 0.0
     delta_seconds = 0.0
     rows = []
@@ -92,14 +92,18 @@ def main(argv=None) -> int:
                                     extra_key=PATTERN)
         mutant = mutate_one_transition(machine)
 
+        # Unit-cache hits are reused units, misses compiled ones.
+        before = cache.stats.snapshot()
         t0 = time.perf_counter()
-        per_machine = DeltaStats()
         delta = compile_program_incremental(
             lowered(mutant), level, target=args.target, unit_cache=cache,
-            extra_key=PATTERN, stats_out=per_machine)
+            extra_key=PATTERN)
         delta_seconds += time.perf_counter() - t0
-        reuse.total_units += per_machine.total_units
-        reuse.reused_units += per_machine.reused_units
+        after = cache.stats.snapshot()
+        hits = after["hits"] - before["hits"]
+        lookups = after["lookups"] - before["lookups"]
+        reused += hits
+        total += lookups
 
         program = lowered(mutant)
         t0 = time.perf_counter()
@@ -109,19 +113,20 @@ def main(argv=None) -> int:
         if delta.module.listing() != mono.module.listing():
             sys.exit(f"FAIL {machine.name}: delta module differs from "
                      "monolithic compile of the same mutant")
-        rows.append((machine.name, per_machine))
+        rows.append((machine.name, hits, lookups))
 
     speedup = cold_seconds / delta_seconds if delta_seconds else float("inf")
-    for name, st in rows:
-        print(f"  {name}: reused {st.reused_units}/{st.total_units} units "
-              f"({st.reuse_rate:.0%})")
-    print(f"corpus: reuse {reuse.reused_units}/{reuse.total_units} "
-          f"({reuse.reuse_rate:.1%}), cold {1e3 * cold_seconds:.0f} ms, "
+    for name, hits, lookups in rows:
+        print(f"  {name}: reused {hits}/{lookups} units "
+              f"({hits / lookups:.0%})")
+    reuse_rate = reused / total if total else 0.0
+    print(f"corpus: reuse {reused}/{total} "
+          f"({reuse_rate:.1%}), cold {1e3 * cold_seconds:.0f} ms, "
           f"delta {1e3 * delta_seconds:.0f} ms -> {speedup:.1f}x; "
           f"all mutant modules byte-identical to monolithic compiles")
 
-    if reuse.reuse_rate < args.reuse_floor:
-        sys.exit(f"FAIL: unit reuse {reuse.reuse_rate:.1%} below the "
+    if reuse_rate < args.reuse_floor:
+        sys.exit(f"FAIL: unit reuse {reuse_rate:.1%} below the "
                  f"{args.reuse_floor:.0%} floor")
     if speedup < args.speedup_floor:
         sys.exit(f"FAIL: delta speedup {speedup:.1f}x below the "

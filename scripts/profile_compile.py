@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Break a cold compile down by pipeline stage.
 
-Runs the real monolithic pipeline (``repro.pipeline.compile_machine``
-plus assembly) under a private 100 %-sampled :mod:`repro.obs` tracer
-and aggregates the compiler's own stage/pass spans — frontend
-(generate, lower), middle end (inline, each SSA pass, SSA
-construction/destruction), backend (isel, fuse, regalloc, peephole,
-prologue) and assembly — into a table of milliseconds and shares.
+Runs the real pipeline (``repro.pipeline.compile_machine``: generate,
+lower, then the unit-by-unit compile with no unit cache, plus assembly)
+under a private 100 %-sampled :mod:`repro.obs` tracer and aggregates
+the compiler's own stage/pass spans — frontend (generate, lower),
+middle end (inline, each SSA pass, SSA construction/destruction),
+backend (isel, fuse, regalloc, peephole, prologue) and assembly — into
+a table of milliseconds and shares.  Splitting the program into units
+and relinking them are not stages of the table.
 There is no second timing system here: the numbers are exactly the
 spans every traced run exports, so this is the measurement behind the
 delta-compile design (the middle end and backend dominate a cold

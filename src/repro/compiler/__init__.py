@@ -22,9 +22,8 @@ from .gimple.ir import Program
 from .target import (TargetDescription, UnknownTargetError,
                      available_targets, get_target, register_target,
                      resolve_target)
-from .units import (CompilationUnit, DeltaStats, LinkError, UnitArtifact,
-                    UnitPlan, compile_program_incremental, link_units,
-                    split_units)
+from .units import (CompilationUnit, LinkError, UnitArtifact, UnitPlan,
+                    compile_program_incremental, link_units, split_units)
 
 __all__ = [
     "AsmModule", "CompileResult", "OptLevel", "compile_program",
@@ -32,6 +31,6 @@ __all__ = [
     "Program",
     "TargetDescription", "UnknownTargetError", "available_targets",
     "get_target", "register_target", "resolve_target",
-    "CompilationUnit", "DeltaStats", "LinkError", "UnitArtifact",
-    "UnitPlan", "compile_program_incremental", "link_units", "split_units",
+    "CompilationUnit", "LinkError", "UnitArtifact", "UnitPlan",
+    "compile_program_incremental", "link_units", "split_units",
 ]

@@ -12,13 +12,14 @@ runs before the SSA optimizers so they can see through the call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..gimple.ir import (BasicBlock, Call, GimpleFunction, Instr, Jump, Move,
                          Operand, Phi, Program, Reg, Ret, Terminator,
                          copy_node)
 
-__all__ = ["run_inline", "InlinePolicy"]
+__all__ = ["run_inline", "inline_candidates", "inline_into",
+           "InlinePolicy"]
 
 
 class InlinePolicy:
@@ -101,54 +102,60 @@ def _clone_into(caller: GimpleFunction, callee: GimpleFunction,
     return binder.label
 
 
-def run_inline(program: Program, policy: InlinePolicy,
-               per_caller: Optional[Dict[str, int]] = None) -> int:
-    """Inline eligible direct calls across *program*; returns the number
-    of call sites inlined.
+def inline_candidates(functions: Iterable[GimpleFunction],
+                      policy: InlinePolicy) -> Dict[str, GimpleFunction]:
+    """The functions among *functions* small enough to inline, by name."""
+    return {fn.name: fn for fn in functions if _inlinable(fn, policy)}
 
-    *per_caller*, when given, is filled with the inline count attributed
-    to each caller — the per-unit compile path uses it to report only
-    the unit's own share, so per-unit statistics sum to exactly the
-    whole-program numbers.
-    """
+
+def inline_into(caller: GimpleFunction,
+                candidates: Dict[str, GimpleFunction],
+                policy: InlinePolicy) -> int:
+    """Inline eligible direct calls to *candidates* into *caller*, which
+    is rewritten in place; returns the number of call sites inlined.
+    Callee bodies are read as they are now, so inlining into callers in
+    program order inlines each callee with its own calls already
+    inlined when it comes earlier, and as written when it comes later."""
     inlined = 0
-    candidates = {name: fn for name, fn in program.functions.items()
-                  if _inlinable(fn, policy)}
-    for caller in program.functions.values():
-        budget = policy.max_caller_growth
-        again = True
-        while again and budget > 0:
-            again = False
-            for label in list(caller.blocks):
-                block = caller.blocks[label]
-                for i, instr in enumerate(block.instrs):
-                    if not isinstance(instr, Call):
-                        continue
-                    callee = candidates.get(instr.callee)
-                    if callee is None or callee is caller:
-                        continue
-                    # Split the block at the call site.
-                    cont = BasicBlock(f"cont{caller.label_id()}")
-                    cont.instrs = block.instrs[i + 1:]
-                    cont.terminator = block.terminator
-                    caller.blocks[cont.label] = cont
-                    # Phis in successors must now name the continuation.
-                    for succ in cont.terminator.successors():
-                        for phi in caller.blocks[succ].phis():
-                            if label in phi.incoming:
-                                phi.incoming[cont.label] = \
-                                    phi.incoming.pop(label)
-                    block.instrs = block.instrs[:i]
-                    entry = _clone_into(caller, callee, list(instr.args),
-                                        instr.dst, cont.label)
-                    block.terminator = Jump(entry)
-                    inlined += 1
-                    if per_caller is not None:
-                        per_caller[caller.name] = \
-                            per_caller.get(caller.name, 0) + 1
-                    budget -= callee.instr_count()
-                    again = True
-                    break
-                if again:
-                    break
+    budget = policy.max_caller_growth
+    again = True
+    while again and budget > 0:
+        again = False
+        for label in list(caller.blocks):
+            block = caller.blocks[label]
+            for i, instr in enumerate(block.instrs):
+                if not isinstance(instr, Call):
+                    continue
+                callee = candidates.get(instr.callee)
+                if callee is None or callee is caller:
+                    continue
+                # Split the block at the call site.
+                cont = BasicBlock(f"cont{caller.label_id()}")
+                cont.instrs = block.instrs[i + 1:]
+                cont.terminator = block.terminator
+                caller.blocks[cont.label] = cont
+                # Phis in successors must now name the continuation.
+                for succ in cont.terminator.successors():
+                    for phi in caller.blocks[succ].phis():
+                        if label in phi.incoming:
+                            phi.incoming[cont.label] = \
+                                phi.incoming.pop(label)
+                block.instrs = block.instrs[:i]
+                entry = _clone_into(caller, callee, list(instr.args),
+                                    instr.dst, cont.label)
+                block.terminator = Jump(entry)
+                inlined += 1
+                budget -= callee.instr_count()
+                again = True
+                break
+            if again:
+                break
     return inlined
+
+
+def run_inline(program: Program, policy: InlinePolicy) -> int:
+    """Inline eligible direct calls across *program*, caller by caller
+    in program order; returns the number of call sites inlined."""
+    candidates = inline_candidates(program.functions.values(), policy)
+    return sum(inline_into(caller, candidates, policy)
+               for caller in program.functions.values())

@@ -1,14 +1,16 @@
 """Incremental structure-sharing compilation: units, hashes, relink.
 
-The whole-program compile (:func:`repro.compiler.driver.compile_program`)
+Every machine compile of the pipeline, the engine and the VM harness
+runs through this module, with or without a unit cache.  The
+whole-program compile (:func:`repro.compiler.driver.compile_program`)
 recompiles a whole translation unit from cold whenever *anything* in it
-changed.  It stays as the byte-identity reference and as the cheaper
-cold compile for callers without a unit cache.  This module splits the
-same stages into a DAG of **compilation units** — one per lowered
-GIMPLE function, i.e. one per action body, per state event-handler, per
-dispatch skeleton — so a machine that shares 95 % of its structure with
-an already-compiled one only recompiles the changed handlers and
-**relinks**:
+changed; it stays as the byte-identity reference the unit path is
+pinned against and as the API for a hand-written translation unit.
+This module splits the same stages into a DAG of **compilation units**
+— one per lowered GIMPLE function, i.e. one per action body, per state
+event-handler, per dispatch skeleton — so a machine that shares 95 % of
+its structure with an already-compiled one only recompiles the changed
+handlers and **relinks**:
 
 * :func:`split_units` partitions a lowered :class:`Program` into units
   and gives each unit two content keys.  The **middle-end key** is a
@@ -28,13 +30,14 @@ an already-compiled one only recompiles the changed handlers and
 * :func:`compile_one_unit` compiles a single unit through the very same
   stages as :func:`~repro.compiler.driver.compile_program` (inline, then
   ``optimize_function`` and ``backend_function``), on a
-  **mini-program** holding a
-  :meth:`~repro.compiler.gimple.ir.GimpleFunction.clone` of each member
-  of the unit's closure in original program order — the inliner sees
-  exactly the bodies (and mutation order) it would see in a
-  whole-program run, so the produced RTL is byte-identical.  Pass
-  statistics are attributed to the unit function only; summed across
-  units they equal the whole-program numbers.
+  :meth:`~repro.compiler.gimple.ir.GimpleFunction.clone` of the unit's
+  function.  At the levels that inline, the inline candidates of its
+  closure that precede it in program order are inlined into first, on
+  clones, and the later ones are read as written — exactly the callee
+  bodies a whole-program run inlines into the unit — so the produced
+  RTL is byte-identical.  Pass statistics are attributed to the unit
+  function only; summed across units they equal the whole-program
+  numbers.
 * **Sharing rule:** the middle end runs once per (lowered program,
   middle-end key).  Its output — the optimized function and the
   middle-end pass statistics — is memoized in memory, weakly keyed by
@@ -57,9 +60,9 @@ an already-compiled one only recompiles the changed handlers and
   program, never from cached artifacts: a machine whose every unit is
   cache-hot but whose static data changed relinks correctly.
 * :func:`compile_program_incremental` ties it together against an
-  optional content-addressed unit cache (anything with the
-  ``get_or_compute(key, compute)`` contract of
-  :class:`repro.engine.cache.CompileCache`).
+  optional content-addressed unit cache
+  (:class:`repro.engine.cache.CompileCache`), whose hit and miss
+  counters say how many units were reused and how many compiled.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..obs.trace import span as _span
 from ..schema import schema_stamp
@@ -77,13 +80,13 @@ from .driver import (CompileResult, OptLevel, backend_function,
                      make_switch_lowering, optimize_function)
 from .gimple.ir import (Call, DataObject, GimpleFunction, Program,
                         SymbolRef)
-from .passes.inline import run_inline
+from .passes.inline import inline_candidates, inline_into
 from .target.description import TargetDescription
 from .target.registry import resolve_target
 
 __all__ = ["CompilationUnit", "UnitArtifact", "UnitPlan", "LinkError",
            "split_units", "unit_fingerprint", "compile_one_unit",
-           "link_units", "compile_program_incremental", "DeltaStats"]
+           "link_units", "compile_program_incremental"]
 
 
 class LinkError(Exception):
@@ -134,29 +137,6 @@ class UnitPlan:
     level: OptLevel
     target: TargetDescription
     extra_key: str = ""
-
-    def unit(self, name: str) -> CompilationUnit:
-        for unit in self.units:
-            if unit.name == name:
-                return unit
-        raise KeyError(f"no unit {name!r}")
-
-
-@dataclass
-class DeltaStats:
-    """Unit reuse accounting of one incremental compile."""
-
-    total_units: int = 0
-    reused_units: int = 0
-
-    @property
-    def compiled_units(self) -> int:
-        return self.total_units - self.reused_units
-
-    @property
-    def reuse_rate(self) -> float:
-        return (self.reused_units / self.total_units
-                if self.total_units else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +252,26 @@ _MIDDLE_ENDS: "weakref.WeakKeyDictionary[Program, Dict[str, _MiddleEnd]]" = \
 
 def _run_middle_end(program: Program, unit: CompilationUnit,
                     level: OptLevel) -> _MiddleEnd:
-    mini = Program(program.name)
-    mini.externs = list(program.externs)
-    for name in unit.closure:
-        mini.add_function(program.functions[name].clone())
-    fn = mini.functions[unit.name]
-
+    fn = program.functions[unit.name].clone()
     stats: Dict[str, int] = {}
     if level.inlines:
-        per_caller: Dict[str, int] = {}
+        # A whole-program run inlines into every function in program
+        # order, so when it reaches this unit the candidates before it
+        # have had their own calls inlined and the ones after it have
+        # not.  Only those states reach the unit: inline into clones of
+        # the earlier candidates, then into the unit, and read the later
+        # ones as written.
+        policy = inline_policy_for(level)
+        candidates = inline_candidates(
+            (program.functions[name] for name in unit.closure), policy)
         with _span("stage.inline"):
-            run_inline(mini, inline_policy_for(level), per_caller=per_caller)
-        stats["inline"] = per_caller.get(unit.name, 0)
+            for name in unit.closure[:unit.closure.index(unit.name)]:
+                if name in candidates:
+                    candidates[name] = callee = candidates[name].clone()
+                    inline_into(callee, candidates, policy)
+            if unit.name in candidates:
+                candidates[unit.name] = fn
+            stats["inline"] = inline_into(fn, candidates, policy)
     if level.optimizes:
         optimize_function(fn, level, stats)
     return fn, stats
@@ -296,15 +284,13 @@ def compile_one_unit(program: Program, unit: CompilationUnit,
     """Compile one unit in isolation, byte-identical to its share of a
     whole-program compile.
 
-    The mini-program holds a :meth:`GimpleFunction.clone` of each
-    closure member (the pipeline mutates IR in place; *program* stays
-    pristine for the other units), in original program order, so the
-    inliner's caller iteration and callee mutation sequence match the
-    monolithic run exactly.  After the inline phase only the unit's own
-    function is optimized — the closure copies exist solely to be
-    inlined *from*.  The middle end runs once per (*program*,
-    ``unit.middle_end_key``); a compile for another target reuses it
-    and runs only its own backend.
+    The pipeline mutates IR in place, so the unit's function and every
+    closure member the inliner rewrites are compiled as
+    :meth:`GimpleFunction.clone` copies: *program* stays pristine for
+    the other units.  Only the unit's own function is optimized.  The
+    middle end runs once per (*program*, ``unit.middle_end_key``); a
+    compile for another target reuses it and runs only its own
+    backend.
     """
     sp = _span("unit.compile")
     if sp.recording:
@@ -444,41 +430,29 @@ def _link_units(program: Program, artifacts: Dict[str, UnitArtifact],
 def compile_program_incremental(
         program: Program, level: OptLevel = OptLevel.OS,
         target: Union[TargetDescription, str, None] = None,
-        unit_cache=None, extra_key: str = "",
-        stats_out: Optional[DeltaStats] = None) -> CompileResult:
+        unit_cache=None, extra_key: str = "") -> CompileResult:
     """Delta-compile *program*: split into units, fetch cache-hot units,
     compile the misses, relink.
 
-    *unit_cache* is any ``get_or_compute(key, compute)`` provider
-    (e.g. :class:`repro.engine.cache.CompileCache` over a memory, disk
-    or tiered backend); None compiles every unit.  *stats_out*, when
-    given, receives the unit-reuse accounting of this one call.
+    *unit_cache* is a :class:`repro.engine.cache.CompileCache` (over a
+    memory, disk or tiered backend); None compiles every unit.  Its
+    lookup counters are the reuse accounting: a hit is a reused unit,
+    a miss a compiled one.
     """
     tgt = resolve_target(target)
     plan = split_units(program, level=level, target=tgt,
                        extra_key=extra_key)
     artifacts: Dict[str, UnitArtifact] = {}
     for unit in plan.units:
-        compiled_here = False
-
         def compute(unit=unit):
-            nonlocal compiled_here
-            compiled_here = True
             return compile_one_unit(program, unit, level, tgt)
 
-        if unit_cache is None:
-            artifact = compute()
-        else:
-            artifact = unit_cache.get_or_compute(unit.fingerprint, compute)
-            if not isinstance(artifact, UnitArtifact) \
-                    or artifact.fingerprint != unit.fingerprint:
-                # A corrupted entry, or an artifact stored under another
-                # unit's key, must degrade to a recompile, never to a
-                # wrong link.
-                artifact = compute()
-        artifacts[unit.name] = artifact
-        if stats_out is not None:
-            stats_out.total_units += 1
-            if not compiled_here:
-                stats_out.reused_units += 1
+        def valid(entry, unit=unit):
+            # A corrupted entry, or an artifact stored under another
+            # unit's key, must be a miss and a recompile, never a link.
+            return isinstance(entry, UnitArtifact) \
+                and entry.fingerprint == unit.fingerprint
+
+        artifacts[unit.name] = compute() if unit_cache is None else \
+            unit_cache.get_or_compute(unit.fingerprint, compute, valid)
     return link_units(program, artifacts, level, target=tgt)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as _span
@@ -150,13 +150,17 @@ class CompileCache:
         with self._lock:
             self._stats = CacheStats(name=self.name)
 
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
+    def get_or_compute(self, key: str, compute: Callable[[], Any],
+                       valid: Optional[Callable[[Any], bool]] = None
+                       ) -> Any:
         """Return the cached value for *key*, computing it on first use.
 
         Exactly one caller runs *compute* per key; concurrent callers
         block on the in-flight future.  Either way the lookup is
         counted (miss for the computing caller, hit for everyone else —
-        tagged with the backend tier that served it).
+        tagged with the backend tier that served it).  A stored value
+        that *valid* rejects counts as absent: the lookup is a miss,
+        and the computed value replaces it.
         """
         sp = _span("cache.lookup")
         try:
@@ -164,7 +168,7 @@ class CompileCache:
             # so a hit needs no in-flight coordination at all — and a slow
             # disk read never serializes lookups of other keys.
             try:
-                value, origin = self.backend.load(key)
+                value, origin = self._load(key, valid)
             except KeyError:
                 pass
             else:
@@ -189,7 +193,7 @@ class CompileCache:
             # previous owner may have published between the optimistic
             # probe and the future installation above.
             try:
-                value, origin = self.backend.load(key)
+                value, origin = self._load(key, valid)
             except KeyError:
                 pass
             else:
@@ -210,6 +214,13 @@ class CompileCache:
             return self._resolve(key, future, value, store=True)
         finally:
             sp.end()
+
+    def _load(self, key: str, valid: Optional[Callable[[Any], bool]]
+              ) -> Tuple[Any, str]:
+        value, origin = self.backend.load(key)
+        if valid is not None and not valid(value):
+            raise KeyError(key)
+        return value, origin
 
     def _resolve(self, key: str, future: Future, value: Any,
                  store: bool) -> Any:

@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
-from ..compiler import CompileResult, DeltaStats, OptLevel
+from ..compiler import CompileResult, OptLevel
 from ..compiler.target import TargetDescription, resolve_target
 from ..obs.trace import span as _span
 from ..optim import OptimizationReport, check_equivalence, optimize
@@ -125,13 +125,13 @@ class ExperimentEngine:
                     "cache_dir= only applies to backend spec strings")
             self.cache = CompileCache(backend, name="module")
         #: Whole-module cache misses compile through this per-unit tier
-        #: (:func:`repro.pipeline.compile_machine_delta`).  It shares the
-        #: module cache's backend — unit fingerprints carry their own
-        #: kind tag, so the key spaces never collide, and a persistent
-        #: backend persists units too.
+        #: (:func:`repro.pipeline.compile_machine`); its hits are reused
+        #: units and its misses compiled ones.  It shares the module
+        #: cache's backend — unit fingerprints carry their own kind tag,
+        #: so the key spaces never collide, and a persistent backend
+        #: persists units too.
         self.units = CompileCache(getattr(self.cache, "backend", None),
                                   name="unit")
-        self.delta_stats = DeltaStats()
 
     # -- cached primitives --------------------------------------------------
 
@@ -143,20 +143,18 @@ class ExperimentEngine:
                         ) -> CompileResult:
         """Cached :func:`repro.pipeline.compile_machine`.
 
-        Module-cache misses compile through the per-unit delta path
-        (:func:`repro.pipeline.compile_machine_delta`): units whose
-        lowered IR is unchanged come from the unit tier and only the
-        rest recompile.  The linked module is byte-identical to a
-        whole-program compile.
+        Module-cache misses compile against the engine's unit tier
+        (:attr:`units`): units whose lowered IR is unchanged come from
+        it and only the rest recompile.  The linked module is
+        byte-identical to a whole-program compile.
         """
-        from ..pipeline import compile_machine_delta
+        from ..pipeline import compile_machine
         key = compile_fingerprint(machine, pattern, level, target,
                                   semantics)
 
         def compute() -> CompileResult:
-            return compile_machine_delta(
-                machine, pattern=pattern, level=level, target=target,
-                unit_cache=self.units, stats_out=self.delta_stats)
+            return compile_machine(machine, pattern=pattern, level=level,
+                                   target=target, unit_cache=self.units)
 
         sp = _span("engine.compile")
         if sp.recording:

@@ -1,11 +1,11 @@
 """Executor adapters over the three execution backends.
 
 Each adapter owns the backend-specific configuration (semantics for
-the interpreter and fleet, pattern/level/target for the VM), memoizes
-the scenario-independent compile per machine, keyed weakly so machines
-can be garbage collected, and declares the typed errors the
-differential runner (:mod:`repro.exec.runner`) observes instead of
-raising.
+the interpreter and fleet, pattern/level/target and an optional unit
+cache for the VM), memoizes the scenario-independent compile per
+machine, keyed weakly so machines can be garbage collected, and
+declares the typed errors the differential runner
+(:mod:`repro.exec.runner`) observes instead of raising.
 """
 
 from __future__ import annotations
@@ -181,27 +181,28 @@ class VMExecutor(Executor):
 
     ``load`` compiles once per machine (weakly memoized), so a
     conformance sweep over many scenarios assembles one image and boots
-    a fresh simulator per instance.  A pattern's documented shape
-    rejection (:class:`~repro.codegen.base.CodegenError`) is a shape
-    error of the load.
+    a fresh simulator per instance.  Every compile runs unit by unit
+    (:mod:`repro.compiler.units`); with a *unit_cache* the fuzz
+    oracle's mutant chains reuse every unit their edit missed, and the
+    executors of one grid share each machine's front end and unit
+    middle ends (:class:`~repro.vm.harness.CompiledProgram`).  A
+    pattern's documented shape rejection
+    (:class:`~repro.codegen.base.CodegenError`) is a shape error of the
+    load.
     """
 
     name = "vm"
     run_errors = (VMError, EncodingError)
     shape_errors = (CodegenError,)
-    #: When set, compiles go through this per-unit cache
-    #: (:mod:`repro.compiler.units`): byte-identical output, and the
-    #: fuzz oracle's mutant chains reuse every unit their edit missed.
-    #: The executors of one grid then also share each machine's front
-    #: end and unit middle ends (:class:`~repro.vm.harness.CompiledProgram`).
-    unit_cache = None
 
     def __init__(self, pattern: str = "nested-switch",
                  level: OptLevel = OptLevel.OS,
-                 target: Union[TargetDescription, str, None] = None) -> None:
+                 target: Union[TargetDescription, str, None] = None,
+                 unit_cache=None) -> None:
         self.pattern = pattern
         self.level = level
         self.target = target
+        self._unit_cache = unit_cache
         self._programs: "weakref.WeakKeyDictionary[StateMachine, CompiledProgram]" = \
             weakref.WeakKeyDictionary()
 
@@ -210,7 +211,7 @@ class VMExecutor(Executor):
         if program is None:
             program = CompiledProgram(machine, self.pattern,
                                       level=self.level, target=self.target,
-                                      unit_cache=self.unit_cache)
+                                      unit_cache=self._unit_cache)
             self._programs[machine] = program
         return program
 

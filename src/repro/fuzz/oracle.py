@@ -282,10 +282,10 @@ class DifferentialOracle:
             runs.append((FLEET_EXECUTOR, FleetExecutor(self.semantics),
                          case.machine))
         for pattern, level, target in self.config.cells():
-            vm = VMExecutor(pattern, level=level, target=target)
             # Mutant chains share most units: compile on the engine's
             # unit tier.
-            vm.unit_cache = self.engine.units
+            vm = VMExecutor(pattern, level=level, target=target,
+                            unit_cache=self.engine.units)
             runs.append((_vm_executor_id(pattern, level, target), vm,
                          case.machine))
 

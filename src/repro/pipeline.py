@@ -14,8 +14,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import ExperimentEngine
 
-from .codegen import CodeGenerator, generator_by_name
-from .compiler import CompileResult, OptLevel, compile_unit
+from .codegen import generator_by_name
+from .compiler import (CompileResult, OptLevel, compile_program_incremental,
+                       lower_unit)
 from .obs.trace import span as _span
 from .compiler.target import (DEFAULT_TARGET_NAME, TargetDescription,
                               resolve_target)
@@ -25,7 +26,7 @@ from .semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from .uml.statemachine import StateMachine
 
 __all__ = ["PipelineResult", "CompareResult", "TunedCompileResult",
-           "compile_machine", "compile_machine_delta", "run_pipeline",
+           "compile_machine", "run_pipeline",
            "optimize_and_compare", "tuned_compile"]
 
 
@@ -61,30 +62,17 @@ class PipelineResult:
 def compile_machine(machine: StateMachine, pattern: str = "nested-switch",
                     level: OptLevel = OptLevel.OS,
                     target: Union[TargetDescription, str, None] = None,
-                    ) -> CompileResult:
-    """Generate code for *machine* with *pattern* and compile it for
-    *target* (a registered name, a description, or None = default)."""
-    generator = generator_by_name(pattern)
-    with _span("stage.generate"):
-        unit = generator.generate(machine)
-    return compile_unit(unit, level, target=target)
+                    unit_cache=None) -> CompileResult:
+    """Generate code for *machine* with *pattern*, lower it, and compile
+    it for *target* (a registered name, a description, or None =
+    default) unit by unit (:mod:`repro.compiler.units`).
 
-
-def compile_machine_delta(machine: StateMachine,
-                          pattern: str = "nested-switch",
-                          level: OptLevel = OptLevel.OS,
-                          target: Union[TargetDescription, str, None] = None,
-                          unit_cache=None, stats_out=None) -> CompileResult:
-    """Incremental variant of :func:`compile_machine`: generate, lower,
-    split into compilation units, reuse cache-hot units, compile the
-    misses and relink.  Byte-identical to the monolithic path
-    (:mod:`repro.compiler.units` guarantees it); with a warm
-    *unit_cache* an edit to one transition recompiles only the units it
-    reaches.  *stats_out* (a :class:`~repro.compiler.DeltaStats`)
-    receives the unit reuse accounting of this call.
+    With a *unit_cache* (a :class:`~repro.engine.cache.CompileCache`),
+    units whose lowered IR is already cached are reused and only the
+    rest compile, so an edit to one transition recompiles only the
+    units it reaches.  The linked module is byte-identical to a
+    whole-program :func:`~repro.compiler.compile_unit` either way.
     """
-    from .compiler import compile_program_incremental
-    from .compiler.frontend.lower import lower_unit
     generator = generator_by_name(pattern)
     with _span("stage.generate"):
         unit = generator.generate(machine)
@@ -92,8 +80,7 @@ def compile_machine_delta(machine: StateMachine,
         program = lower_unit(unit)
     return compile_program_incremental(program, level=level, target=target,
                                        unit_cache=unit_cache,
-                                       extra_key=pattern,
-                                       stats_out=stats_out)
+                                       extra_key=pattern)
 
 
 def run_pipeline(machine: StateMachine, pattern: str = "nested-switch",

@@ -116,7 +116,6 @@ class _Worker:
         # field-by-field read here could tear against a concurrent compile.
         stats = engine.stats.snapshot()
         units = engine.unit_stats.snapshot()
-        delta = engine.delta_stats
         return {
             "token": self.token,
             "pid": os.getpid(),
@@ -127,8 +126,8 @@ class _Worker:
             "unit_hits": units["hits"],
             "unit_misses": units["misses"],
             "unit_disk_hits": units["disk_hits"],
-            "reused_units": delta.reused_units,
-            "compiled_units": delta.compiled_units,
+            "reused_units": units["hits"],
+            "compiled_units": units["misses"],
         }
 
     def run_chunk(self, chunk: Sequence[Dict[str, Any]],

@@ -1,16 +1,16 @@
 """Event-queue harness: run a *compiled* state machine on the simulator.
 
-:class:`CompiledMachineVM` closes the loop the GIMPLE-level
+This closes the loop the GIMPLE-level
 :class:`~repro.codegen.harness.GeneratedMachine` leaves open: instead of
-interpreting the middle-end IR, it generates code for a machine, runs
-the full backend (isel, regalloc, peephole, prologue), assembles the
-result into bytes, and *executes those bytes* on the
+interpreting the middle-end IR, :class:`CompiledProgram` generates code
+for a machine, runs the full backend (isel, regalloc, peephole,
+prologue) and assembles the result into bytes, and each
+:class:`CompiledMachineVM` it boots *executes those bytes* on the
 :class:`~.machine.Machine` — feeding it the same ``Event`` sequences the
 UML interpreter consumes and recording what happens as a
-:class:`~repro.semantics.trace.Trace`.
-:class:`CompiledProgram` carries the compile+assemble artifacts so many
-scenario runs (conformance sweeps) pay for the compiler once and boot a
-fresh simulator per scenario.
+:class:`~repro.semantics.trace.Trace`.  Many scenario runs (conformance
+sweeps) pay for the compiler once and boot a fresh simulator per
+scenario.
 
 Trace reconstruction uses only the architectural state the simulator
 exposes (no instrumentation in the generated code):
@@ -43,7 +43,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ..codegen import CodeGenerator, generator_by_name
 from ..codegen.common import event_index
-from ..compiler.driver import OptLevel, compile_unit
+from ..compiler.driver import OptLevel
 from ..compiler.frontend.lower import _UnitContext, lower_unit, mangle
 from ..compiler.gimple.ir import Program
 from ..compiler.target.description import TargetDescription
@@ -92,15 +92,14 @@ class VmMetrics:
 
 class _FrontEnd:
     """The target-independent half of a compile: the generated
-    translation unit, its lowered program (when asked for) and the
-    layout facts the harness reads back."""
+    translation unit, its lowered program and the layout facts the
+    harness reads back."""
 
-    def __init__(self, machine: StateMachine, generator: CodeGenerator,
-                 lower: bool) -> None:
+    def __init__(self, machine: StateMachine,
+                 generator: CodeGenerator) -> None:
         self.unit = generator.generate(machine)
         self.cls_name = generator.class_name(machine)
-        self.program: Optional[Program] = \
-            lower_unit(self.unit) if lower else None
+        self.program: Program = lower_unit(self.unit)
         self.layout = _UnitContext(self.unit).layout(self.cls_name)
         self.event_names = [e.name for e in machine.events.values()]
         enum_name = f"{self.cls_name}_State"
@@ -112,11 +111,11 @@ class _FrontEnd:
         self.lock = threading.Lock()
 
 
-#: Lowered front ends of the unit-cache path, per machine, then per
-#: ``(type(generator), generator.config)``.  Machines are immutable once
-#: built by repo convention (as for ``machine_fingerprint``'s memo), and
-#: the unit path never mutates the lowered program, so every cell of a
-#: VM grid can share one.
+#: Front ends of the programs that compile against a unit cache, per
+#: machine, then per ``(type(generator), generator.config)``.  Machines
+#: are immutable once built by repo convention (as for
+#: ``machine_fingerprint``'s memo), and the unit path never mutates the
+#: lowered program, so every cell of a VM grid can share one.
 _FRONT_ENDS: "weakref.WeakKeyDictionary[StateMachine, Dict[tuple, _FrontEnd]]" \
     = weakref.WeakKeyDictionary()
 
@@ -133,7 +132,7 @@ def _shared_front_end(machine: StateMachine,
         # nothing, so every cell raises.  Threads racing on one machine
         # build equal front ends; setdefault keeps one.
         front = per_machine.setdefault(
-            key, _FrontEnd(machine, generator, lower=True))
+            key, _FrontEnd(machine, generator))
     return front
 
 
@@ -144,15 +143,19 @@ class CompiledProgram:
     fresh simulated instance (memory reset to the image's initial
     state, ``init()`` executed, watchpoints armed).
 
-    With a *unit_cache*, the front end (generated C++, lowered GIMPLE,
-    layout, event names, state enumerators) is shared: every
-    ``CompiledProgram`` of the same machine and generator takes it from
-    one per-machine memo, so the cells of a VM grid generate and lower
-    once, and :func:`~repro.compiler.units.compile_one_unit` runs each
-    unit's middle end once for all targets.  Only the unit-cache path
-    shares; without a unit cache every instance generates, lowers and
-    compiles its own.  Cells that share a front end compile one at a
-    time, even on a thread pool.
+    The machine compiles unit by unit
+    (:func:`~repro.compiler.units.compile_program_incremental`),
+    byte-identical to a whole-program ``compile_unit``.  With a
+    *unit_cache*, units already cached are reused — the fuzz oracle's
+    mutant chains reuse every unit their edit missed — and the front
+    end (generated C++, lowered GIMPLE, layout, event names, state
+    enumerators) is shared: every ``CompiledProgram`` of the same
+    machine and generator takes it from one per-machine memo, so the
+    cells of a VM grid generate and lower once, and
+    :func:`~repro.compiler.units.compile_one_unit` runs each unit's
+    middle end once for all targets.  Without a unit cache every
+    instance generates, lowers and compiles its own.  Cells that share
+    a front end compile one at a time, even on a thread pool.
     """
 
     def __init__(self, machine: StateMachine,
@@ -165,26 +168,18 @@ class CompiledProgram:
         self.model = machine
         self.generator = generator
         self.level = level
-        if unit_cache is not None:
-            # Delta path: per-unit compile against a shared unit cache.
-            # Byte-identical to compile_unit (tests/compiler/test_units
-            # pins it), but chains of machine variants — fuzz mutant
-            # chains above all — reuse every unit their edit missed.
-            front = _shared_front_end(machine, generator)
-            # Compiling clones the program's nodes and may pickle the
-            # shared middle ends, which reads each object's __dict__ for
-            # the first time.  On CPython 3.11 two threads doing that to
-            # one object at once can corrupt memory: a collection that
-            # runs inside the first read can switch threads.  Compiles
-            # are GIL-bound, so serializing them costs no throughput.
-            with front.lock:
-                self.compile_result = compile_program_incremental(
-                    front.program, level, target=target,
-                    unit_cache=unit_cache, extra_key=generator.name)
-        else:
-            front = _FrontEnd(machine, generator, lower=False)
-            self.compile_result = compile_unit(front.unit, level,
-                                               target=target)
+        front = _shared_front_end(machine, generator) \
+            if unit_cache is not None else _FrontEnd(machine, generator)
+        # Compiling clones the program's nodes and may pickle the shared
+        # middle ends, which reads each object's __dict__ for the first
+        # time.  On CPython 3.11 two threads doing that to one object at
+        # once can corrupt memory: a collection that runs inside the
+        # first read can switch threads.  Compiles are GIL-bound, so
+        # serializing them costs no throughput.
+        with front.lock:
+            self.compile_result = compile_program_incremental(
+                front.program, level, target=target,
+                unit_cache=unit_cache, extra_key=generator.name)
         self.unit = front.unit
         self.cls_name = front.cls_name
         self.layout = front.layout
@@ -192,31 +187,19 @@ class CompiledProgram:
         self.state_enumerators = front.state_enumerators
         self.image: Image = assemble(self.compile_result.module)
 
-    def boot(self, externals: Optional[Mapping[str, Callable]] = None,
-             trace_states: bool = True) -> "CompiledMachineVM":
+    def boot(self, externals: Optional[Mapping[str, Callable]] = None
+             ) -> "CompiledMachineVM":
         """Start one fresh instance of the compiled machine."""
-        return CompiledMachineVM(self, externals=externals,
-                                 trace_states=trace_states)
+        return CompiledMachineVM(self, externals=externals)
 
 
 class CompiledMachineVM:
-    """One generated+compiled machine executing on the ISA simulator.
+    """One generated+compiled machine executing on the ISA simulator,
+    booted from a :class:`CompiledProgram` (cheap, shares the
+    compile)."""
 
-    Construct from a :class:`CompiledProgram` (cheap, shares the
-    compile), or pass a model + pattern to compile on the spot.
-    """
-
-    def __init__(self, program: Union[CompiledProgram, StateMachine],
-                 generator: Union[CodeGenerator, str, None] = None,
-                 level: OptLevel = OptLevel.OS,
-                 target: Union[TargetDescription, str, None] = None,
-                 externals: Optional[Mapping[str, Callable]] = None,
-                 trace_states: bool = True) -> None:
-        if not isinstance(program, CompiledProgram):
-            if generator is None:
-                raise ValueError("pass a CompiledProgram or a generator")
-            program = CompiledProgram(program, generator, level=level,
-                                      target=target)
+    def __init__(self, program: CompiledProgram,
+                 externals: Optional[Mapping[str, Callable]] = None) -> None:
         self.program = program
         self.model = program.model
         self.cls_name = program.cls_name
@@ -227,13 +210,13 @@ class CompiledMachineVM:
         self._default_stored: set = set()
         self.this = self.vm.address_of(f"g_{self.cls_name}")
         self.vm.call_log = _TracingCallLog(self.trace)
-        self._arm_watchpoints(trace_states)
+        self._arm_watchpoints()
 
         self.vm.call_function(mangle(self.cls_name, "init"), (self.this,))
         self.init_cycles = self.vm.cycles
 
     # ------------------------------------------------------------------
-    def _arm_watchpoints(self, trace_states: bool) -> None:
+    def _arm_watchpoints(self) -> None:
         layout = self.program.layout
         for name in self.model.context.attributes:
             self.vm.watch(self.this + layout.offset_of(name),
@@ -241,7 +224,7 @@ class CompiledMachineVM:
         if "pending" in layout.field_offsets:
             self.vm.watch(self.this + layout.offset_of("pending"),
                           self._pending_hook)
-        if trace_states and "state" in layout.field_offsets and \
+        if "state" in layout.field_offsets and \
                 self.program.state_enumerators is not None:
             self.vm.watch(self.this + layout.offset_of("state"),
                           self._state_hook(self.program.state_enumerators))

@@ -12,9 +12,9 @@ import copy
 import pytest
 
 from repro.codegen import generator_by_name
-from repro.compiler import (DeltaStats, LinkError, OptLevel,
-                            compile_program, compile_program_incremental,
-                            link_units, split_units)
+from repro.compiler import (LinkError, OptLevel, compile_program,
+                            compile_program_incremental, link_units,
+                            split_units)
 from repro.compiler.frontend.lower import lower_unit
 from repro.compiler.units import compile_one_unit, unit_fingerprint
 from repro.engine.backends import DiskBackend
@@ -60,11 +60,10 @@ class TestByteIdentity:
         cache = CompileCache()
         cold = compile_program_incremental(
             lowered(flat_machine, "state-table"), unit_cache=cache)
-        stats = DeltaStats()
+        cache.reset_stats()
         warm = compile_program_incremental(
-            lowered(flat_machine, "state-table"), unit_cache=cache,
-            stats_out=stats)
-        assert stats.reused_units == stats.total_units > 0
+            lowered(flat_machine, "state-table"), unit_cache=cache)
+        assert cache.stats.misses == 0 and cache.stats.hits > 0
         assert warm.module.listing() == cold.module.listing()
 
     @pytest.mark.parametrize("pattern", PATTERNS)
@@ -174,10 +173,9 @@ class TestLinkEdgeCases:
                 break
         assert mutated, "state-table must emit an integer data word"
 
-        stats = DeltaStats()
-        inc = compile_program_incremental(program_b, unit_cache=cache,
-                                          stats_out=stats)
-        assert stats.reused_units == stats.total_units > 0
+        cache.reset_stats()
+        inc = compile_program_incremental(program_b, unit_cache=cache)
+        assert cache.stats.misses == 0 and cache.stats.hits > 0
         mono = compile_program(copy.deepcopy(program_b))
         assert compiled_bytes(inc) == compiled_bytes(mono)
 
@@ -194,12 +192,10 @@ class TestLinkEdgeCases:
         report = backend.store_dir.gc(max_bytes=0)
         assert report.dropped > 0
 
-        stats = DeltaStats()
+        cache.reset_stats()
         second = compile_program_incremental(
-            lowered(flat_machine, "state-pattern"), unit_cache=cache,
-            stats_out=stats)
-        assert stats.reused_units == 0
-        assert stats.compiled_units == stats.total_units > 0
+            lowered(flat_machine, "state-pattern"), unit_cache=cache)
+        assert cache.stats.hits == 0 and cache.stats.misses > 0
         assert second.module.listing() == first.module.listing()
 
     @pytest.mark.parametrize("bad_entry", ["not-an-artifact",
@@ -209,7 +205,9 @@ class TestLinkEdgeCases:
                                                            bad_entry):
         """A wrong object under a unit key (collision, bit rot, the
         other target's artifact of the same unit) must degrade to a
-        recompile, never to a wrong link."""
+        recompile, never to a wrong link.  The recompile is a unit-cache
+        miss (a compiled unit, not a reused one) and replaces the
+        entry, so the next compile reuses it."""
         cache = CompileCache()
         program = lowered(flat_machine, "nested-switch")
         plan = split_units(program, OptLevel.OS, target="rt32")
@@ -220,7 +218,15 @@ class TestLinkEdgeCases:
                 else compile_one_unit(program, rt16_unit, OptLevel.OS,
                                       "rt16")
             cache.get_or_compute(unit.fingerprint, lambda: entry)
+        cache.reset_stats()
         inc = compile_program_incremental(
             lowered(flat_machine, "nested-switch"), unit_cache=cache)
         mono = compile_program(lowered(flat_machine, "nested-switch"))
         assert inc.module.listing() == mono.module.listing()
+        assert (cache.stats.hits, cache.stats.misses) == (0, len(plan.units))
+
+        cache.reset_stats()
+        again = compile_program_incremental(
+            lowered(flat_machine, "nested-switch"), unit_cache=cache)
+        assert again.module.listing() == mono.module.listing()
+        assert (cache.stats.hits, cache.stats.misses) == (len(plan.units), 0)

@@ -4,11 +4,11 @@ import threading
 
 import pytest
 
-from repro.compiler import OptLevel
+from repro.codegen import generator_by_name
+from repro.compiler import OptLevel, compile_unit
 from repro.engine import CompileCache, ExperimentEngine
 from repro.experiments.models import \
     hierarchical_machine_with_shadowed_composite
-from repro.pipeline import compile_machine
 from repro.semantics import SemanticsConfig
 
 
@@ -98,7 +98,9 @@ class TestEngineCacheKeys:
     def test_cached_result_matches_direct_pipeline(self, machine):
         eng = ExperimentEngine()
         cached = eng.compile_machine(machine, "state-table")
-        direct = compile_machine(machine, "state-table")
+        direct = compile_unit(
+            generator_by_name("state-table").generate(machine),
+            OptLevel.OS)
         assert cached.total_size == direct.total_size
         assert cached.module.listing() == direct.module.listing()
 

@@ -1,10 +1,10 @@
-"""Fuzz oracle compiles go through the delta path — byte-identically.
+"""Fuzz oracle compiles go through the unit cache — byte-identically.
 
 A fuzz campaign is mutant chains: each case differs from its parent by
 one model edit, so the per-unit cache serves most of every compile.
-That is only sound if the delta path is byte-exact, which these tests
-pin against the checked-in corpus fixtures (real shrunk machines, not
-synthetic toys).
+That is only sound if the unit path is byte-exact, which these tests
+pin against a whole-program compile of the checked-in corpus fixtures
+(real shrunk machines, not synthetic toys).
 """
 
 import pathlib
@@ -12,12 +12,15 @@ import sys
 
 import pytest
 
+from repro.codegen import generator_by_name
+from repro.compiler import OptLevel, compile_unit
 from repro.engine import ExperimentEngine
 from repro.engine.cache import CompileCache
 from repro.exec import VMExecutor, observe
 from repro.fuzz import DifferentialOracle, FuzzCase, OracleConfig
 from repro.fuzz.corpus import entry_from_json
 from repro.vm.harness import CompiledProgram
+from repro.vm.image import assemble
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 ALL = sorted(FIXTURES.glob("*.json"))
@@ -30,14 +33,15 @@ def fixture_case(path) -> FuzzCase:
 @pytest.mark.parametrize("path", ALL, ids=lambda p: p.stem)
 def test_fixture_modules_full_vs_delta_byte_identical(path):
     case = fixture_case(path)
-    full = CompiledProgram(case.machine, "flat-switch")
+    full = compile_unit(generator_by_name("flat-switch").generate(
+        case.machine), OptLevel.OS)
+    image = assemble(full.module)
     delta = CompiledProgram(case.machine, "flat-switch",
                             unit_cache=CompileCache())
-    assert delta.compile_result.module.listing() == \
-        full.compile_result.module.listing()
-    assert bytes(delta.image.text) == bytes(full.image.text)
+    assert delta.compile_result.module.listing() == full.module.listing()
+    assert bytes(delta.image.text) == bytes(image.text)
     assert sorted(delta.image.initial_memory.items()) == \
-        sorted(full.image.initial_memory.items())
+        sorted(image.initial_memory.items())
 
 
 def test_observations_identical_with_and_without_unit_cache():
@@ -47,8 +51,7 @@ def test_observations_identical_with_and_without_unit_cache():
     plain = observe(VMExecutor("flat-switch"), case.machine, stimuli)
     cache = CompileCache()
     for _ in range(2):                  # cold, then warm
-        executor = VMExecutor("flat-switch")
-        executor.unit_cache = cache
+        executor = VMExecutor("flat-switch", unit_cache=cache)
         assert observe(executor, case.machine, stimuli) == plain
     assert cache.stats.hits > 0, "second compile must reuse units"
 

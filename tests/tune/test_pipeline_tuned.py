@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.compiler import OptLevel
+from repro.codegen import generator_by_name
+from repro.compiler import OptLevel, compile_unit
 from repro.engine import ExperimentEngine
 from repro.experiments.models import (
     hierarchical_machine_with_shadowed_composite)
-from repro.pipeline import compile_machine, optimize_and_compare, \
-    tuned_compile
+from repro.pipeline import optimize_and_compare, tuned_compile
 
 FAST = dict(patterns=["state-table", "flat-switch"],
             levels=(OptLevel.O0, OptLevel.OS))
@@ -38,8 +38,9 @@ class TestTunedCompile:
         from repro.optim import optimize
         optimized = optimize(machine,
                              selection=list(winner.passes)).optimized
-        direct = compile_machine(optimized, pattern=winner.pattern,
-                                 level=OptLevel(winner.level))
+        direct = compile_unit(
+            generator_by_name(winner.pattern).generate(optimized),
+            OptLevel(winner.level))
         assert tuned.total_size == direct.total_size
 
     def test_tuned_size_never_worse_than_measured_text(self, machine,

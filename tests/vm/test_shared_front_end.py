@@ -76,10 +76,8 @@ def calls(monkeypatch):
 def _load_grid(machine, unit_cache):
     for level in (OptLevel.O0, OptLevel.OS):
         for target in TARGETS:
-            executor = VMExecutor("nested-switch", level=level,
-                                  target=target)
-            executor.unit_cache = unit_cache
-            executor.load(machine)
+            VMExecutor("nested-switch", level=level, target=target,
+                       unit_cache=unit_cache).load(machine)
 
 
 def test_grid_generates_and_lowers_once(hierarchical_machine, calls):
