@@ -13,7 +13,7 @@ These pin the persistence layer's performance claims for
 
 import pytest
 
-from repro.engine import CompileCache, DiskBackend, ExperimentEngine
+from repro.engine import DiskBackend, ExperimentEngine
 from repro.experiments.models import \
     hierarchical_machine_with_shadowed_composite
 from repro.store import ArtifactStore
@@ -60,10 +60,10 @@ def test_bench_store_verified_reads(benchmark, store, compiled):
 
 
 def test_bench_warm_from_disk_compile(benchmark, tmp_path, machine):
-    # A fresh CompileCache per round models a new process arriving at a
+    # A fresh engine per round models a new process arriving at a
     # populated --cache-dir: fingerprint + disk read, no compilation.
     store = ArtifactStore(tmp_path / "warm-store")
-    seed_engine = ExperimentEngine(cache=CompileCache(DiskBackend(store)))
+    seed_engine = ExperimentEngine(backend=DiskBackend(store))
     seed_engine.compile_machine(machine)
     # The store holds the whole-module artifact plus one artifact per
     # compilation unit (the delta tier shares the module cache's
@@ -71,7 +71,7 @@ def test_bench_warm_from_disk_compile(benchmark, tmp_path, machine):
     assert len(store) == 1 + seed_engine.unit_stats.misses
 
     def warm_process_compile():
-        engine = ExperimentEngine(cache=CompileCache(DiskBackend(store)))
+        engine = ExperimentEngine(backend=DiskBackend(store))
         result = engine.compile_machine(machine)
         assert engine.stats.disk_hits == 1
         return result

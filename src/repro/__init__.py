@@ -24,8 +24,8 @@ The package implements the paper's full pipeline:
   the compiler's output, checks it trace-for-trace against the
   interpreter, and counts deterministic cycles;
 * :mod:`repro.engine` — content-addressed compile cache (pluggable
-  memory/disk/tiered backends), batch planner and worker pool behind
-  every experiment;
+  memory/disk/tiered backends) and batch planner behind every
+  experiment;
 * :mod:`repro.store` — persistent on-disk artifact store: sharded,
   integrity-checked, LRU-collected entries keyed by engine
   fingerprints, safe across processes;

@@ -42,13 +42,6 @@ from ..uml.transitions import Transition
 __all__ = ["CompletionInfo", "analyze_completion", "is_always_completing"]
 
 
-def _guard_is_true(transition: Transition) -> bool:
-    if transition.guard is None:
-        return True
-    folded = const_fold(transition.guard)
-    return isinstance(folded, BoolLit) and folded.value is True
-
-
 def _completes_immediately_on_entry(state: State) -> bool:
     """True when the state's completion event is generated directly on
     entry (no nested region keeps running)."""
@@ -94,9 +87,6 @@ class CompletionInfo:
 
     always_completing: FrozenSet[str]      # state names
     shadowed_transitions: tuple            # Transition objects (dead)
-
-    def is_shadowed(self, transition: Transition) -> bool:
-        return transition in self.shadowed_transitions
 
 
 def analyze_completion(machine: StateMachine) -> CompletionInfo:

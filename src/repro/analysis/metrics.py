@@ -37,10 +37,6 @@ class ModelMetrics:
     def total_states(self) -> int:
         return self.simple_states + self.composite_states
 
-    @property
-    def total_vertices(self) -> int:
-        return self.total_states + self.final_states + self.pseudostates
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "states": self.total_states,

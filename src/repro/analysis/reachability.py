@@ -60,9 +60,6 @@ class ReachabilityInfo:
     def is_reachable(self, vertex: Vertex) -> bool:
         return vertex.element_id in self.reachable_ids
 
-    def is_dead(self, transition: Transition) -> bool:
-        return transition in self.dead_transitions
-
 
 def analyze_reachability(machine: StateMachine,
                          respect_completion_shadowing: bool = True,

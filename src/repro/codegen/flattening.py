@@ -77,9 +77,6 @@ class FlatMachine:
                 return leaf
         raise KeyError(f"no leaf {name!r}")
 
-    def rows_from(self, leaf_index: int) -> List[FlatTransition]:
-        return [t for t in self.transitions if t.source == leaf_index]
-
 
 class _Flattener:
     def __init__(self, machine: StateMachine) -> None:

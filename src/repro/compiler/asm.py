@@ -70,9 +70,6 @@ class AsmModule:
                 return fn
         raise KeyError(f"no function {name!r} in module {self.name!r}")
 
-    def has_function(self, name: str) -> bool:
-        return any(fn.name == name for fn in self.functions)
-
     # -- rendering -----------------------------------------------------------
     def listing(self) -> str:
         target_note = f" target={self.target.name}" if self.target else ""

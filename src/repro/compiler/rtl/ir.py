@@ -15,7 +15,7 @@ uniformly; the mnemonic's entry in the function's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..target.description import TargetDescription
@@ -44,23 +44,6 @@ class RInstr:
     target: Optional[str] = None          # branch target label
     table: Optional[Tuple[str, ...]] = None  # jump-table target labels
     comment: str = ""
-
-    def size_on(self, target: TargetDescription) -> int:
-        """Encoded size of this instruction on *target*.
-
-        There is deliberately no target-free ``size`` accessor: an
-        instruction does not know which ISA its function was selected
-        for, so size accounting goes through
-        :meth:`RTLFunction.text_size` (which uses the function's own
-        target) or this method."""
-        return target.insn_size(self.op)
-
-    def rewrite_regs(self, mapping) -> "RInstr":
-        """Return a copy with registers substituted through *mapping*
-        (a callable name->name)."""
-        return replace(self,
-                       defs=tuple(mapping(r) for r in self.defs),
-                       uses=tuple(mapping(r) for r in self.uses))
 
     def render(self) -> str:
         """Assembly-listing line for this instruction."""

@@ -1,4 +1,4 @@
-"""Cached, parallel experiment engine.
+"""Cached experiment engine.
 
 The pattern x target x level grid every experiment walks is a
 configuration-selection problem over shared work: most cells repeat the
@@ -17,8 +17,8 @@ machinery to exploit that:
 * :mod:`~repro.engine.jobs` — job value objects and the deduplicating
   batch planner;
 * :mod:`~repro.engine.core` — :class:`ExperimentEngine`, the cached,
-  batched, optionally parallel call surface the experiments, CLI,
-  benchmarks and the compile service all go through.
+  batched call surface the experiments, CLI, benchmarks and the
+  compile service all go through.
 """
 
 from .backends import (CacheBackend, DiskBackend, MemoryBackend,

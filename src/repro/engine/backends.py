@@ -178,7 +178,7 @@ class TieredBackend(CacheBackend):
         value, _ = self.disk.load(key)
         # Promote for repeat lookups.  Exactly one concurrent promoter
         # of a key wins, and only the winner reports a disk-origin hit,
-        # so disk-hit counts stay deterministic under a worker pool;
+        # so disk-hit counts stay deterministic when threads share it;
         # losers serve the promoted object like any later lookup.
         if self.memory.store_if_absent(key, value):
             return value, ORIGIN_DISK

@@ -4,11 +4,10 @@ The cache separates two concerns:
 
 * **in-flight deduplication** lives here: the first caller of a key
   installs a future and computes the value inline; concurrent callers
-  of the same key (worker threads of a parallel batch) find the
-  in-flight future and wait on it instead of recomputing.  That gives
-  exactly one computation per unique key regardless of scheduling,
-  which is what makes the engine's hit/miss counts deterministic
-  across ``--jobs`` settings.
+  of the same key (threads sharing one engine, such as the in-process
+  compile service's worker and its callers) find the in-flight future
+  and wait on it instead of recomputing.  That gives exactly one
+  computation per unique key regardless of scheduling.
 * **completed-value storage** is delegated to a pluggable
   :class:`~repro.engine.backends.CacheBackend` — in-process memory
   (default), a persistent on-disk :class:`~repro.store.ArtifactStore`,
@@ -51,10 +50,10 @@ class CacheStats:
     """Lookup counters of one cache.
 
     Updates go through :meth:`record_hit` / :meth:`record_miss`, which
-    are atomic (an internal lock): the engine's worker pool bumps these
-    from many threads at once, and ``+=`` on a shared counter drops
-    updates under contention.  ``disk_hits`` counts the subset of hits
-    served by a persistent backend tier rather than process memory.
+    are atomic (an internal lock): threads sharing one engine bump
+    these at once, and ``+=`` on a shared counter drops updates under
+    contention.  ``disk_hits`` counts the subset of hits served by a
+    persistent backend tier rather than process memory.
 
     Readers that need more than one field must use :meth:`snapshot` —
     reading ``hits`` then ``misses`` as separate attribute accesses can

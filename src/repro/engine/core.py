@@ -1,4 +1,4 @@
-"""The experiment engine: cached, batched, optionally parallel execution.
+"""The experiment engine: cached, batched execution.
 
 :class:`ExperimentEngine` is the one call surface every experiment and
 benchmark goes through.  It wraps the :mod:`repro.pipeline` primitives
@@ -9,17 +9,14 @@ with
   name, semantics config) — repeated work across patterns, sweeps and
   whole experiment reruns is computed once;
 * a **batch planner** (:mod:`repro.engine.jobs`) that dedupes a job grid
-  before execution and reassembles results in input order;
-* a **worker pool** (``jobs=N``) running unique jobs on
-  :class:`concurrent.futures.ThreadPoolExecutor`.  Results are
-  deterministic by construction: the cache's in-flight futures guarantee
-  one computation per key, and batches order results by input position,
-  so serial and parallel runs produce byte-identical tables.  Note the
-  compiles are pure-Python and GIL-bound, so with CPython ``jobs>1``
-  buys overlap of the little I/O there is plus a standing concurrency
-  soak of the cache, not a linear speedup — the big wins here are the
-  cache and the dedup; the pool keeps the call surface ready for a
-  process-based executor.
+  before execution and reassembles results in input order.
+
+An engine runs its work on the calling thread.  The compiles are
+pure-Python and GIL-bound, so threads would buy no speedup; the wins
+are the cache and the dedup.  Parallel compiles run in the compile
+service's worker processes (:mod:`repro.service.workers`), each with
+its own engine.  Threads may still share one engine (the in-process
+service does): the cache's in-flight futures compute each key once.
 
 Engines are cheap; ``ExperimentEngine()`` gives an isolated cache (the
 default of every harness function), while sharing one engine across
@@ -29,9 +26,8 @@ experiment suite becomes >90 % cache hits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..compiler import CompileResult, OptLevel
 from ..compiler.target import TargetDescription, resolve_target
@@ -48,8 +44,6 @@ from .fingerprint import (compile_fingerprint, conformance_fingerprint,
 from .jobs import BatchPlan, CompareJob, CompileJob, plan_batch
 
 __all__ = ["EngineSpec", "ExperimentEngine"]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,6 @@ class EngineSpec:
     process boundaries).
     """
 
-    jobs: int = 1
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
     shards: int = 1
@@ -82,56 +75,45 @@ class EngineSpec:
 
     def build(self) -> "ExperimentEngine":
         """A fresh engine following this recipe (one per worker)."""
-        return ExperimentEngine(jobs=self.jobs, backend=self.backend,
+        return ExperimentEngine(backend=self.backend,
                                 cache_dir=self.cache_dir,
                                 shards=self.shards,
                                 max_bytes=self.max_bytes)
 
 
 class ExperimentEngine:
-    """Cached, deduplicating, parallel executor of experiment jobs.
+    """Cached, deduplicating executor of experiment jobs.
 
-    ``jobs`` is the worker-pool width (1 = serial, the default);
-    ``cache`` lets callers share one :class:`CompileCache` across
-    engines (a fresh private cache otherwise).  Instead of a cache,
-    callers may pass a ``backend`` (any
+    Each engine owns a fresh cache; callers share work by sharing the
+    engine.  ``backend`` picks its storage (any
     :class:`~repro.engine.backends.CacheBackend`, or a spec string
-    ``"memory"``/``"disk"``/``"tiered"``) and/or a ``cache_dir`` — a
-    directory turns the cache persistent
-    (:class:`~repro.store.ArtifactStore` under a tiered memory-over-disk
-    backend by default), which is how a second process run of the same
-    experiments is served warm from disk.
+    ``"memory"``/``"disk"``/``"tiered"``) and a ``cache_dir`` turns the
+    cache persistent (:class:`~repro.store.ArtifactStore` under a
+    tiered memory-over-disk backend by default), which is how a second
+    process run of the same experiments is served warm from disk.
+    ``cache_dir``, ``shards`` and ``max_bytes`` configure a spec
+    string; a live backend comes configured, so passing any of them
+    with one raises :class:`ValueError`.
     """
 
-    def __init__(self, jobs: int = 1,
-                 cache: Optional[CompileCache] = None,
-                 backend: "Union[CacheBackend, str, None]" = None,
+    def __init__(self, backend: "Union[CacheBackend, str, None]" = None,
                  cache_dir: Optional[str] = None,
                  shards: int = 1,
                  max_bytes: Optional[int] = None) -> None:
-        self.jobs = max(1, int(jobs))
-        if cache is not None:
-            if backend is not None or cache_dir is not None:
-                raise ValueError(
-                    "pass either cache= or backend=/cache_dir=, not both")
-            self.cache = cache
-        else:
-            if backend is None or isinstance(backend, str):
-                backend = backend_from_spec(backend, cache_dir=cache_dir,
-                                            max_bytes=max_bytes,
-                                            shards=shards)
-            elif cache_dir is not None:
-                raise ValueError(
-                    "cache_dir= only applies to backend spec strings")
-            self.cache = CompileCache(backend, name="module")
+        if backend is None or isinstance(backend, str):
+            backend = backend_from_spec(backend, cache_dir=cache_dir,
+                                        max_bytes=max_bytes, shards=shards)
+        elif cache_dir is not None or shards != 1 or max_bytes is not None:
+            raise ValueError("cache_dir=, shards= and max_bytes= only "
+                             "apply to backend spec strings")
+        self.cache = CompileCache(backend, name="module")
         #: Whole-module cache misses compile through this per-unit tier
         #: (:func:`repro.pipeline.compile_machine`); its hits are reused
         #: units and its misses compiled ones.  It shares the module
         #: cache's backend — unit fingerprints carry their own kind tag,
         #: so the key spaces never collide, and a persistent backend
         #: persists units too.
-        self.units = CompileCache(getattr(self.cache, "backend", None),
-                                  name="unit")
+        self.units = CompileCache(backend, name="unit")
 
     # -- cached primitives --------------------------------------------------
 
@@ -269,7 +251,7 @@ class ExperimentEngine:
         :class:`~repro.tune.record.TuningRecord` is itself an artifact
         under a ``tune`` fingerprint — with a persistent ``cache_dir``
         the record survives the process and a warm rerun is one disk
-        read.  Cells run on the engine's worker pool.
+        read.
         """
         from ..codegen import ALL_PATTERNS
         from ..tune.record import EventProfile, ObjectiveWeights
@@ -403,19 +385,9 @@ class ExperimentEngine:
     def _run_planned(self, jobs: Sequence, run_one: Callable
                      ) -> "tuple[List, BatchPlan]":
         plan: BatchPlan = plan_batch(jobs)
-        unique = list(plan.unique.items())
-        values = self.map(lambda item: run_one(item[1]), unique)
-        results: Dict[str, object] = {fp: value for (fp, _), value
-                                      in zip(unique, values)}
+        results: Dict[str, object] = {fp: run_one(job) for fp, job
+                                      in plan.unique.items()}
         return plan.assemble(results), plan
-
-    def map(self, fn: Callable[..., T], items: Sequence) -> List[T]:
-        """Apply *fn* over *items* on the worker pool, preserving order."""
-        if self.jobs <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(
-                max_workers=min(self.jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
 
     # -- introspection ------------------------------------------------------
 
@@ -429,10 +401,7 @@ class ExperimentEngine:
         return self.units.stats
 
     def describe(self) -> str:
-        backend = getattr(self.cache, "backend", None)
-        backend_note = f", backend={backend.name}" if backend is not None \
-            else ""
         unit = self.unit_stats
-        return (f"engine(jobs={self.jobs}{backend_note}): "
+        return (f"engine(backend={self.cache.backend.name}): "
                 f"{self.stats.summary()}; units: {unit.hits} hits "
                 f"({unit.disk_hits} disk) / {unit.misses} misses")

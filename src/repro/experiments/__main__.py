@@ -4,12 +4,10 @@
 see ``repro.compiler.target``).  Unknown names exit with status 2 and
 the list of registered targets on stderr.
 
-``--jobs N`` runs each experiment's job grid on an N-wide worker pool;
-one engine (and so one compile cache) is shared by every harness, so
+One engine (and so one compile cache) is shared by every harness, so
 work repeated across tables — baseline compiles, the shared model
-optimization — is computed once.  Table output is byte-identical for
-every ``--jobs`` value.  ``--cache-stats`` prints the engine's hit/miss
-statistics to stderr after the run.
+optimization — is computed once.  ``--cache-stats`` prints the engine's
+hit/miss statistics to stderr after the run.
 
 ``--cache-dir DIR`` makes the cache persistent: artifacts live in a
 :mod:`repro.store` directory (tiered memory-over-disk backend), so a
@@ -46,12 +44,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="backend ISA to compile for (registered targets: "
              f"{', '.join(available_targets())}; default: %(default)s)")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker-pool width for experiment job grids "
-             "(default: %(default)s = serial; output is byte-identical "
-             "either way; threads are GIL-bound, so expect dedup/cache "
-             "wins rather than linear speedup)")
-    parser.add_argument(
         "--cache-stats", action="store_true",
         help="print the shared engine's cache statistics to stderr")
     parser.add_argument(
@@ -63,7 +55,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--throughput", action="store_true",
         help="append the fleet throughput table (wall-clock, "
              "non-deterministic; never part of the default output, "
-             "which CI diffs byte-for-byte across --jobs values)")
+             "which CI diffs byte-for-byte across runs)")
     parser.add_argument(
         "--tune", action="store_true",
         help="append the autotuner table (pattern x level x model-pass "
@@ -74,9 +66,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="sample every compile and write the run's spans as "
              "Chrome trace JSON (Perfetto / python -m repro.obs view)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         target = get_target(args.target)
     except UnknownTargetError as exc:
@@ -86,7 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..obs.trace import configure
         configure(sample_ratio=1.0, process="experiments")
 
-    engine = ExperimentEngine(jobs=args.jobs, cache_dir=args.cache_dir)
+    engine = ExperimentEngine(cache_dir=args.cache_dir)
     try:
         for title, module in (("FIGURE 1", figure1), ("TABLE 1", table1),
                               ("TABLE 2", table2), ("SWEEPS", sweeps),
@@ -106,7 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("#" * 72)
             print(f"# FLEET THROUGHPUT  (target: {target.name})")
             print("#" * 72)
-            print(dynamics.throughput_main(target=target, engine=engine))
+            print(dynamics.throughput_main())
             print()
     finally:
         if args.trace_out:

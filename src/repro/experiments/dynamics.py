@@ -17,7 +17,7 @@ scenario set, and reports
   Table 1's size gain.
 
 All quantities are simulated and therefore deterministic: the same
-table is produced on any host, serial or parallel — unlike wall-clock
+table is produced on any host — unlike wall-clock
 benchmarks, which live in ``benchmarks/`` instead.
 
 Run as ``python -m repro.experiments.dynamics`` (or through
@@ -72,23 +72,19 @@ class DynamicsRow:
 def run_dynamics(machine: Optional[StateMachine] = None,
                  target: Union[TargetDescription, str, None] = None,
                  engine: Optional[ExperimentEngine] = None,
-                 jobs: int = 1) -> List[DynamicsRow]:
+                 ) -> List[DynamicsRow]:
     """Measure every pattern x level cell on the simulator.
 
     The model optimization is computed once through the engine's cache
-    and feeds every cell; the per-cell conformance runs execute on the
-    engine's worker pool.
+    and feeds every cell.
     """
     if machine is None:
         machine = hierarchical_machine_with_shadowed_composite()
-    eng = engine if engine is not None else ExperimentEngine(jobs=jobs)
+    eng = engine if engine is not None else ExperimentEngine()
     tgt = resolve_target(target)
     optimized = eng.optimize_model(machine).optimized
-    cells = [(gen_cls, level) for gen_cls in ALL_PATTERNS
-             for level in LEVELS]
 
-    def run_cell(cell) -> DynamicsRow:
-        gen_cls, level = cell
+    def run_cell(gen_cls, level) -> DynamicsRow:
         before = eng.vm_conformance(machine, pattern=gen_cls.name,
                                     level=level, target=tgt)
         # The optimized clone replays the ORIGINAL machine's scenarios
@@ -111,7 +107,8 @@ def run_dynamics(machine: Optional[StateMachine] = None,
             conformant_before=before.conformant,
             conformant_after=after.conformant)
 
-    return eng.map(run_cell, cells)
+    return [run_cell(gen_cls, level) for gen_cls in ALL_PATTERNS
+            for level in LEVELS]
 
 
 @dataclass(frozen=True)
@@ -200,9 +197,7 @@ def run_fleet_throughput(machine: Optional[StateMachine] = None,
         interp_events_per_sec=interp_eps)
 
 
-def throughput_main(target: Union[TargetDescription, str, None] = None,
-                    engine: Optional[ExperimentEngine] = None,
-                    jobs: int = 1) -> str:
+def throughput_main() -> str:
     """The opt-in wall-clock throughput table (``--throughput``)."""
     from .workload import WorkloadSpec, generate_machine
     machines = [
@@ -229,9 +224,9 @@ def throughput_main(target: Union[TargetDescription, str, None] = None,
 
 
 def main(target: Union[TargetDescription, str, None] = None,
-         engine: Optional[ExperimentEngine] = None, jobs: int = 1) -> str:
+         engine: Optional[ExperimentEngine] = None) -> str:
     tgt = resolve_target(target)
-    rows = run_dynamics(target=tgt, engine=engine, jobs=jobs)
+    rows = run_dynamics(target=tgt, engine=engine)
     table = render_table(
         "Dynamics - simulated cost per dispatched event, before/after "
         f"model optimization (hierarchical machine, {tgt.name.upper()})",

@@ -70,10 +70,9 @@ def _dce_keeps_code(engine: ExperimentEngine, machine, marker: str,
 def run_figure1(pattern: str = "nested-switch",
                 target: Union[TargetDescription, str, None] = None,
                 engine: Optional[ExperimentEngine] = None,
-                jobs: int = 1,
                 ) -> List[Figure1Row]:
     """Regenerate both Figure 1 rows (one engine batch)."""
-    eng = engine if engine is not None else ExperimentEngine(jobs=jobs)
+    eng = engine if engine is not None else ExperimentEngine()
     rows: List[Figure1Row] = []
     flat = flat_machine_with_unreachable_state()
     hier = hierarchical_machine_with_shadowed_composite()
@@ -104,9 +103,9 @@ def run_figure1(pattern: str = "nested-switch",
 
 
 def main(target: Union[TargetDescription, str, None] = None,
-         engine: Optional[ExperimentEngine] = None, jobs: int = 1) -> str:
+         engine: Optional[ExperimentEngine] = None) -> str:
     tgt = resolve_target(target)
-    rows = run_figure1(target=tgt, engine=engine, jobs=jobs)
+    rows = run_figure1(target=tgt, engine=engine)
     table = render_table(
         "Figure 1 - model optimization impact on assembly size "
         f"(MGCC -Os, {tgt.name.upper()} bytes; paper: GCC 4.3.2 -Os)",

@@ -58,9 +58,8 @@ class SweepPoint:
             self.size_before
 
 
-def _engine(engine: Optional[ExperimentEngine], jobs: int
-            ) -> ExperimentEngine:
-    return engine if engine is not None else ExperimentEngine(jobs=jobs)
+def _engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:
+    return engine if engine is not None else ExperimentEngine()
 
 
 def unreachable_sweep(dead_counts: Sequence[int] = (0, 1, 2, 4, 8),
@@ -68,10 +67,9 @@ def unreachable_sweep(dead_counts: Sequence[int] = (0, 1, 2, 4, 8),
                       n_live: int = 5,
                       target: Union[TargetDescription, str, None] = None,
                       engine: Optional[ExperimentEngine] = None,
-                      jobs: int = 1,
                       ) -> List[SweepPoint]:
     """Gain as a function of the number of removed (dead) states."""
-    eng = _engine(engine, jobs)
+    eng = _engine(engine)
     machines = [generate_machine(WorkloadSpec(n_live=n_live, n_dead=n_dead))
                 for n_dead in dead_counts]
     cmps = eng.compare_batch([CompareJob(machine, pattern,
@@ -87,10 +85,9 @@ def composite_sweep(widths: Sequence[int] = (1, 2, 4, 8),
                     pattern: str = "nested-switch",
                     target: Union[TargetDescription, str, None] = None,
                     engine: Optional[ExperimentEngine] = None,
-                    jobs: int = 1,
                     ) -> List[SweepPoint]:
     """Gain as the shadowed composite's submachine grows."""
-    eng = _engine(engine, jobs)
+    eng = _engine(engine)
     machines = [generate_machine(WorkloadSpec(
         n_live=4, n_shadowed_composites=1, composite_width=width))
         for width in widths]
@@ -106,11 +103,10 @@ def composite_sweep(widths: Sequence[int] = (1, 2, 4, 8),
 def pattern_scaling_sweep(sizes: Sequence[int] = (4, 8, 16, 24),
                           target: Union[TargetDescription, str, None] = None,
                           engine: Optional[ExperimentEngine] = None,
-                          jobs: int = 1,
                           ) -> Dict[str, List[SweepPoint]]:
     """Absolute size per pattern as the (live) machine grows."""
     from ..codegen import ALL_GENERATORS
-    eng = _engine(engine, jobs)
+    eng = _engine(engine)
     machines = {n: generate_machine(WorkloadSpec(n_live=n)) for n in sizes}
     grid = [(n, gen_cls) for n in sizes for gen_cls in ALL_GENERATORS]
     results = eng.run_batch([CompileJob(machines[n], gen_cls.name,
@@ -128,18 +124,16 @@ def pattern_scaling_sweep(sizes: Sequence[int] = (4, 8, 16, 24),
 def pass_ablation(pattern: str = "nested-switch",
                   target: Union[TargetDescription, str, None] = None,
                   engine: Optional[ExperimentEngine] = None,
-                  jobs: int = 1,
                   ) -> List[SweepPoint]:
     """Size after enabling the pipeline one pass at a time (cumulative)."""
-    eng = _engine(engine, jobs)
+    eng = _engine(engine)
     machine = hierarchical_machine_with_shadowed_composite()
     baseline = eng.compile_machine(machine, pattern, OptLevel.OS,
                                    target=target).total_size
     prefixes = [list(DEFAULT_PIPELINE[:i])
                 for i in range(1, len(DEFAULT_PIPELINE) + 1)]
-    optimized = eng.map(
-        lambda selection: eng.optimize_model(
-            machine, selection=selection).optimized, prefixes)
+    optimized = [eng.optimize_model(machine, selection=selection).optimized
+                 for selection in prefixes]
     results = eng.run_batch([CompileJob(opt, pattern, OptLevel.OS,
                                         target=target)
                              for opt in optimized])
@@ -153,14 +147,13 @@ def pass_ablation(pattern: str = "nested-switch",
 def opt_level_sweep(pattern: str = "nested-switch",
                     target: Union[TargetDescription, str, None] = None,
                     engine: Optional[ExperimentEngine] = None,
-                    jobs: int = 1,
                     ) -> List[SweepPoint]:
     """Compiler-only optimization (non-optimized model) per -O level.
 
     The ``-O0`` reference compile and the loop's ``-O0`` cell are the
     same cache entry — the engine's dedup at work.
     """
-    eng = _engine(engine, jobs)
+    eng = _engine(engine)
     machine = hierarchical_machine_with_shadowed_composite()
     o0 = eng.compile_machine(machine, pattern, OptLevel.O0,
                              target=target).total_size
@@ -186,13 +179,12 @@ class TargetSweepRow:
 def target_sweep(level: OptLevel = OptLevel.OS,
                  targets: Optional[Sequence[str]] = None,
                  engine: Optional[ExperimentEngine] = None,
-                 jobs: int = 1,
                  ) -> List[TargetSweepRow]:
     """Compile every pattern for every registered target — the cross-ISA
     comparison the pluggable backend enables (paper's "size of the
     generated assembly code", per target)."""
     from ..codegen import ALL_PATTERNS
-    eng = _engine(engine, jobs)
+    eng = _engine(engine)
     machine = hierarchical_machine_with_shadowed_composite()
     grid = [(target_name, gen_cls)
             for target_name in (targets or available_targets())
@@ -211,8 +203,8 @@ def target_sweep(level: OptLevel = OptLevel.OS,
 
 
 def main(target: Union[TargetDescription, str, None] = None,
-         engine: Optional[ExperimentEngine] = None, jobs: int = 1) -> str:
-    eng = _engine(engine, jobs)
+         engine: Optional[ExperimentEngine] = None) -> str:
+    eng = _engine(engine)
     tgt = resolve_target(target)
     suffix = f" [{tgt.name}]"
     parts: List[str] = []

@@ -59,17 +59,15 @@ def run_table1(machine: Optional[StateMachine] = None,
                level: OptLevel = OptLevel.OS,
                target: Union[TargetDescription, str, None] = None,
                engine: Optional[ExperimentEngine] = None,
-               jobs: int = 1,
                ) -> List[Table1Row]:
     """Regenerate Table 1 (defaults to the paper's hierarchical model).
 
     All patterns run as one engine batch: the model optimization is
-    shared across the grid and ``jobs`` (or a passed *engine*'s pool)
-    compiles the patterns in parallel.
+    shared across the grid.
     """
     if machine is None:
         machine = hierarchical_machine_with_shadowed_composite()
-    eng = engine if engine is not None else ExperimentEngine(jobs=jobs)
+    eng = engine if engine is not None else ExperimentEngine()
     cmps = eng.compare_batch([CompareJob(machine, gen_cls.name, level,
                                          target=target)
                               for gen_cls in ALL_GENERATORS])
@@ -87,9 +85,9 @@ def run_table1(machine: Optional[StateMachine] = None,
 
 
 def main(target: Union[TargetDescription, str, None] = None,
-         engine: Optional[ExperimentEngine] = None, jobs: int = 1) -> str:
+         engine: Optional[ExperimentEngine] = None) -> str:
     tgt = resolve_target(target)
-    rows = run_table1(target=tgt, engine=engine, jobs=jobs)
+    rows = run_table1(target=tgt, engine=engine)
     measured = render_table(
         "Table 1 - optimization gain for three different patterns "
         f"(MGCC -Os, {tgt.name.upper()} bytes)",

@@ -122,9 +122,8 @@ def _evidence(target: Union[TargetDescription, str, None] = None,
 def run_table2(with_evidence: bool = True,
                target: Union[TargetDescription, str, None] = None,
                engine: Optional[ExperimentEngine] = None,
-               jobs: int = 1,
                ) -> List[Table2Row]:
-    eng = engine if engine is not None else ExperimentEngine(jobs=jobs)
+    eng = engine if engine is not None else ExperimentEngine()
     evidence = _evidence(target=target, engine=eng) if with_evidence else {}
     rows = []
     for alternative, values in PAPER_TABLE2.items():
@@ -135,8 +134,8 @@ def run_table2(with_evidence: bool = True,
 
 
 def main(target: Union[TargetDescription, str, None] = None,
-         engine: Optional[ExperimentEngine] = None, jobs: int = 1) -> str:
-    rows = run_table2(target=target, engine=engine, jobs=jobs)
+         engine: Optional[ExperimentEngine] = None) -> str:
+    rows = run_table2(target=target, engine=engine)
     table = render_table(
         "Table 2 - classification of the three alternatives",
         ["alternative"] + CRITERIA,

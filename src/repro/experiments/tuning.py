@@ -26,9 +26,9 @@ __all__ = ["main"]
 
 
 def main(target: Union[TargetDescription, str, None] = None,
-         engine: Optional[ExperimentEngine] = None, jobs: int = 1) -> str:
+         engine: Optional[ExperimentEngine] = None) -> str:
     tgt = resolve_target(target)
-    eng = engine if engine is not None else ExperimentEngine(jobs=jobs)
+    eng = engine if engine is not None else ExperimentEngine()
     machine = hierarchical_machine_with_shadowed_composite()
     record = eng.tune(machine, target=tgt)
     frontier = record.frontier()

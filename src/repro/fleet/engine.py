@@ -301,16 +301,6 @@ class Fleet:
             self.stats.scalar_lane_events += 1
         return self
 
-    def dispatch_lane(self, lane: int, event: object) -> "Fleet":
-        """Route one event to one lane (conformance / adapter use)."""
-        if not self._started:
-            raise FleetExecutionError("dispatch before start()")
-        name = getattr(event, "name", None) or str(event)
-        self._rtc(lane, self.program.column_of(name), name)
-        self.stats.batches += 1
-        self.stats.scalar_lane_events += 1
-        return self
-
     def run_stream(self, events: Sequence[object]) -> "Fleet":
         for event in events:
             self.dispatch_all(event)

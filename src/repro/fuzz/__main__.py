@@ -47,8 +47,6 @@ _PATTERN_CHOICES = tuple(g.name for g in ALL_PATTERNS)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="engine worker-pool width (default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist engine artifacts (repro.store "
                              "directory); warm reruns are served from "
@@ -81,8 +79,7 @@ def _add_oracle(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine(args) -> ExperimentEngine:
-    return ExperimentEngine(jobs=max(1, args.jobs),
-                            cache_dir=args.cache_dir)
+    return ExperimentEngine(cache_dir=args.cache_dir)
 
 
 def _oracle_config(args) -> OracleConfig:
@@ -263,10 +260,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_corpus.set_defaults(fn=cmd_corpus)
 
     args = parser.parse_args(argv)
-    if getattr(args, "cases", 1) < 0 or getattr(args, "jobs", 1) < 1 \
+    if getattr(args, "cases", 1) < 0 \
             or getattr(args, "progress_every", 1) < 1:
-        print("error: --cases must be >= 0, --jobs and "
-              "--progress-every >= 1", file=sys.stderr)
+        print("error: --cases must be >= 0, --progress-every >= 1",
+              file=sys.stderr)
         return 2
     return args.fn(args)
 

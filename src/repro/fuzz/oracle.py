@@ -16,9 +16,8 @@ Each executor run is one :func:`repro.exec.cached_observations` call —
 the :mod:`repro.exec` differential runner behind the
 :class:`~repro.engine.ExperimentEngine`'s content-addressed cache,
 which dedupes repeated (machine, stimuli, executor) work across cases,
-shrink attempts and corpus replays; ``engine.map`` runs the grid on the
-engine's worker pool.  Every executor is judged against the reference
-by the runner's one rule (:func:`repro.exec.diff`).
+shrink attempts and corpus replays.  Every executor is judged against
+the reference by the runner's one rule (:func:`repro.exec.diff`).
 
 Cases whose *reference* run is not well defined (the interpreter raises
 — unguarded completion cycles, emit storms past the RTC budget — or an
@@ -289,10 +288,9 @@ class DifferentialOracle:
             runs.append((_vm_executor_id(pattern, level, target), vm,
                          case.machine))
 
-        observations = self.engine.map(
-            lambda run: cached_observations(self.engine, run[1], run[2],
-                                            stimuli), runs)
-        for (name, _, _), observed in zip(runs, observations):
+        for name, executor, machine in runs:
+            observed = cached_observations(self.engine, executor, machine,
+                                           stimuli)
             if observed and all(obs.unsupported for obs in observed):
                 result.cells_skipped += 1
                 continue

@@ -114,9 +114,6 @@ class PassManager:
             self.catalog = {p.name: p for p in passes}
         self.semantics = semantics
 
-    def available_passes(self) -> List[str]:
-        return list(self.catalog)
-
     def describe_catalog(self) -> str:
         width = max(len(n) for n in self.catalog)
         return "\n".join(f"{name:<{width}}  {p.description}"

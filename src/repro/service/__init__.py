@@ -14,13 +14,13 @@ sharing a process:
 * :mod:`~repro.service.server` — :class:`CompileService`, an asyncio
   server over a unix socket or TCP port, with bounded-queue
   backpressure (``busy`` replies) and a ``metrics`` endpoint.  Every
-  compile runs in chunks on a worker pool: threads over one
+  compile runs in chunks on a worker pool: one thread over one
   :class:`~repro.engine.ExperimentEngine` in-process, or
   (``workers=N``) processes over a consistent-hash-sharded store.
   :class:`ServiceThread` runs the whole thing on a background thread
   for examples/tests;
 * :mod:`~repro.service.workers` — :class:`WorkerPool`, the chunk
-  runner's pool: threads over a live engine, or fault-tolerant
+  runner's pool: a thread over a live engine, or fault-tolerant
   processes (dead workers are respawned, interrupted chunks retried);
 * :mod:`~repro.service.batching` — batch dedup, the unit-cache
   locality sort, and chunk planning;

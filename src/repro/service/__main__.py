@@ -92,7 +92,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = None
     engine_spec = None
     if args.workers > 0:
-        engine_spec = EngineSpec(jobs=args.jobs, backend=args.backend,
+        engine_spec = EngineSpec(backend=args.backend,
                                  cache_dir=args.cache_dir,
                                  shards=args.shards)
         described = (f"cluster: {args.workers} workers, "
@@ -100,7 +100,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                      + (f" under {args.cache_dir}" if args.cache_dir
                         else ""))
     else:
-        engine = ExperimentEngine(jobs=args.jobs, backend=args.backend,
+        engine = ExperimentEngine(backend=args.backend,
                                   cache_dir=args.cache_dir,
                                   shards=args.shards)
         described = engine.describe()
@@ -208,9 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     serve = sub.add_parser("serve", help="run the compile server")
     _add_address_args(serve)
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="engine worker-pool width (default "
-                            "%(default)s)")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="compile-worker processes (0 = in-process "
                             "engine; default %(default)s)")

@@ -6,10 +6,10 @@ coalesced by its canonical digest, admitted to the bounded queue, and
 run in chunks on a :class:`~repro.service.workers.WorkerPool`.  The
 two execution modes differ only in what backs that pool:
 
-* **in-process** (default, ``workers=0``): ``engine.jobs`` threads of
-  this process share one live :class:`~repro.engine.ExperimentEngine`.
-  Simple, great for tests and warm disk-served traffic — but
-  pure-Python compiles are GIL-bound, so CPU-heavy traffic serializes.
+* **in-process** (default, ``workers=0``): one compile thread of this
+  process runs every chunk on one live
+  :class:`~repro.engine.ExperimentEngine`.  Simple, great for tests
+  and warm disk-served traffic — but CPU-heavy traffic serializes.
 * **cluster** (``workers=N``): N worker *processes*, each rebuilding
   its engine from one picklable :class:`~repro.engine.EngineSpec` —
   same backend topology everywhere, typically a consistent-hash-sharded
@@ -85,8 +85,8 @@ class BusyRejection(Exception):
 
 
 class CompileService:
-    """Routes wire requests onto a worker pool: threads over a shared
-    engine, or worker processes built from an :class:`EngineSpec`."""
+    """Routes wire requests onto a worker pool: a compile thread over a
+    live engine, or worker processes built from an :class:`EngineSpec`."""
 
     def __init__(self, engine: Optional[ExperimentEngine] = None,
                  workers: int = 0,
@@ -351,7 +351,7 @@ class CompileService:
         from the cluster's spec)."""
         backend = None
         if self.engine is not None:
-            backend = getattr(self.engine.cache, "backend", None)
+            backend = self.engine.cache.backend
             disk = getattr(backend, "disk", None)       # tiered?
             if isinstance(disk, ShardedBackend):
                 backend = disk
@@ -390,7 +390,7 @@ async def start_service(engine: Optional[ExperimentEngine] = None,
     """Start serving on a unix socket (*socket_path*) or TCP
     (*host*/*port*); returns ``(asyncio server, service)``.
 
-    Compiles run on threads over *engine* (a fresh one by default) or,
+    Compiles run on a thread over *engine* (a fresh one by default) or,
     with ``workers > 0``, on a process pool built from *engine_spec*
     (see :class:`CompileService`)."""
     service = CompileService(engine, workers=workers,

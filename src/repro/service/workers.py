@@ -22,9 +22,9 @@ runner (:meth:`_Worker.run_chunk`):
   the farm's persistent cache coherent without any cross-process locks
   (the :class:`~repro.store.ArtifactStore` is multi-process-safe by
   construction).
-* **threads** (``WorkerPool(engine=engine)``, the in-process service):
-  ``engine.jobs`` threads of this process share the one live engine,
-  which is a single worker in the ``per_worker`` table.
+* **a thread** (``WorkerPool(engine=engine)``, the in-process service):
+  one compile thread of this process runs every chunk on the live
+  engine, which is a single worker in the ``per_worker`` table.
 
 **Fault tolerance**: an abruptly dead worker breaks the whole
 ``ProcessPoolExecutor`` (every pending future raises
@@ -96,8 +96,8 @@ def _apply_chaos(chaos: Dict[str, Any]) -> None:
 class _Worker:
     """One compile worker: its engine, the token naming it in
     ``per_worker``, and the number of jobs it compiled.  A worker
-    process holds one in :data:`_WORKER`; a thread-backed pool shares
-    one across its threads."""
+    process holds one in :data:`_WORKER`; a thread-backed pool runs
+    one on its compile thread."""
 
     def __init__(self, engine: ExperimentEngine, allow_chaos: bool) -> None:
         self.engine = engine
@@ -230,8 +230,8 @@ class PoolStats:
 
 class WorkerPool:
     """Compile workers behind a retrying submit surface: *workers*
-    spawn processes built from *spec* or, given a live *engine*,
-    ``engine.jobs`` threads of this process sharing it."""
+    spawn processes built from *spec* or, given a live *engine*, one
+    compile thread of this process running on it."""
 
     def __init__(self, spec: Optional[EngineSpec] = None, workers: int = 1,
                  allow_chaos: bool = False,
@@ -241,7 +241,7 @@ class WorkerPool:
         self._threads = engine is not None
         if self._threads:
             local = _Worker(engine, allow_chaos)
-            self.workers = engine.jobs
+            self.workers = 1
             self._run_chunk, self._ping = local.run_chunk, local.ping
         else:
             self.workers = max(1, int(workers))
@@ -275,7 +275,6 @@ class WorkerPool:
         Pings go out in rounds, one per worker: a worker that is up may
         answer several pings of a round while a sibling is still
         spawning, so one round can miss a worker."""
-        target = 1 if self._threads else self.workers
         deadline = time.monotonic() + timeout
         tokens = set()
         while True:
@@ -284,7 +283,7 @@ class WorkerPool:
             for future in barrier:
                 tokens.add(future.result(
                     timeout=max(0.0, deadline - time.monotonic())))
-            if len(tokens) >= target or time.monotonic() >= deadline:
+            if len(tokens) >= self.workers or time.monotonic() >= deadline:
                 return len(tokens)
 
     def shutdown(self) -> None:

@@ -57,10 +57,6 @@ class StoreStats:
     corrupt_dropped: int = 0
     evicted: int = 0
 
-    @property
-    def read_misses(self) -> int:
-        return self.reads - self.read_hits
-
     def summary(self) -> str:
         return (f"store: {self.read_hits}/{self.reads} reads served, "
                 f"{self.writes} writes, {self.corrupt_dropped} corrupt "

@@ -23,9 +23,9 @@ model shape.
   winner = minimum objective score among conformant cells.
 * ``python -m repro.tune`` — ``search | show | apply``.
 
-Entry points: :meth:`repro.engine.ExperimentEngine.tune` (cached,
-cells run on the worker pool) and :func:`repro.pipeline.tuned_compile`
-(compile with the winning configuration).
+Entry points: :meth:`repro.engine.ExperimentEngine.tune` (cached) and
+:func:`repro.pipeline.tuned_compile` (compile with the winning
+configuration).
 """
 
 from .record import (CellResult, EventProfile, ObjectiveWeights,

@@ -98,7 +98,7 @@ def render_record(record, verbose: bool) -> str:
 
 
 def make_engine(args: argparse.Namespace) -> ExperimentEngine:
-    return ExperimentEngine(jobs=args.jobs, cache_dir=args.cache_dir)
+    return ExperimentEngine(cache_dir=args.cache_dir)
 
 
 def tune_args(args: argparse.Namespace) -> dict:
@@ -186,7 +186,6 @@ def add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persist measurements and the tuning record "
                           "in a repro.store directory")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N")
     sub.add_argument("--levels", default=None, metavar="-O0,-Os",
                      help="comma-separated opt levels to sweep "
                           "(default: the full ladder)")

@@ -84,8 +84,7 @@ def run_search(engine: "ExperimentEngine", machine: StateMachine,
     Callers normally reach this through the caching wrapper
     :meth:`repro.engine.ExperimentEngine.tune`; calling it directly
     re-runs the election but still hits the engine's per-measurement
-    caches.  Cells run on the engine's worker pool (``jobs=N``); the
-    result is deterministic for any pool width.
+    caches.
     """
     from ..engine.fingerprint import machine_fingerprint
     tgt = resolve_target(target)
@@ -134,7 +133,7 @@ def run_search(engine: "ExperimentEngine", machine: StateMachine,
         sp.set(machine=machine.name, target=tgt.name, cells=len(cells),
                prior="+".join(prior) or "none")
     with sp:
-        measured = engine.map(measure, cells)
+        measured = [measure(cell) for cell in cells]
     return TuningRecord.fresh(
         machine_name=machine.name,
         machine_fingerprint=machine_fingerprint(machine),

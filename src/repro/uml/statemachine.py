@@ -330,12 +330,6 @@ class StateMachine(NamedElement):
                 return state
         raise ModelError(f"no state named {name!r} in machine {self.label!r}")
 
-    def find_vertex(self, name: str) -> Vertex:
-        for vertex in self.all_vertices():
-            if vertex.name == name:
-                return vertex
-        raise ModelError(f"no vertex named {name!r} in machine {self.label!r}")
-
     def signal_alphabet(self) -> List[Event]:
         """Signal-like events in deterministic declaration order."""
         return [e for e in self.events.values()]

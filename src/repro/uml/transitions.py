@@ -69,18 +69,6 @@ class Transition(NamedElement):
         from .statemachine import State  # local import: cycle breaker
         return not self.triggers and isinstance(self.source, State)
 
-    @property
-    def is_guarded(self) -> bool:
-        return self.guard is not None
-
-    @property
-    def is_internal(self) -> bool:
-        return self.kind is TransitionKind.INTERNAL
-
-    def trigger_keys(self) -> List[str]:
-        """Dispatch keys of the explicit triggers (empty for completion)."""
-        return [t.key() for t in self.triggers]
-
     def describe(self) -> str:
         """Human-readable ``src -[trigger/guard]-> dst`` description."""
         trig = ",".join(t.name for t in self.triggers) if self.triggers else "ε"

@@ -155,7 +155,7 @@ class CompiledProgram:
     :func:`~repro.compiler.units.compile_one_unit` runs each unit's
     middle end once for all targets.  Without a unit cache every
     instance generates, lowers and compiles its own.  Cells that share
-    a front end compile one at a time, even on a thread pool.
+    a front end compile one at a time, even from several threads.
     """
 
     def __init__(self, machine: StateMachine,

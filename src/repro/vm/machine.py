@@ -101,9 +101,6 @@ class Machine:
         """Invoke ``hook(addr, value)`` on every word store to *addr*."""
         self._watches[addr] = hook
 
-    def unwatch(self, addr: int) -> None:
-        self._watches.pop(addr, None)
-
     def address_of(self, symbol: str) -> int:
         return self.image.address_of(symbol)
 

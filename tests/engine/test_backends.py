@@ -141,9 +141,24 @@ class TestCacheOverBackends:
             assert not any(isinstance(value, itertools.count)
                            for value in vars(fn).values())
 
-    def test_engine_rejects_conflicting_cache_args(self):
+    def test_engine_tiers_share_the_engine_backend(self, tmp_path):
+        backend = MemoryBackend()
+        engine = ExperimentEngine(backend=backend)
+        assert engine.cache.backend is backend
+        assert engine.units.backend is backend
+        persistent = ExperimentEngine(cache_dir=str(tmp_path))
+        assert isinstance(persistent.cache.backend, TieredBackend)
+        assert persistent.units.backend is persistent.cache.backend
+
+    @pytest.mark.parametrize("option", [{"cache_dir": "cache"},
+                                        {"shards": 4},
+                                        {"max_bytes": 1}],
+                             ids=["cache_dir", "shards", "max_bytes"])
+    def test_live_backend_rejects_spec_options(self, option):
+        """These options configure a spec string; a live backend would
+        silently drop them."""
         with pytest.raises(ValueError):
-            ExperimentEngine(cache=CompileCache(), cache_dir="/tmp/x")
+            ExperimentEngine(backend=MemoryBackend(), **option)
 
     def test_describe_names_the_backend(self, tmp_path):
         engine = ExperimentEngine(cache_dir=str(tmp_path))

@@ -1,4 +1,4 @@
-"""Batch planner dedup + serial/parallel determinism."""
+"""Batch planner dedup and batch execution."""
 
 import pytest
 
@@ -54,38 +54,37 @@ class TestBatchExecution:
                 for m in machines
                 for pattern in ("nested-switch", "state-table")]
 
-    def test_parallel_equals_serial(self, grid):
-        serial = ExperimentEngine(jobs=1).run_batch(grid)
-        parallel = ExperimentEngine(jobs=4).run_batch(grid)
-        assert [r.total_size for r in serial] == \
-            [r.total_size for r in parallel]
-        assert [r.module.listing() for r in serial] == \
-            [r.module.listing() for r in parallel]
-
     def test_duplicates_share_one_result(self, grid):
-        eng = ExperimentEngine(jobs=2)
+        eng = ExperimentEngine()
         results = eng.run_batch(grid + grid)
         assert eng.stats.misses == len(grid)
         for first, second in zip(results[:len(grid)], results[len(grid):]):
             assert first is second
 
-    def test_hit_miss_counts_deterministic_across_jobs(self, grid):
-        doubled = grid + grid
-        counts = []
-        for jobs in (1, 2, 8):
-            eng = ExperimentEngine(jobs=jobs)
-            eng.run_batch(doubled)
-            counts.append((eng.stats.hits, eng.stats.misses))
-        assert len(set(counts)) == 1
+    def test_batch_equals_one_compile_per_job(self, grid):
+        batch = ExperimentEngine().run_batch(grid)
+        single = ExperimentEngine()
+        one_by_one = [single.compile_machine(job.machine, job.pattern,
+                                             job.level)
+                      for job in grid]
+        assert [r.module.listing() for r in batch] == \
+            [r.module.listing() for r in one_by_one]
+        assert [r.total_size for r in batch] == \
+            [r.total_size for r in one_by_one]
 
-    def test_compare_batch_parallel_equals_serial(self):
+    def test_compare_batch_equals_one_compare_per_job(self):
         machines = [generate_machine(WorkloadSpec(n_live=3, n_dead=d))
                     for d in (0, 2)]
-        jobs = [CompareJob(m, check_behavior=False) for m in machines]
-        serial = ExperimentEngine(jobs=1).compare_batch(jobs)
-        parallel = ExperimentEngine(jobs=4).compare_batch(jobs)
-        assert [c.summary() for c in serial] == \
-            [c.summary() for c in parallel]
+        jobs = [CompareJob(m, pattern, check_behavior=False)
+                for m in machines
+                for pattern in ("nested-switch", "state-table")]
+        batch = ExperimentEngine().compare_batch(jobs)
+        single = ExperimentEngine()
+        one_by_one = [single.optimize_and_compare(
+            job.machine, pattern=job.pattern, check_behavior=False)
+            for job in jobs]
+        assert [c.summary() for c in batch] == \
+            [c.summary() for c in one_by_one]
 
     def test_compare_batch_shares_optimized_model(self):
         """The unoptimized baseline's sibling — one optimize() feeds

@@ -8,7 +8,6 @@ pin against a whole-program compile of the checked-in corpus fixtures
 """
 
 import pathlib
-import sys
 
 import pytest
 
@@ -69,23 +68,20 @@ def test_oracle_path_uses_engine_unit_tier_by_default(memory_engine):
 
 
 @pytest.mark.fuzz
-def test_grid_on_worker_threads_equals_serial():
-    """The cells of one case share a front end and middle ends while
-    ``engine.map`` runs them on threads: results must not change."""
+def test_grid_on_a_partly_warm_engine_equals_a_cold_one():
+    """Cells an earlier, narrower grid already ran come from the cache
+    beside freshly run ones: the verdicts must not change."""
     config = OracleConfig(patterns=("nested-switch", "flat-switch",
                                     "state-table", "state-pattern"))
 
-    def outcomes(jobs):
-        oracle = DifferentialOracle(engine=ExperimentEngine(jobs=jobs),
-                                    config=config)
+    def outcomes(engine, config):
+        oracle = DifferentialOracle(engine=engine, config=config)
         return [(result.status, result.divergences, result.executors_run,
                  result.cells_skipped, result.coverage)
                 for result in (oracle.run_case(fixture_case(path))
                                for path in ALL)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)          # interleave the cells finely
-    try:
-        threaded = outcomes(4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == outcomes(1)
+    warm = ExperimentEngine()
+    outcomes(warm, OracleConfig(patterns=("flat-switch",)))
+    hits_before = warm.stats.hits
+    assert outcomes(warm, config) == outcomes(ExperimentEngine(), config)
+    assert warm.stats.hits > hits_before

@@ -1,11 +1,12 @@
-"""The thread-backed worker pool: threads sharing one worker.
+"""The thread-backed worker pool: one compile thread, one worker.
 
-An in-process service runs ``engine.jobs`` threads over one live
-engine, all reporting as one worker.  Its job count and the snapshot
-the pool keeps are shared state, so a lost update would show as a
-short ``jobs`` count or stale cache counters; snapshots can reach the
-pool out of order, and the newest must win.  Readiness waits until
-every worker has answered a ping, however the pings land.
+An in-process service runs one compile thread over one live engine,
+reporting as one worker.  Its job count and the snapshot the pool
+keeps are read by other threads while chunks run, so a lost update
+would show as a short ``jobs`` count or stale cache counters;
+snapshots can reach the pool out of order, and the newest must win.
+Readiness waits until every worker has answered a ping, however the
+pings land.
 """
 
 import sys
@@ -16,9 +17,8 @@ from repro.experiments.models import flat_machine_with_unreachable_state
 from repro.service import WorkerPool, compile_params
 
 
-def test_threads_sharing_one_worker_count_every_job():
-    engine = ExperimentEngine(jobs=4)            # more threads than cores
-    pool = WorkerPool(engine=engine)
+def test_the_compile_thread_counts_every_job():
+    pool = WorkerPool(engine=ExperimentEngine())
     params = compile_params(flat_machine_with_unreachable_state())
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -29,7 +29,7 @@ def test_threads_sharing_one_worker_count_every_job():
     finally:
         sys.setswitchinterval(previous)
         pool.shutdown()
-    assert pool.workers == 4
+    assert pool.workers == 1
     (worker,) = pool.per_worker()
     assert worker["jobs"] == 200
     assert worker["hits"] + worker["misses"] == 200
@@ -72,7 +72,7 @@ def test_readiness_pings_until_every_worker_has_answered():
 
 
 def test_a_thread_backed_pool_is_ready_after_one_round():
-    pool = WorkerPool(engine=ExperimentEngine(jobs=2))
+    pool = WorkerPool(engine=ExperimentEngine())
     pool._executor.shutdown()
-    pool._executor = ScriptedPings(["t", "t"])
+    pool._executor = ScriptedPings(["t"])
     assert pool.wait_ready(timeout=5) == 1
