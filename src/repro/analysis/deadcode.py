@@ -10,7 +10,7 @@ human-readable diagnosis without running any transformation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..uml.statemachine import State, StateMachine

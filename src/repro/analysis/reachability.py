@@ -25,11 +25,11 @@ The analysis handles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from ..uml.actions import BoolLit, const_fold
-from ..uml.statemachine import (FinalState, Pseudostate, PseudostateKind,
-                                Region, State, StateMachine, Vertex)
+from ..uml.statemachine import (Pseudostate, PseudostateKind, State,
+                                StateMachine, Vertex)
 from ..uml.transitions import Transition
 from .completion import CompletionInfo, analyze_completion
 

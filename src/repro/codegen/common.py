@@ -14,7 +14,6 @@ from typing import Callable, List, Optional
 
 from ..cpp import ast as cpp
 from ..uml import actions as uact
-from ..uml.events import Event
 from ..uml.statemachine import StateMachine
 from .base import CodegenError, EVENT_ENUM, event_enumerator
 

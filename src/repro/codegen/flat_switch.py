@@ -30,7 +30,7 @@ from typing import Dict, List
 from ..cpp import ast as cpp
 from ..cpp.types import INT, VOID, ClassRefType
 from ..uml.statemachine import StateMachine
-from .base import CodeGenerator, GenConfig, NO_EVENT, event_enumerator
+from .base import CodeGenerator, NO_EVENT, event_enumerator
 from .common import (attribute_fields, behavior_to_cpp, event_enum_decl,
                      extern_decls, guard_to_cpp)
 from .flattening import FlatMachine, FlatTransition, flatten_machine

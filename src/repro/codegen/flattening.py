@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..uml.actions import Behavior, Expr
 from ..uml.elements import ModelError
-from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
-                                StateMachine, Vertex)
+from ..uml.statemachine import (FinalState, Pseudostate, State, StateMachine,
+                                Vertex)
 from ..uml.transitions import Transition, TransitionKind
 from .base import CodegenError
 

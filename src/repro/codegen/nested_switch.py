@@ -28,17 +28,16 @@ other than initial are not expressible in this pattern.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..cpp import ast as cpp
 from ..cpp.types import INT, PointerType, ClassRefType, VOID
 from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
                                 StateMachine)
 from ..uml.transitions import Transition, TransitionKind
-from .base import (CodeGenerator, CodegenError, GenConfig, NO_EVENT,
-                   event_enumerator)
+from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
 from .common import (attribute_fields, behavior_to_cpp, event_enum_decl,
-                     event_index, extern_decls, guard_to_cpp)
+                     extern_decls, guard_to_cpp)
 
 __all__ = ["NestedSwitchGenerator"]
 

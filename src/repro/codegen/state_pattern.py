@@ -33,8 +33,7 @@ from ..cpp.types import INT, PointerType, ClassRefType, VOID
 from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
                                 StateMachine)
 from ..uml.transitions import Transition, TransitionKind
-from .base import (CodeGenerator, CodegenError, GenConfig, NO_EVENT,
-                   event_enumerator)
+from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
 from .common import (attribute_fields, behavior_to_cpp, event_enum_decl,
                      extern_decls, guard_to_cpp)
 

@@ -34,8 +34,7 @@ from ..cpp.types import (ArrayType, ClassRefType, FuncPtrType, INT,
                          PointerType, VOID)
 from ..uml.actions import Behavior
 from ..uml.statemachine import StateMachine
-from .base import (COMPLETION_EVENT, CodeGenerator, CodegenError, GenConfig,
-                   NO_EVENT, event_enumerator)
+from .base import COMPLETION_EVENT, CodeGenerator, NO_EVENT
 from .common import (attribute_fields, behavior_to_cpp, event_enum_decl,
                      event_index, extern_decls, guard_to_cpp)
 from .flattening import FlatMachine, FlatTransition, flatten_machine

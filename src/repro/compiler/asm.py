@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .gimple.ir import DataObject, SymbolRef
-from .rtl.ir import RInstr, RTLFunction
+from .rtl.ir import RTLFunction
 from .target.description import TargetDescription
 
 __all__ = ["AsmModule"]

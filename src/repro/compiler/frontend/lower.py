@@ -21,16 +21,15 @@ constructs generated state-machine code uses:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ...cpp import ast as cpp
-from ...cpp.types import (ArrayType, BoolType, ClassRefType, EnumType,
-                          FuncPtrType, IntType, PointerType, Type, VoidType)
-from ..gimple.ir import (BasicBlock, BinOp, Branch, Call, CallIndirect,
-                         Const, DataObject, GimpleFunction, IRError, Jump,
-                         Load, LoadAddr, LoadGlobal, Move, Operand, Program,
-                         Reg, Ret, Store, StoreGlobal, SwitchTerm, SymbolRef,
-                         UnOp)
+from ...cpp.types import (ArrayType, BoolType, ClassRefType, EnumType, IntType,
+                          PointerType, Type, VoidType)
+from ..gimple.ir import (BasicBlock, BinOp, Branch, Call, CallIndirect, Const,
+                         DataObject, GimpleFunction, Jump, Load, LoadAddr,
+                         LoadGlobal, Move, Operand, Program, Reg, Ret, Store,
+                         StoreGlobal, SwitchTerm, SymbolRef, UnOp)
 
 __all__ = ["LoweringError", "ClassLayout", "lower_unit", "mangle"]
 

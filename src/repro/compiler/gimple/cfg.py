@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from .ir import BasicBlock, GimpleFunction, Phi
+from .ir import GimpleFunction, Phi
 
 __all__ = ["successors", "predecessors", "reachable_blocks",
            "remove_unreachable_blocks", "reverse_postorder"]

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .ir import (BasicBlock, BinOp, Branch, Call, CallIndirect, Const,
-                 GimpleFunction, Instr, Jump, Load, LoadAddr, LoadGlobal,
-                 Move, Operand, Phi, Program, Reg, Ret, Store, StoreGlobal,
-                 SwitchTerm, SymbolRef, UnOp)
+from .ir import (BinOp, Branch, Call, CallIndirect, Const, GimpleFunction,
+                 Instr, Jump, Load, LoadAddr, LoadGlobal, Move, Operand, Phi,
+                 Program, Reg, Ret, Store, StoreGlobal, SwitchTerm, SymbolRef,
+                 UnOp)
 
 __all__ = ["GimpleInterpreter", "InterpError"]
 

@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .cfg import predecessors, remove_unreachable_blocks
 from .dom import DomInfo, compute_dominators
-from .ir import (BasicBlock, GimpleFunction, Instr, Jump, Move, Operand, Phi,
-                 Reg, copy_node)
+from .ir import GimpleFunction, Instr, Jump, Move, Operand, Phi, Reg, copy_node
 
 __all__ = ["to_ssa", "from_ssa", "verify_ssa", "SSAError"]
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from ..gimple.dom import compute_dominators
 from ..gimple.cfg import remove_unreachable_blocks
 from ..gimple.ir import (BinOp, Const, GimpleFunction, Instr, LoadAddr, Move,
-                         Operand, Reg, UnOp)
+                         Reg, UnOp)
 
 __all__ = ["run_cse"]
 

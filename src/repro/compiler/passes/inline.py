@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from ..gimple.ir import (BasicBlock, Call, GimpleFunction, Instr, Jump, Move,
-                         Operand, Phi, Program, Reg, Ret, Terminator,
-                         copy_node)
+                         Operand, Phi, Program, Reg, Ret, copy_node)
 
 __all__ = ["run_inline", "inline_candidates", "inline_into",
            "InlinePolicy"]

@@ -15,10 +15,9 @@ fixpoint and returns the number of structural changes.
 
 from __future__ import annotations
 
-from typing import Dict
 
 from ..gimple.cfg import predecessors, remove_unreachable_blocks
-from ..gimple.ir import (Branch, GimpleFunction, Jump, Phi, SwitchTerm)
+from ..gimple.ir import Branch, GimpleFunction, Jump, SwitchTerm
 
 __all__ = ["run_simplify_cfg"]
 

@@ -19,7 +19,7 @@ dispatch pushes it toward chains where RT32 tables).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..gimple import ir as g
 from ..target.description import TargetDescription
@@ -33,18 +33,18 @@ _CMP_MNEMONIC = {"==": "seteq", "!=": "setne", "<": "setlt",
 #: op usable when the operands of a comparison are swapped
 _MIRRORED_CMP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=",
                  ">": "<", ">=": "<="}
+#: Outside -Os, a switch becomes a jump table when it has at least this
+#: many cases and fills at least this share of its value span.
+_JUMP_TABLE_MIN_CASES = 4
+_JUMP_TABLE_MIN_DENSITY = 0.5
 
 
 class SwitchLowering:
     """Switch lowering policy (size-driven under -Os)."""
 
     def __init__(self, optimize_for_size: bool = False,
-                 density_threshold: float = 0.5,
-                 min_table_cases: int = 4,
                  target: Union[TargetDescription, str, None] = None) -> None:
         self.optimize_for_size = optimize_for_size
-        self.density_threshold = density_threshold
-        self.min_table_cases = min_table_cases
         self.target = resolve_target(target)
 
     def use_jump_table(self, case_values: List[int],
@@ -59,8 +59,8 @@ class SwitchLowering:
         if self.optimize_for_size:
             return table_cost < chain_cost
         density = len(case_values) / span
-        return (len(case_values) >= self.min_table_cases
-                and density >= self.density_threshold)
+        return (len(case_values) >= _JUMP_TABLE_MIN_CASES
+                and density >= _JUMP_TABLE_MIN_DENSITY)
 
 
 class _FnSelector:

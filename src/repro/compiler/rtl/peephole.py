@@ -17,7 +17,7 @@ encoded bytes.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Union
+from typing import List, Union
 
 from ..target.description import TargetDescription
 from ..target.registry import resolve_target

@@ -19,7 +19,7 @@ size accounting the experiments depend on).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from ..target.description import TargetDescription
 from ..target.registry import resolve_target

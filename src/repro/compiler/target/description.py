@@ -15,7 +15,7 @@ each description (cf. GCC's ``*.md`` machine descriptions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 __all__ = ["TargetDescription", "TargetError"]

@@ -9,7 +9,7 @@ targets register themselves on import; out-of-tree targets call
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .description import TargetDescription
 

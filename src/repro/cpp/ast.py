@@ -22,9 +22,9 @@ for inspection and golden tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from .types import BOOL, INT, VOID, FuncPtrType, Type
+from .types import INT, VOID, FuncPtrType, Type
 
 __all__ = [
     # expressions

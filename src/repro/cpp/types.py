@@ -12,7 +12,7 @@ setting implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["Type", "VoidType", "IntType", "BoolType", "EnumType",

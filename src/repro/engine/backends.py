@@ -120,8 +120,7 @@ class DiskBackend(CacheBackend):
 
     Accepts a store or a directory path.  I/O and serialization
     problems never propagate into the compile path: a failed read is a
-    miss, a failed write leaves the key uncached (counted on the
-    store's stats where applicable).
+    miss, and a failed write leaves the key uncached.
     """
 
     name = ORIGIN_DISK
@@ -162,12 +161,11 @@ class TieredBackend(CacheBackend):
 
     name = "tiered"
 
-    def __init__(self, disk: "Union[CacheBackend, ArtifactStore, str]",
-                 memory: Optional[MemoryBackend] = None,
-                 max_bytes: Optional[int] = None) -> None:
+    def __init__(self, disk: "Union[CacheBackend, ArtifactStore, str]"
+                 ) -> None:
         if not isinstance(disk, CacheBackend):
-            disk = DiskBackend(disk, max_bytes=max_bytes)
-        self.memory = memory if memory is not None else MemoryBackend()
+            disk = DiskBackend(disk)
+        self.memory = MemoryBackend()
         self.disk = disk
 
     def load(self, key: str) -> Tuple[Any, str]:

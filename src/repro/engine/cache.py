@@ -94,14 +94,6 @@ class CacheStats:
             "hit_rate": hits / lookups if lookups else 0.0,
         }
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def summary(self) -> str:
         snap = self.snapshot()
         return (f"cache: {snap['hits']} hits ({snap['disk_hits']} disk) / "

@@ -209,34 +209,6 @@ class ExperimentEngine:
 
         return self.cache.get_or_compute(key, compute)
 
-    def fleet_conformance(self, machine: StateMachine,
-                          semantics: SemanticsConfig =
-                          UML_DEFAULT_SEMANTICS,
-                          wide_lanes: int = 64,
-                          exhaustive_depth: int = 2, n_random: int = 8,
-                          random_length: int = 10, seed: int = 0xFACE):
-        """Cached fleet conformance check
-        (:func:`repro.fleet.check_fleet_conformance`): the vectorized
-        table engine against the reference interpreter on the same
-        scenario construction :meth:`vm_conformance` uses."""
-        from ..fleet.conformance import check_fleet_conformance
-        from ..vm.conformance import conformance_scenarios
-        from .fingerprint import fleet_conformance_fingerprint
-        params = {"exhaustive_depth": exhaustive_depth,
-                  "n_random": n_random, "random_length": random_length,
-                  "seed": seed, "wide_lanes": wide_lanes}
-        key = fleet_conformance_fingerprint(machine, semantics, params)
-
-        def compute():
-            scenarios = conformance_scenarios(
-                machine, exhaustive_depth=exhaustive_depth,
-                n_random=n_random, random_length=random_length, seed=seed)
-            return check_fleet_conformance(machine, semantics=semantics,
-                                           scenarios=scenarios,
-                                           wide_lanes=wide_lanes)
-
-        return self.cache.get_or_compute(key, compute)
-
     def tune(self, machine: StateMachine,
              target: Union[TargetDescription, str, None] = None,
              objective=None, profile=None,
@@ -401,7 +373,7 @@ class ExperimentEngine:
         return self.units.stats
 
     def describe(self) -> str:
-        unit = self.unit_stats
+        unit = self.unit_stats.snapshot()
         return (f"engine(backend={self.cache.backend.name}): "
-                f"{self.stats.summary()}; units: {unit.hits} hits "
-                f"({unit.disk_hits} disk) / {unit.misses} misses")
+                f"{self.stats.summary()}; units: {unit['hits']} hits "
+                f"({unit['disk_hits']} disk) / {unit['misses']} misses")

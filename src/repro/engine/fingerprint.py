@@ -42,8 +42,7 @@ from ..uml.statemachine import StateMachine
 __all__ = ["machine_fingerprint", "semantics_key", "target_key",
            "compile_fingerprint", "optimize_fingerprint",
            "equivalence_fingerprint", "conformance_fingerprint",
-           "stimuli_key", "observation_fingerprint",
-           "fleet_conformance_fingerprint", "tune_fingerprint"]
+           "stimuli_key", "observation_fingerprint", "tune_fingerprint"]
 
 
 #: Per-object memo so repeated lookups of the same machine (the engine
@@ -157,19 +156,6 @@ def observation_fingerprint(executor, machine: StateMachine,
             config += (str(executor.n_lanes),)
     return _digest("observe", executor.name, *config,
                    machine_fingerprint(machine), stimuli_key(stimuli))
-
-
-def fleet_conformance_fingerprint(machine: StateMachine,
-                                  semantics: SemanticsConfig =
-                                  UML_DEFAULT_SEMANTICS,
-                                  scenario_params: Optional[dict] = None,
-                                  ) -> str:
-    """Key of one fleet conformance run (interpreter vs. table engine,
-    scalar and vectorized paths)."""
-    params_key = json.dumps(scenario_params or {}, sort_keys=True,
-                            separators=(",", ":"))
-    return _digest("fleet-conformance", machine_fingerprint(machine),
-                   semantics_key(semantics), params_key)
 
 
 def tune_fingerprint(machine: StateMachine,

@@ -30,7 +30,7 @@ from ..compiler.target import TargetDescription, resolve_target
 from ..engine import CompareJob, ExperimentEngine
 from .models import (flat_machine_with_unreachable_state,
                      hierarchical_machine_with_shadowed_composite)
-from .report import format_gain, render_table
+from .report import render_table
 
 __all__ = ["Figure1Row", "run_figure1", "main"]
 

@@ -7,7 +7,7 @@ the paper reports, in the same layout.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 __all__ = ["render_table", "format_gain"]
 

@@ -25,7 +25,7 @@ Run as ``python -m repro.experiments.table1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..codegen import ALL_GENERATORS
 from ..compiler import OptLevel

@@ -33,8 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..uml import (Assign, Behavior, StateMachineBuilder, StateMachine,
-                   calls, parse_expr)
+from ..uml import Behavior, StateMachineBuilder, StateMachine, calls
 
 __all__ = ["WorkloadSpec", "generate_machine", "mutate_one_transition"]
 

@@ -49,15 +49,12 @@ __all__ = ["Fleet", "FleetStats"]
 class FleetStats:
     """Dispatch accounting for one fleet (lane-events, not wall time)."""
 
-    __slots__ = ("batches", "fast_lane_events", "scalar_lane_events",
-                 "fired", "max_pool_depth")
+    __slots__ = ("fast_lane_events", "scalar_lane_events", "fired")
 
     def __init__(self) -> None:
-        self.batches = 0
         self.fast_lane_events = 0
         self.scalar_lane_events = 0
         self.fired = 0
-        self.max_pool_depth = 0
 
     @property
     def lane_events(self) -> int:
@@ -67,11 +64,6 @@ class FleetStats:
     def fast_fraction(self) -> float:
         total = self.lane_events
         return self.fast_lane_events / total if total else 0.0
-
-    def summary(self) -> str:
-        return (f"{self.lane_events} lane-events in {self.batches} "
-                f"batches ({self.fast_fraction:.0%} vectorized, "
-                f"{self.fired} transitions fired)")
 
 
 def _int_bank(n: int, fill: int):
@@ -260,7 +252,6 @@ class Fleet:
             raise FleetExecutionError("dispatch before start()")
         name = getattr(event, "name", None) or str(event)
         col = self.program.column_of(name)
-        self.stats.batches += 1
         if self._traces is not None or _np is None:
             # Per-lane observers (or no numpy): scalar everywhere.
             for lane in range(self.n):
@@ -315,8 +306,6 @@ class Fleet:
             q = deque()
             self._pending[lane] = q
         q.append((col, name))
-        if len(q) > self.stats.max_pool_depth:
-            self.stats.max_pool_depth = len(q)
         try:
             while q:
                 c, n = q.popleft()
@@ -404,8 +393,6 @@ class Fleet:
             q = deque()
             self._pending[lane] = q
         q.append((col, name))
-        if len(q) > self.stats.max_pool_depth:
-            self.stats.max_pool_depth = len(q)
 
     def t_assign(self, lane: int, name: str, value: int) -> None:
         if self._traces is not None:

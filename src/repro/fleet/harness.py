@@ -25,8 +25,7 @@ explicit flag).
 from __future__ import annotations
 
 import time
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as _span
@@ -39,8 +38,8 @@ __all__ = ["FleetHarness", "ThroughputReport", "ShardReport"]
 
 _FLEET_BATCHES = REGISTRY.counter("fleet_batches_total",
                                   "batch flushes by shard")
-_FLEET_LANE_EVENTS = REGISTRY.counter("fleet_lane_events_total",
-                                      "lane-events delivered by runs")
+_FLEET_LANE_EVENTS = REGISTRY.counter(
+    "fleet_lane_events_total", "lane-events delivered by batch flushes")
 
 MachineSpec = Union[StateMachine, TableProgram,
                     Tuple[Union[StateMachine, TableProgram], int]]
@@ -150,6 +149,8 @@ class _Shard:
             self.latencies_s.append(time.perf_counter() - began)
         self.events_routed += len(batch)
         _FLEET_BATCHES.inc(shard=self.index)
+        # Every dispatch_all delivers its event to each lane once.
+        _FLEET_LANE_EVENTS.inc(len(batch) * self.lanes)
 
 
 class FleetHarness:
@@ -265,8 +266,6 @@ class FleetHarness:
             lane_events += shard_lane_events
             fired += sum(s.fired for s in stats)
             routed += shard.events_routed
-        if lane_events:
-            _FLEET_LANE_EVENTS.inc(lane_events)
         return ThroughputReport(self.n_lanes, self.n_shards, self.routing,
                                 routed, lane_events, fired, elapsed,
                                 reports)

@@ -38,7 +38,7 @@ profiles as they stop producing new behavior.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..uml import (Assign, Behavior, CallExpr, CallStmt, EmitStmt, Expr,

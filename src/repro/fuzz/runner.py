@@ -78,7 +78,6 @@ class FuzzStats:
     shrunk: int = 0
     executors_run: int = 0
     cells_skipped: int = 0
-    new_coverage: int = 0
 
     def summary(self) -> str:
         return (f"{self.cases} case(s): {self.executed} executed, "
@@ -126,7 +125,6 @@ class FuzzRunner:
                  profiles: Sequence[FuzzProfile] = DEFAULT_PROFILES,
                  corpus: Optional[Corpus] = None,
                  semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS,
-                 rotate_patterns: Optional[bool] = None,
                  shrink_limit: int = 5,
                  on_progress=None) -> None:
         self.engine = engine if engine is not None else ExperimentEngine()
@@ -134,11 +132,6 @@ class FuzzRunner:
         self.profiles = tuple(profiles)
         self.corpus = corpus
         self.semantics = semantics
-        # Rotate only while the pattern grid is unpinned — an explicit
-        # pattern tuple in the config always pins it.
-        self.rotate_patterns = (rotate_patterns
-                                if rotate_patterns is not None
-                                else config.patterns is None)
         self.shrink_limit = shrink_limit
         self.coverage = CoverageMap()
         self.energy: Dict[str, float] = {p.name: 1.0
@@ -152,7 +145,9 @@ class FuzzRunner:
         return rng.choices(list(self.profiles), weights=weights, k=1)[0]
 
     def _case_config(self, index: int) -> OracleConfig:
-        if not self.rotate_patterns:
+        # Rotate only while the pattern grid is unpinned — an explicit
+        # pattern tuple in the config always pins it.
+        if self.config.patterns is not None:
             return self.config
         pattern = _PATTERN_NAMES[index % len(_PATTERN_NAMES)]
         return replace(self.config, patterns=(pattern,))
@@ -192,7 +187,6 @@ class FuzzRunner:
         if result.diverged:
             stats.diverged += 1
         new = self.coverage.add(result.coverage)
-        stats.new_coverage += new
         # Energy decays toward the baseline and spikes on new coverage:
         # a profile that was productive early but dried up stops
         # dominating the draw after a few barren cases.

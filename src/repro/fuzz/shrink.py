@@ -34,12 +34,15 @@ from ..optim.pass_base import PassResult, remove_vertex_with_transitions
 from ..optim.passes.remove_unused_events import RemoveUnusedEvents
 from ..uml import Behavior, ValidationError, clone_machine
 from ..uml.elements import ModelError
-from ..uml.statemachine import State, StateMachine
+from ..uml.statemachine import StateMachine
 from ..uml.validate import validate_machine
 from .case import FuzzCase, Stimulus
-from .oracle import CaseResult, DifferentialOracle, OracleConfig
+from .oracle import CaseResult, DifferentialOracle
 
 __all__ = ["ShrinkReport", "shrink_case"]
+
+#: Oracle runs one shrink may spend.
+_MAX_ATTEMPTS = 600
 
 
 @dataclass
@@ -199,8 +202,7 @@ def _stimulus_candidates(case: FuzzCase,
 
 
 def shrink_case(case: FuzzCase, result: CaseResult,
-                oracle: DifferentialOracle,
-                max_attempts: int = 600) -> ShrinkReport:
+                oracle: DifferentialOracle) -> ShrinkReport:
     """Minimize *case* while the (narrowed) oracle still flags it."""
     narrowed = DifferentialOracle(
         engine=oracle.engine,
@@ -216,7 +218,7 @@ def shrink_case(case: FuzzCase, result: CaseResult,
 
     best, best_result = case, result
     improved = True
-    while improved and report.attempts < max_attempts:
+    while improved and report.attempts < _MAX_ATTEMPTS:
         improved = False
         # 1. stimuli first: dropping events is the cheapest win.
         for candidate in _stimulus_candidates(best, best_result):
@@ -232,7 +234,7 @@ def shrink_case(case: FuzzCase, result: CaseResult,
             continue
         # 2. machine edits in document order, first improvement wins.
         for edit in _machine_edits(best.machine):
-            if report.attempts >= max_attempts:
+            if report.attempts >= _MAX_ATTEMPTS:
                 break
             clone = clone_machine(best.machine)
             try:

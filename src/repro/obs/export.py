@@ -107,15 +107,18 @@ def load_chrome_trace(path: str) -> Dict[str, Any]:
 
 # -- human stage tree -------------------------------------------------------
 
+#: Children of one span that :func:`stage_tree` prints before eliding.
+_MAX_CHILDREN = 40
+
 
 def _sort_key(span: Dict[str, Any]):
     return (span.get("ts", 0.0), span.get("name", ""))
 
 
-def stage_tree(spans: Iterable[Dict[str, Any]],
-               max_children: int = 40) -> str:
+def stage_tree(spans: Iterable[Dict[str, Any]]) -> str:
     """Render spans as an indented parent→child tree with millisecond
-    durations and each child's share of its parent."""
+    durations and each child's share of its parent (at most 40
+    children per span)."""
     spans = sorted((s for s in spans if isinstance(s, dict)),
                    key=_sort_key)
     if not spans:
@@ -138,11 +141,11 @@ def stage_tree(spans: Iterable[Dict[str, Any]],
         lines.append(f"{label:<44} {1e3 * dur:>10.3f} ms{share}"
                      f"  [{proc}]")
         kids = children.get(span["span_id"], [])
-        for kid in kids[:max_children]:
+        for kid in kids[:_MAX_CHILDREN]:
             emit(kid, depth + 1, dur)
-        if len(kids) > max_children:
+        if len(kids) > _MAX_CHILDREN:
             lines.append(f"{'  ' * (depth + 1)}"
-                         f"... {len(kids) - max_children} more")
+                         f"... {len(kids) - _MAX_CHILDREN} more")
 
     roots = children.get(None, [])
     for root in roots:

@@ -49,6 +49,9 @@ DEFAULT_PIPELINE: Sequence[str] = (
     "remove-unused-events",
 )
 
+#: The most times :meth:`PassManager.run` repeats the pass sequence.
+_MAX_ITERATIONS = 25
+
 
 def default_pass_catalog() -> Dict[str, ModelPass]:
     """Fresh instances of every built-in pass, keyed by name."""
@@ -120,15 +123,15 @@ class PassManager:
                          for name, p in self.catalog.items())
 
     def run(self, machine: StateMachine,
-            selection: Optional[Sequence[str]] = None,
-            fixpoint: bool = True,
-            max_iterations: int = 25) -> OptimizationReport:
+            selection: Optional[Sequence[str]] = None
+            ) -> OptimizationReport:
         """Apply the selected passes (default: the standard pipeline).
 
-        Passes run in the given order; with ``fixpoint=True`` the whole
-        sequence repeats until no pass reports a change (each pass can
-        expose opportunities for the others, e.g. removing a shadowed
-        transition strands a composite for unreachable-state removal).
+        Passes run in the given order, and the whole sequence repeats
+        until no pass reports a change (each pass can expose
+        opportunities for the others, e.g. removing a shadowed
+        transition strands a composite for unreachable-state removal),
+        at most 25 times.
         """
         names = list(selection if selection is not None
                      else [n for n in DEFAULT_PIPELINE if n in self.catalog])
@@ -146,14 +149,14 @@ class PassManager:
                 runnable.append(pass_)
             else:
                 report.skipped_passes.append(name)
-        while report.iterations < max_iterations:
+        while report.iterations < _MAX_ITERATIONS:
             report.iterations += 1
             changed = False
             for pass_ in runnable:
                 result = pass_.run(optimized, self.semantics)
                 report.pass_results.append(result)
                 changed = changed or result.changed
-            if not (fixpoint and changed):
+            if not changed:
                 break
         return report
 

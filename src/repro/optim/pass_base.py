@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
-from ..uml.statemachine import Region, State, StateMachine, Vertex
-from ..uml.transitions import Transition
+from ..uml.statemachine import State, StateMachine, Vertex
 
 __all__ = ["PassResult", "ModelPass", "remove_vertex_with_transitions"]
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from ...semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
 from ...uml.actions import Behavior
-from ...uml.statemachine import (Pseudostate, Region, State, StateMachine)
+from ...uml.statemachine import State, StateMachine
 from ..pass_base import ModelPass, PassResult
 
 __all__ = ["FlattenTrivialComposites"]

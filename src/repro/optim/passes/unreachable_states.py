@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ...analysis.reachability import analyze_reachability
 from ...semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
-from ...uml.statemachine import (FinalState, Pseudostate, State, StateMachine)
+from ...uml.statemachine import FinalState, Pseudostate, StateMachine
 from ..pass_base import ModelPass, PassResult, remove_vertex_with_transitions
 
 __all__ = ["RemoveUnreachableStates"]

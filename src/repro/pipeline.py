@@ -8,8 +8,8 @@ compiler optimizations are reused as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import ExperimentEngine

@@ -16,8 +16,8 @@ requires (§V: "keeping unchanged its behavior").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 __all__ = ["TraceKind", "TraceRecord", "Trace", "observable_equal"]
 

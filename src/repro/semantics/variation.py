@@ -24,7 +24,7 @@ The variation points modeled here are the ones the paper calls out
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["EventPoolPolicy", "UnconsumedPolicy", "ConflictPolicy",
            "SemanticsConfig", "UML_DEFAULT_SEMANTICS"]

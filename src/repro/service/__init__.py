@@ -45,12 +45,12 @@ from .protocol import (compile_params, compile_result_payload,
                        semantics_from_dict, semantics_to_dict)
 from .server import (BusyRejection, CompileService, ServiceThread,
                      start_service)
-from .workers import PoolStats, WorkerPool
+from .workers import WorkerPool
 
 __all__ = [
     "ServiceClient", "ServiceError", "ServiceBusy",
     "CompileService", "ServiceThread", "start_service", "BusyRejection",
-    "WorkerPool", "PoolStats",
+    "WorkerPool",
     "ServiceMetrics", "METRICS_SCHEMA_VERSION",
     "LoadgenSpec", "LoadReport", "build_corpus", "run_load",
     "verify_payloads",

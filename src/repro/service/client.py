@@ -11,7 +11,7 @@ A loaded cluster answers over-limit requests with ``busy`` replies
 (the wire protocol's 429) instead of queueing without bound; the
 client absorbs those transparently with capped exponential backoff —
 up to ``busy_retries`` resends, sleeping
-``min(busy_backoff * 2**attempt, busy_backoff_cap)`` between them —
+``min(busy_backoff * 2**attempt, 2.0)`` seconds between them —
 and raises :class:`ServiceBusy` only when retries are exhausted or the
 server marked the rejection non-retryable (a batch larger than the
 whole queue).
@@ -50,6 +50,10 @@ class ServiceBusy(ServiceError):
     retries were exhausted (or the rejection was non-retryable)."""
 
 
+#: Longest sleep, in seconds, between two resends of a busy request.
+_BUSY_BACKOFF_CAP = 2.0
+
+
 class ServiceClient:
     """Blocking JSON-lines client over a unix socket or TCP address."""
 
@@ -57,8 +61,7 @@ class ServiceClient:
                  host: Optional[str] = None, port: Optional[int] = None,
                  timeout: float = 300.0,
                  busy_retries: int = 10,
-                 busy_backoff: float = 0.05,
-                 busy_backoff_cap: float = 2.0) -> None:
+                 busy_backoff: float = 0.05) -> None:
         if socket_path is not None:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._sock.settimeout(timeout)
@@ -72,7 +75,6 @@ class ServiceClient:
         self._next_id = 0
         self.busy_retries = max(0, int(busy_retries))
         self.busy_backoff = busy_backoff
-        self.busy_backoff_cap = busy_backoff_cap
         #: Total busy replies absorbed by backoff (load reports read it).
         self.busy_retries_used = 0
 
@@ -115,7 +117,7 @@ class ServiceClient:
                         raise ServiceBusy(
                             f"{error} (after {attempt} retries)")
                     self.busy_retries_used += 1
-                    time.sleep(min(self.busy_backoff_cap,
+                    time.sleep(min(_BUSY_BACKOFF_CAP,
                                    self.busy_backoff * (2 ** attempt)))
                     attempt += 1
                     continue

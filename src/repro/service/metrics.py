@@ -36,14 +36,25 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from ..obs.metrics import REGISTRY, MetricsRegistry
+from ..obs.metrics import REGISTRY, Counter, MetricsRegistry
 
-__all__ = ["METRICS_SCHEMA_VERSION", "ServiceMetrics"]
+__all__ = ["METRICS_SCHEMA_VERSION", "FAULT_KINDS", "ServiceMetrics",
+           "worker_faults"]
 
 #: Bump when the ``payload()`` shape changes incompatibly.
 #: v2 (PR 9): same keys as v1 plus a ``registry`` section; figures now
 #: sourced from :mod:`repro.obs.metrics` instruments.
 METRICS_SCHEMA_VERSION = 2
+
+#: The worker-pool fault kinds: each is one ``kind`` series of
+#: :func:`worker_faults` and one key of the ``workers`` block.
+FAULT_KINDS = ("deaths", "restarts", "retried_chunks", "failed_chunks")
+
+
+def worker_faults(registry: MetricsRegistry) -> Counter:
+    """The worker-pool fault counter of a service's *registry*."""
+    return registry.counter("service_worker_faults_total",
+                            "worker pool faults by kind")
 
 
 class ServiceMetrics:
@@ -51,9 +62,9 @@ class ServiceMetrics:
 
     Tracks per-endpoint latency histograms, the bounded-queue gauges
     (depth, high water, rejections), and worker-pool execution time for
-    the utilization figure.  Worker *fault* counters (deaths, restarts,
-    retried and failed chunks) live on the pool's own stats object and
-    are merged in at :meth:`payload` time.
+    the utilization figure.  The worker pool counts its *faults*
+    (deaths, restarts, retried and failed chunks) in the same
+    *registry*, on :func:`worker_faults`.
     """
 
     def __init__(self, queue_limit: Optional[int] = None,
@@ -83,28 +94,12 @@ class ServiceMetrics:
         self._coalesced = reg.counter(
             "service_coalesced_total",
             "compile requests folded onto an in-flight computation")
-
-    # -- v1 attribute compatibility ------------------------------------------
+        self._faults = worker_faults(reg)
 
     @property
     def queue_depth(self) -> int:
+        """Compile jobs admitted and not yet done (admission reads it)."""
         return int(self._depth.value())
-
-    @property
-    def queue_high_water(self) -> int:
-        return int(self._high_water.value())
-
-    @property
-    def busy_rejections(self) -> int:
-        return int(self._rejections.value())
-
-    @property
-    def jobs_done(self) -> int:
-        return int(self._jobs.value())
-
-    @property
-    def busy_seconds(self) -> float:
-        return self._busy.value()
 
     # -- recording (hot path) ----------------------------------------------
 
@@ -147,7 +142,7 @@ class ServiceMetrics:
         elapsed = time.monotonic() - self._started
         if workers <= 0 or elapsed <= 0.0:
             return None
-        return min(1.0, self.busy_seconds / (elapsed * workers))
+        return min(1.0, self._busy.value() / (elapsed * workers))
 
     def _endpoint_block(self, op: str) -> Dict[str, Any]:
         mean = self._latency.mean(op=op)
@@ -164,7 +159,6 @@ class ServiceMetrics:
         return block
 
     def payload(self, workers: int = 0,
-                pool_stats: Optional[Dict[str, Any]] = None,
                 cache: Optional[Dict[str, Any]] = None,
                 shard_sizes: Optional[Dict[str, int]] = None,
                 ) -> Dict[str, Any]:
@@ -179,10 +173,11 @@ class ServiceMetrics:
         worker_block: Dict[str, Any] = {
             "configured": workers,
             "mode": "process-pool" if workers else "in-process",
-            "jobs_done": self.jobs_done,
+            "jobs_done": int(self._jobs.value()),
             "utilization": self.utilization(workers),
         }
-        worker_block.update(pool_stats or {})
+        for kind in FAULT_KINDS:
+            worker_block[kind] = int(self._faults.value(kind=kind))
         payload: Dict[str, Any] = {
             "schema": METRICS_SCHEMA_VERSION,
             "uptime_s": time.monotonic() - self._started,
@@ -190,8 +185,8 @@ class ServiceMetrics:
             "queue": {
                 "depth": self.queue_depth,
                 "limit": self.queue_limit,
-                "high_water": self.queue_high_water,
-                "busy_rejections": self.busy_rejections,
+                "high_water": int(self._high_water.value()),
+                "busy_rejections": int(self._rejections.value()),
             },
             "workers": worker_block,
             "cache": cache or {},

@@ -109,7 +109,8 @@ class CompileService:
             self.pool = WorkerPool(engine=self.engine,
                                    allow_chaos=allow_chaos)
         self.queue_limit = queue_limit
-        self.metrics = ServiceMetrics(queue_limit=queue_limit)
+        self.metrics = ServiceMetrics(queue_limit=queue_limit,
+                                      registry=self.pool.registry)
         #: request digest -> in-flight task (coalescing).
         self._inflight: Dict[str, asyncio.Task] = {}
         #: Live :meth:`handle_client` tasks (see :meth:`drop_connections`).
@@ -372,8 +373,8 @@ class CompileService:
         cache["lookups"] = lookups
         cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
         payload = self.metrics.payload(
-            workers=self.workers, pool_stats=self.pool.stats.as_dict(),
-            cache=cache, shard_sizes=self._shard_sizes())
+            workers=self.workers, cache=cache,
+            shard_sizes=self._shard_sizes())
         payload["workers"]["per_worker"] = self.pool.per_worker()
         return payload
 
@@ -433,19 +434,17 @@ class ServiceThread:
                  shards: int = 1,
                  cache_dir: Optional[str] = None,
                  backend: Optional[str] = None,
-                 engine_spec: Optional[EngineSpec] = None,
                  queue_limit: Optional[int] = None,
                  allow_chaos: bool = False) -> None:
         self.workers = max(0, int(workers))
-        if self.workers > 0 and engine_spec is None:
-            engine_spec = EngineSpec(backend=backend, cache_dir=cache_dir,
-                                     shards=shards)
-        if self.workers == 0 and engine is None and \
-                (cache_dir or backend or shards > 1):
+        self.engine_spec: Optional[EngineSpec] = None
+        if self.workers > 0:
+            self.engine_spec = EngineSpec(backend=backend,
+                                          cache_dir=cache_dir, shards=shards)
+        elif engine is None and (cache_dir or backend or shards > 1):
             engine = ExperimentEngine(backend=backend, cache_dir=cache_dir,
                                       shards=shards)
         self.engine = engine
-        self.engine_spec = engine_spec
         self.queue_limit = queue_limit
         self.allow_chaos = allow_chaos
         self.host = host

@@ -33,8 +33,8 @@ change: the first completion callback to notice rebuilds the executor
 exactly once, and every interrupted chunk is resubmitted on the new
 generation, up to :data:`MAX_RETRIES` times.  Deterministic failures (a
 malformed machine) are *not* retried — they propagate to the one
-request that caused them.  All fault counters surface in the
-``metrics`` endpoint.
+request that caused them.  The pool counts its faults in its
+:attr:`WorkerPool.registry`, which the ``metrics`` endpoint renders.
 
 Workers honor test-only *chaos* directives (``{"chaos": {...}}`` in a
 job's params) **only** when the pool was built with
@@ -57,9 +57,11 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..engine import EngineSpec, ExperimentEngine
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import SpanContext, get_tracer
+from .metrics import worker_faults
 
-__all__ = ["WorkerPool", "PoolStats", "MAX_RETRIES"]
+__all__ = ["WorkerPool", "MAX_RETRIES"]
 
 #: Counters a worker's cache snapshot carries (summed across workers).
 _STAT_KEYS = ("jobs", "hits", "misses", "disk_hits", "unit_hits",
@@ -207,27 +209,6 @@ def _ping(sleep_s: float) -> str:
 # server side
 # ---------------------------------------------------------------------------
 
-class PoolStats:
-    """Thread-safe fault counters of one pool."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.deaths = 0            # pool-breaking worker exits observed
-        self.restarts = 0          # executor rebuilds performed
-        self.retried_chunks = 0    # chunks resubmitted after a death
-        self.failed_chunks = 0     # chunks abandoned (retries exhausted)
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + by)
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {"deaths": self.deaths, "restarts": self.restarts,
-                    "retried_chunks": self.retried_chunks,
-                    "failed_chunks": self.failed_chunks}
-
-
 class WorkerPool:
     """Compile workers behind a retrying submit surface: *workers*
     spawn processes built from *spec* or, given a live *engine*, one
@@ -246,7 +227,10 @@ class WorkerPool:
         else:
             self.workers = max(1, int(workers))
             self._run_chunk, self._ping = _run_chunk, _ping
-        self.stats = PoolStats()
+        #: The service's registry: the pool counts its faults here, by
+        #: ``kind``, and the service's ``ServiceMetrics`` renders it.
+        self.registry = MetricsRegistry()
+        self._faults = worker_faults(self.registry)
         self._lock = threading.Lock()
         self._generation = 0
         self._closed = False
@@ -324,18 +308,18 @@ class WorkerPool:
                 # The pool broke between submissions; rebuild inline.
                 self._rebuild_locked(generation)
                 if retries_left > 0:
-                    self.stats.bump("retried_chunks")
+                    self._faults.inc(kind="retried_chunks")
                     generation = self._generation
                     try:
                         inner = self._executor.submit(self._run_chunk,
                                                       chunk, trace_ctx)
                         retries_left -= 1
                     except BrokenProcessPool as again:
-                        self.stats.bump("failed_chunks")
+                        self._faults.inc(kind="failed_chunks")
                         outer.set_exception(again)
                         return
                 else:
-                    self.stats.bump("failed_chunks")
+                    self._faults.inc(kind="failed_chunks")
                     outer.set_exception(exc)
                     return
 
@@ -355,26 +339,26 @@ class WorkerPool:
                 with self._lock:
                     self._rebuild_locked(_gen)
                 if _retries > 0:
-                    self.stats.bump("retried_chunks")
+                    self._faults.inc(kind="retried_chunks")
                     self._submit(chunk, outer, _retries - 1, trace_ctx)
                     return
-                self.stats.bump("failed_chunks")
+                self._faults.inc(kind="failed_chunks")
             outer.set_exception(exc)
 
         inner.add_done_callback(on_done)
 
     def _rebuild_locked(self, generation: int) -> None:
         """Replace a broken executor (callers hold ``self._lock`` or
-        are inside a ``with self._lock`` block).  Many chunks observe
-        one death; the generation counter makes exactly one of them
-        perform the rebuild."""
-        self.stats.bump("deaths")
+        are inside a ``with self._lock`` block).  Every chunk in flight
+        observes one death; the generation counter makes exactly one of
+        them count it and perform the rebuild."""
         if generation != self._generation or self._closed:
             return
+        self._faults.inc(kind="deaths")
         old = self._executor
         self._executor = self._new_executor()
         self._generation += 1
-        self.stats.bump("restarts")
+        self._faults.inc(kind="restarts")
         # Old executor's processes are gone; reap its bookkeeping
         # without waiting (its futures already errored).
         threading.Thread(target=old.shutdown, kwargs={"wait": False},

@@ -23,13 +23,13 @@ partial files, readers never block writers, and duplicate writers of
 one key converge on equivalent content.
 """
 
-from .artifact import ArtifactStore, GcReport, StoreStats
+from .artifact import ArtifactStore, GcReport
 from .entry import (ENTRY_MAGIC, CorruptEntryError, EntryError,
                     SchemaMismatchError, decode_entry, encode_entry)
 from .sharding import HashRing
 
 __all__ = [
-    "ArtifactStore", "GcReport", "StoreStats", "HashRing",
+    "ArtifactStore", "GcReport", "HashRing",
     "ENTRY_MAGIC", "EntryError", "CorruptEntryError",
     "SchemaMismatchError", "encode_entry", "decode_entry",
 ]

@@ -24,6 +24,11 @@ entry, ``gc(max_bytes)`` drops the least-recently-used entries until
 the store fits the budget.  Any entry that fails verification — stale
 schema generation, truncation, bit rot — is deleted on sight and
 reported as a miss (corrupted-entry recovery).
+
+The process :data:`~repro.obs.metrics.REGISTRY` counts what the stores
+drop: ``store_corrupt_dropped_total`` (entries that failed
+verification on read) and ``store_evicted_total`` (entries ``gc``
+evicted).
 """
 
 from __future__ import annotations
@@ -37,30 +42,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, List, Optional, Tuple
 
+from ..obs.metrics import REGISTRY
 from ..obs.trace import span as _span
 from .entry import EntryError, decode_entry, encode_entry
 
-__all__ = ["ArtifactStore", "StoreStats", "GcReport", "FsckReport"]
+__all__ = ["ArtifactStore", "GcReport", "FsckReport"]
 
 #: Stray temp files older than this are reaped by ``gc``/``fsck`` —
 #: generous enough that no live writer is ever this old.
 _TMP_MAX_AGE_SECONDS = 3600.0
 
-
-@dataclass
-class StoreStats:
-    """Best-effort per-process counters of one store handle."""
-
-    reads: int = 0
-    read_hits: int = 0
-    writes: int = 0
-    corrupt_dropped: int = 0
-    evicted: int = 0
-
-    def summary(self) -> str:
-        return (f"store: {self.read_hits}/{self.reads} reads served, "
-                f"{self.writes} writes, {self.corrupt_dropped} corrupt "
-                f"dropped, {self.evicted} evicted")
+_CORRUPT_DROPPED = REGISTRY.counter(
+    "store_corrupt_dropped_total",
+    "store entries dropped because they failed verification on read")
+_EVICTED = REGISTRY.counter("store_evicted_total",
+                            "store entries evicted by gc")
 
 
 @dataclass
@@ -104,7 +100,6 @@ class ArtifactStore:
                  max_bytes: Optional[int] = None) -> None:
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.stats = StoreStats()
         self._objects = self.root / "objects"
         self._tmp = self.root / "tmp"
         self._objects.mkdir(parents=True, exist_ok=True)
@@ -132,7 +127,6 @@ class ArtifactStore:
         """
         sp = _span("store.read")
         with sp:
-            self.stats.reads += 1
             path = self.path_for(key)
             try:
                 data = path.read_bytes()
@@ -144,7 +138,7 @@ class ArtifactStore:
                 value = decode_entry(key, data)
             except EntryError:
                 self._drop(path)
-                self.stats.corrupt_dropped += 1
+                _CORRUPT_DROPPED.inc()
                 if sp.recording:
                     sp.set(outcome="corrupt")
                 raise KeyError(key) from None
@@ -152,7 +146,6 @@ class ArtifactStore:
                 os.utime(path)          # LRU touch; entry may be racing gc
             except OSError:
                 pass
-            self.stats.read_hits += 1
             if sp.recording:
                 sp.set(outcome="hit", bytes=len(data))
             return value
@@ -189,7 +182,6 @@ class ArtifactStore:
                 except OSError:
                     pass
                 raise
-            self.stats.writes += 1
             if self.max_bytes is not None:
                 if self._approx_bytes is None:
                     self._approx_bytes = self.total_bytes()
@@ -299,7 +291,8 @@ class ArtifactStore:
                 self._drop(path)
                 report.dropped += 1
                 report.bytes_after -= size
-            self.stats.evicted += report.dropped
+            if report.dropped:
+                _EVICTED.inc(report.dropped)
             self._approx_bytes = report.bytes_after   # resync the estimate
             if sp.recording:
                 sp.set(scanned=report.scanned, dropped=report.dropped,

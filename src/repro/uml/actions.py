@@ -20,8 +20,8 @@ are provided so analyses can use them in sets/dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Tuple, Union
 
 __all__ = [
     "Expr",

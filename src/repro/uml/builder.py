@@ -19,7 +19,7 @@ builder scoped to a sub-region.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from .actions import Behavior, CallExpr, CallStmt, Expr, Stmt, parse_expr
 from .elements import ModelError

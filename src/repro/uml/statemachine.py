@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional
 from .actions import Behavior
 from .elements import Element, ModelError, NamedElement
 from .events import Event
-from .transitions import Transition, TransitionKind
+from .transitions import Transition
 
 __all__ = [
     "Vertex",

@@ -33,9 +33,9 @@ from typing import Iterator, List
 
 from .actions import CallExpr, VarRef, Behavior
 from .elements import ModelError
-from .statemachine import (FinalState, Pseudostate, PseudostateKind, Region,
-                           State, StateMachine, Vertex)
-from .transitions import Transition, TransitionKind
+from .statemachine import (FinalState, Pseudostate, PseudostateKind, State,
+                           StateMachine)
+from .transitions import TransitionKind
 
 __all__ = ["ValidationIssue", "ValidationError", "validate_machine",
            "check_machine"]

@@ -211,7 +211,7 @@ class TestThreadSafeStats:
         assert stats.misses == n_threads * n_each // 2
         assert stats.hits == n_threads * n_each // 2
         assert stats.disk_hits == n_threads * n_each // 4
-        assert stats.lookups == n_threads * n_each
+        assert stats.snapshot()["lookups"] == n_threads * n_each
 
 
 class TestStoreFailureResilience:

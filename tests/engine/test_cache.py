@@ -20,7 +20,7 @@ class TestCompileCache:
         assert cache.get_or_compute("k", lambda: calls.append(1) or 99) == 41
         assert len(calls) == 1
         assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        assert cache.stats.snapshot()["hit_rate"] == 0.5
 
     def test_clear_forgets_values_keeps_stats(self):
         cache = CompileCache()

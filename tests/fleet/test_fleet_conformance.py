@@ -1,4 +1,4 @@
-"""Fleet conformance: the packaged check and its cached engine surface."""
+"""Fleet conformance: the packaged check."""
 
 from repro.fleet import check_fleet_conformance
 from repro.semantics.variation import (ConflictPolicy,
@@ -33,20 +33,3 @@ class TestCheckFleetConformance:
                                          scenarios=[("e1",), ("e1", "e4")])
         assert report.scenarios_run == 2
         assert report.conformant
-
-
-class TestEngineSurface:
-    def test_fleet_conformance_is_cached(self, memory_engine,
-                                         flat_machine):
-        first = memory_engine.fleet_conformance(flat_machine)
-        assert first.conformant
-        before = memory_engine.cache.stats.hits
-        second = memory_engine.fleet_conformance(flat_machine)
-        assert memory_engine.cache.stats.hits > before
-        assert second.conformant
-        assert second.scenarios_run == first.scenarios_run
-
-    def test_wide_lanes_keys_the_cache(self, memory_engine, flat_machine):
-        a = memory_engine.fleet_conformance(flat_machine, wide_lanes=4)
-        b = memory_engine.fleet_conformance(flat_machine, wide_lanes=8)
-        assert a.wide_lanes == 4 and b.wide_lanes == 8

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fleet import FleetHarness, compile_table
+from repro.obs.metrics import REGISTRY
 
 
 class TestRouting:
@@ -64,3 +65,19 @@ class TestReports:
             assert shard.p50_ms <= shard.p90_ms <= shard.p99_ms \
                 <= shard.max_ms
         assert "lane-events" in report.summary()
+
+
+class TestRegistry:
+    def test_lane_events_count_once_per_delivery(self, flat_machine):
+        """Reports stay cumulative, but the registry counts each
+        lane-event once, when a flush delivers it."""
+        counter = REGISTRY.get("fleet_lane_events_total")
+        harness = FleetHarness(flat_machine, n_instances=100, n_shards=4,
+                               batch_size=2, routing="broadcast")
+        harness.start()
+        before = counter.value()
+        for _ in range(3):
+            harness.run(["e1", "e3", "e1"])
+        report = harness.run([])
+        assert report.lane_events == 900
+        assert counter.value() - before == 900

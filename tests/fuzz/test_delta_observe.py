@@ -63,7 +63,7 @@ def test_oracle_path_uses_engine_unit_tier_by_default(memory_engine):
                             levels=("-Os",), check_optimized=False,
                             check_fleet=False))
     oracle.run_case(case)
-    assert memory_engine.units.stats.lookups > 0, \
+    assert memory_engine.units.stats.snapshot()["lookups"] > 0, \
         "the oracle's VM cells must compile per unit"
 
 

@@ -112,6 +112,30 @@ class TestWorkerDeath:
         assert workers["restarts"] >= 1
         assert workers["retried_chunks"] >= 1
 
+    def test_one_death_counts_once_across_chunks(self, cluster, machines,
+                                                 tmp_path):
+        """Every chunk in flight sees the broken pool; the death and
+        the rebuild count once."""
+        marker = os.path.join(str(tmp_path), "die-once")
+        batch = [compile_params(machine, pattern=pattern)
+                 for machine in machines[:2]
+                 for pattern in ("flat-switch", "state-pattern")]
+        for params in batch[1:]:
+            params["chaos"] = {"sleep": 0.5}      # still in flight ...
+        batch[0]["chaos"] = {"exit_before": marker}   # ... at the kill
+        with cluster.client() as client:
+            before = client.metrics()["workers"]
+            result = client.request("batch", jobs=batch)
+            doc = client.metrics()
+        assert os.path.exists(marker)
+        assert len(result["results"]) == len(batch)
+        after = doc["workers"]
+        assert after["retried_chunks"] - before["retried_chunks"] >= 2
+        assert after["deaths"] - before["deaths"] == 1
+        assert after["restarts"] - before["restarts"] == 1
+        faults = doc["registry"]["service_worker_faults_total"]["series"]
+        assert faults["kind=deaths"] == after["deaths"]
+
     def test_crash_loop_degrades_gracefully(self, cluster, machines):
         poisoned = compile_params(machines[0], pattern="state-table")
         poisoned["chaos"] = {"exit_always": True}

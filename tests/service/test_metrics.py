@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service.metrics import METRICS_SCHEMA_VERSION, ServiceMetrics
+from repro.service.metrics import (METRICS_SCHEMA_VERSION, ServiceMetrics,
+                                   worker_faults)
 
 
 class TestServiceMetricsQueue:
@@ -10,12 +11,15 @@ class TestServiceMetricsQueue:
         metrics = ServiceMetrics(queue_limit=8)
         metrics.enqueue(3)
         metrics.enqueue(2)
-        assert metrics.queue_depth == 5 and metrics.queue_high_water == 5
+        assert metrics.queue_depth == 5
+        assert metrics.payload()["queue"]["high_water"] == 5
         metrics.dequeue(4, busy_seconds=1.5)
         assert metrics.queue_depth == 1
-        assert metrics.queue_high_water == 5          # sticky
-        assert metrics.jobs_done == 4
-        assert metrics.busy_seconds == pytest.approx(1.5)
+        doc = metrics.payload()
+        assert doc["queue"]["high_water"] == 5        # sticky
+        assert doc["workers"]["jobs_done"] == 4
+        busy = doc["registry"]["service_busy_seconds_total"]
+        assert busy["series"][""] == pytest.approx(1.5)
 
     def test_utilization_bounds(self):
         metrics = ServiceMetrics()
@@ -35,10 +39,11 @@ class TestPayloadSchema:
         metrics.reject()
         metrics.connect()
         metrics.coalesce()
+        faults = worker_faults(metrics.registry)
+        faults.inc(kind="deaths")
+        faults.inc(kind="restarts")
+        faults.inc(2, kind="retried_chunks")
         doc = metrics.payload(workers=2,
-                              pool_stats={"deaths": 1, "restarts": 1,
-                                          "retried_chunks": 2,
-                                          "failed_chunks": 0},
                               cache={"hits": 5, "misses": 3,
                                      "disk_hits": 1, "hit_rate": 0.625},
                               shard_sizes={"shard-00": 4, "shard-01": 4})
@@ -55,6 +60,7 @@ class TestPayloadSchema:
         assert workers["mode"] == "process-pool"
         assert workers["jobs_done"] == 2
         assert workers["deaths"] == 1 and workers["retried_chunks"] == 2
+        assert workers["restarts"] == 1 and workers["failed_chunks"] == 0
         assert 0.0 < workers["utilization"] <= 1.0
         assert doc["cache"]["hit_rate"] == 0.625
         assert doc["shards"] == {"shard-00": 4, "shard-01": 4}
@@ -83,8 +89,6 @@ class TestSchemaV2Compat:
         metrics.dequeue(1, busy_seconds=0.01)
         return metrics.payload(
             workers=2,
-            pool_stats={"deaths": 0, "restarts": 0, "retried_chunks": 0,
-                        "failed_chunks": 0},
             cache={"hits": 1, "misses": 0, "disk_hits": 0,
                    "hit_rate": 1.0},
             shard_sizes={"shard-00": 1})

@@ -89,6 +89,13 @@ class TestEndToEnd:
         assert doc["endpoints"]["compile"]["count"] == 1
         assert doc["cache"]["misses"] == 1
 
+    def test_registry_lists_the_worker_fault_counter(self, handle):
+        with handle.client() as client:
+            doc = client.metrics()
+        assert doc["registry"]["service_worker_faults_total"]["kind"] == \
+            "counter"
+        assert doc["workers"]["deaths"] == doc["workers"]["restarts"] == 0
+
     def test_stats_op_is_retired(self, handle):
         with handle.client() as client:
             with pytest.raises(ServiceError,

@@ -4,12 +4,18 @@ import os
 
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.store import ArtifactStore
 
 
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
+
+
+def counted(name):
+    """The process-wide total of store counter *name*."""
+    return REGISTRY.get(name).value()
 
 
 class TestBasics:
@@ -69,10 +75,11 @@ class TestRecovery:
         path = store.path_for("k")
         data = path.read_bytes()
         path.write_bytes(data[:-5] + b"XXXXX")
+        before = counted("store_corrupt_dropped_total")
         with pytest.raises(KeyError):
             store.load("k")
         assert not path.exists(), "corrupt entry must be deleted"
-        assert store.stats.corrupt_dropped == 1
+        assert counted("store_corrupt_dropped_total") == before + 1
         # the key is reusable afterwards
         store.put("k", "fresh")
         assert store.load("k") == "fresh"
@@ -114,10 +121,11 @@ class TestEviction:
     def test_gc_respects_budget(self, tmp_path):
         store = self._sized_store(tmp_path)
         before = store.total_bytes()
+        evicted = counted("store_evicted_total")
         report = store.gc(max_bytes=before // 2)
         assert store.total_bytes() <= before // 2
         assert report.dropped > 0 and report.bytes_after <= before // 2
-        assert store.stats.evicted == report.dropped
+        assert counted("store_evicted_total") == evicted + report.dropped
 
     def test_gc_is_lru(self, tmp_path):
         store = self._sized_store(tmp_path)
@@ -186,8 +194,9 @@ class TestReviewRegressions:
         """Rewriting one key must not creep the running size estimate
         past the budget (which would cost a full-store gc per put)."""
         store = ArtifactStore(tmp_path / "rewrite", max_bytes=100_000)
+        evicted = counted("store_evicted_total")
         for _ in range(300):
             store.put("same-key", list(range(100)))
         assert len(store) == 1
-        assert store.stats.evicted == 0
+        assert counted("store_evicted_total") == evicted
         assert store._approx_bytes == store.total_bytes()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.engine import ExperimentEngine
 from repro.engine.backends import DiskBackend, TieredBackend
+from repro.obs.metrics import REGISTRY
 from repro.store import ArtifactStore
 from repro.store.artifact import ArtifactStore as _Store
 
@@ -88,9 +89,11 @@ class TestFsckAfterTornWrite:
         tmp_store.put("k", [1, 2, 3])
         path = tmp_store.path_for("k")
         path.write_bytes(path.read_bytes()[:-1])
+        before = REGISTRY.get("store_corrupt_dropped_total").value()
         with pytest.raises(KeyError):
             tmp_store.load("k")
-        assert tmp_store.stats.corrupt_dropped == 1
+        assert REGISTRY.get("store_corrupt_dropped_total").value() == \
+            before + 1
         assert not path.exists()
 
 
