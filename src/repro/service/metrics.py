@@ -10,8 +10,9 @@ in a per-service :class:`~repro.obs.metrics.MetricsRegistry` (so two
 :meth:`ServiceMetrics.payload` renders the same v1 document shape from
 those instruments (CI gates assert it), adds a ``registry`` section
 exposing *every* registered metric — including the process-global
-:data:`~repro.obs.metrics.REGISTRY` the engine/VM/fleet publish into —
-and stamps ``schema: 2``.
+:data:`~repro.obs.metrics.REGISTRY` the engine/VM/fleet publish into,
+plus, in cluster mode, the counters of every worker process — and
+stamps ``schema: 2``.
 
 Design rules, in the measure-don't-guess tradition:
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from ..obs.metrics import REGISTRY, Counter, MetricsRegistry
 
@@ -55,6 +56,21 @@ def worker_faults(registry: MetricsRegistry) -> Counter:
     """The worker-pool fault counter of a service's *registry*."""
     return registry.counter("service_worker_faults_total",
                             "worker pool faults by kind")
+
+
+def _add_counters(registry: Dict[str, Dict[str, Any]],
+                  counters: Dict[str, Dict[str, Any]]) -> None:
+    """Add another process's counter snapshots into *registry* (a
+    registry snapshot), series by series."""
+    for name, counter in counters.items():
+        entry = registry.setdefault(name, {"kind": "counter",
+                                           "help": counter["help"],
+                                           "series": {}})
+        if entry["kind"] != "counter":
+            continue
+        series = entry["series"]
+        for labels, value in counter["series"].items():
+            series[labels] = series.get(labels, 0) + value
 
 
 class ServiceMetrics:
@@ -161,11 +177,13 @@ class ServiceMetrics:
     def payload(self, workers: int = 0,
                 cache: Optional[Dict[str, Any]] = None,
                 shard_sizes: Optional[Dict[str, int]] = None,
+                worker_counters: Sequence[Dict[str, Dict[str, Any]]] = (),
                 ) -> Dict[str, Any]:
         """The ``metrics`` endpoint's JSON document (schema v2: every
         v1 key, the ``service`` request totals, plus ``registry`` — this
         service's instruments merged with the process-global
-        :data:`~repro.obs.metrics.REGISTRY`)."""
+        :data:`~repro.obs.metrics.REGISTRY`, and each worker process's
+        counters (*worker_counters*) added series by series)."""
         ops = sorted({labels["op"]
                       for labels in self._latency.labelsets()
                       if "op" in labels})
@@ -199,6 +217,8 @@ class ServiceMetrics:
             },
             "registry": {**REGISTRY.snapshot(), **self.registry.snapshot()},
         }
+        for counters in worker_counters:
+            _add_counters(payload["registry"], counters)
         if shard_sizes is not None:
             payload["shards"] = shard_sizes
         return payload

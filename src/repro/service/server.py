@@ -374,7 +374,8 @@ class CompileService:
         cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
         payload = self.metrics.payload(
             workers=self.workers, cache=cache,
-            shard_sizes=self._shard_sizes())
+            shard_sizes=self._shard_sizes(),
+            worker_counters=self.pool.worker_counters())
         payload["workers"]["per_worker"] = self.pool.per_worker()
         return payload
 

@@ -35,6 +35,9 @@ generation, up to :data:`MAX_RETRIES` times.  Deterministic failures (a
 malformed machine) are *not* retried — they propagate to the one
 request that caused them.  The pool counts its faults in its
 :attr:`WorkerPool.registry`, which the ``metrics`` endpoint renders.
+A worker process also reports its own registry counters with every
+chunk (:meth:`WorkerPool.worker_counters`), so the endpoint's
+``registry`` section counts the compiles the workers ran.
 
 Workers honor test-only *chaos* directives (``{"chaos": {...}}`` in a
 job's params) **only** when the pool was built with
@@ -57,7 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..engine import EngineSpec, ExperimentEngine
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import REGISTRY, Counter, MetricsRegistry
 from ..obs.trace import SpanContext, get_tracer
 from .metrics import worker_faults
 
@@ -95,16 +98,31 @@ def _apply_chaos(chaos: Dict[str, Any]) -> None:
         os._exit(13)
 
 
+def _registry_counters() -> Dict[str, Dict[str, Any]]:
+    """This process's :data:`REGISTRY` counters, as its snapshot
+    renders them."""
+    counters = {}
+    for name in REGISTRY.names():
+        metric = REGISTRY.get(name)
+        if isinstance(metric, Counter):
+            counters[name] = metric.describe()
+    return counters
+
+
 class _Worker:
     """One compile worker: its engine, the token naming it in
     ``per_worker``, and the number of jobs it compiled.  A worker
-    process holds one in :data:`_WORKER`; a thread-backed pool runs
-    one on its compile thread."""
+    process holds one in :data:`_WORKER`, and its snapshots carry its
+    process's registry counters (*counters*); a thread-backed pool runs
+    one on its compile thread, which publishes into the server's own
+    registry."""
 
-    def __init__(self, engine: ExperimentEngine, allow_chaos: bool) -> None:
+    def __init__(self, engine: ExperimentEngine, allow_chaos: bool,
+                 counters: bool = False) -> None:
         self.engine = engine
         self.token = os.urandom(8).hex()
         self.allow_chaos = bool(allow_chaos)
+        self.counters = counters
         self.jobs = 0
         self._lock = threading.Lock()
 
@@ -118,7 +136,7 @@ class _Worker:
         # field-by-field read here could tear against a concurrent compile.
         stats = engine.stats.snapshot()
         units = engine.unit_stats.snapshot()
-        return {
+        snapshot = {
             "token": self.token,
             "pid": os.getpid(),
             "jobs": jobs,
@@ -131,6 +149,9 @@ class _Worker:
             "reused_units": units["hits"],
             "compiled_units": units["misses"],
         }
+        if self.counters:
+            snapshot["counters"] = _registry_counters()
+        return snapshot
 
     def run_chunk(self, chunk: Sequence[Dict[str, Any]],
                   trace_ctx: Optional[Dict[str, Any]] = None
@@ -192,7 +213,7 @@ _WORKER: Optional[_Worker] = None
 
 def _init_worker(spec: EngineSpec, allow_chaos: bool) -> None:
     global _WORKER
-    _WORKER = _Worker(spec.build(), allow_chaos)
+    _WORKER = _Worker(spec.build(), allow_chaos, counters=True)
 
 
 def _run_chunk(chunk: Sequence[Dict[str, Any]],
@@ -389,8 +410,17 @@ class WorkerPool:
         totals["workers_reporting"] = len(snapshots)
         return totals
 
+    def worker_counters(self) -> List[Dict[str, Dict[str, Any]]]:
+        """The registry counters of the latest snapshot of every worker
+        process ever seen; empty for a thread-backed pool."""
+        with self._lock:
+            return [snapshot["counters"]
+                    for snapshot in self._worker_stats.values()
+                    if "counters" in snapshot]
+
     def per_worker(self) -> List[Dict[str, Any]]:
         with self._lock:
-            return sorted(self._worker_stats.values(),
-                          key=lambda s: (s.get("pid", 0),
-                                         s.get("token", "")))
+            snapshots = list(self._worker_stats.values())
+        return sorted(({key: value for key, value in snapshot.items()
+                        if key != "counters"} for snapshot in snapshots),
+                      key=lambda s: (s.get("pid", 0), s.get("token", "")))

@@ -28,6 +28,10 @@ immediate at bit level.  The payload width bounds the pool: a 2-byte
 rt16 instruction can name 256 distinct operand tuples of its mnemonic
 per function, far beyond what any generated machine reaches; exceeding
 it raises :class:`EncodingError` rather than silently widening.
+
+:func:`encoding_for` builds each target's encoding once; its
+per-mnemonic table holds every (opcode, size, pool capacity) the
+encoder and decoder look up.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from ..compiler.rtl.ir import RInstr
 from ..compiler.target.description import TargetDescription
 
 __all__ = ["EncodingError", "OperandPool", "TargetEncoding",
-           "operand_key"]
+           "encoding_for", "instr_of", "operand_key"]
 
 
 class EncodingError(Exception):
@@ -59,6 +63,13 @@ def operand_key(instr: RInstr) -> OperandKey:
             tuple(instr.table) if instr.table is not None else None)
 
 
+def instr_of(op: str, operands: OperandKey) -> RInstr:
+    """The instruction a decoded ``(op, operands)`` pair stands for."""
+    defs, uses, imm, symbol, target, table = operands
+    return RInstr(op, defs=defs, uses=uses, imm=imm, symbol=symbol,
+                  target=target, table=table)
+
+
 class OperandPool:
     """Per-function operand pool: one interning table per mnemonic."""
 
@@ -66,8 +77,7 @@ class OperandPool:
         self._entries: Dict[str, List[OperandKey]] = {}
         self._index: Dict[Tuple[str, OperandKey], int] = {}
 
-    def intern(self, op: str, key: OperandKey, max_entries: int,
-               context: str = "") -> int:
+    def intern(self, op: str, key: OperandKey, max_entries: int) -> int:
         """Index of *key* in the mnemonic's table, adding it if new."""
         probe = self._index.get((op, key))
         if probe is not None:
@@ -75,7 +85,7 @@ class OperandPool:
         table = self._entries.setdefault(op, [])
         if len(table) >= max_entries:
             raise EncodingError(
-                f"{context}: operand pool overflow for {op!r} "
+                f"operand pool overflow for {op!r} "
                 f"({max_entries} entries fit the payload width)")
         index = len(table)
         table.append(key)
@@ -93,8 +103,16 @@ class OperandPool:
         return list(self._entries.get(op, []))
 
 
+def _where(context: str, offset: Optional[int]) -> str:
+    return context if offset is None else f"{context}+{offset:#x}"
+
+
 class TargetEncoding:
-    """The byte-level view of one target's ISA."""
+    """The byte-level view of one target's ISA.
+
+    Build one per target with :func:`encoding_for`; everything here is
+    derived once, in the constructor.
+    """
 
     def __init__(self, target: TargetDescription) -> None:
         self.target = target
@@ -111,15 +129,25 @@ class TargetEncoding:
             + ("sp", "lr"))
         self.reg_num: Dict[str, int] = {
             name: i for i, name in enumerate(self.reg_names)}
+        self.registers = frozenset(self.reg_names)
+        #: mnemonic -> (opcode, size, pool capacity) for every mnemonic
+        #: wide enough to encode (see :meth:`size_of`).
+        self.table: Dict[str, Tuple[int, int, int]] = {
+            op: (code, size, 1 << (8 * (size - 1)))
+            for code, op in enumerate(self.mnemonics)
+            for size in (target.insn_sizes[op],) if size >= 2}
 
     # -- sizing ------------------------------------------------------------
     def size_of(self, op: str) -> int:
+        spec = self.table.get(op)
+        if spec is not None:
+            return spec[1]
         try:
             size = self.target.insn_sizes[op]
         except KeyError:
             raise EncodingError(
                 f"{self.target.name} does not encode {op!r}") from None
-        if op != "label" and size < 2:
+        if op != "label":
             raise EncodingError(
                 f"{self.target.name}: {op!r} is {size} byte(s); the codec "
                 "needs an opcode byte plus at least one payload byte")
@@ -127,34 +155,53 @@ class TargetEncoding:
 
     def pool_capacity(self, op: str) -> int:
         """Distinct operand tuples the payload width can index."""
-        return 1 << (8 * (self.size_of(op) - 1))
+        self.size_of(op)    # raises for a mnemonic the codec cannot encode
+        return self.table[op][2]
 
     # -- encode ------------------------------------------------------------
-    def encode(self, instr: RInstr, pool: OperandPool,
-               context: str = "") -> bytes:
-        """Encode one instruction; interns its operands into *pool*."""
+    def encode(self, instr: RInstr, pool: OperandPool, context: str = "",
+               offset: Optional[int] = None) -> bytes:
+        """Encode one instruction; interns its operands into *pool*.
+
+        Errors name *context* (and ``+offset`` when given), formatted
+        only when one is raised."""
+        spec = self.table.get(instr.op)
+        registers = self.registers
+        if spec is None or not (registers.issuperset(instr.defs)
+                                and registers.issuperset(instr.uses)):
+            return self._reject(instr, _where(context, offset))
+        opcode, size, capacity = spec
+        try:
+            index = pool.intern(instr.op, operand_key(instr), capacity)
+        except EncodingError as exc:
+            raise EncodingError(f"{_where(context, offset)}: {exc}") \
+                from None
+        return bytes((opcode,)) + index.to_bytes(size - 1, "little")
+
+    def _reject(self, instr: RInstr, where: str) -> bytes:
+        """Encode what the fast path of :meth:`encode` does not: a label
+        (no bytes), or raise why *instr* cannot be encoded."""
         if instr.op == "label":
             return b""
-        opcode = self.opcode_of.get(instr.op)
-        if opcode is None:
+        if instr.op not in self.opcode_of:
             raise EncodingError(
-                f"{context}: {self.target.name} does not encode "
+                f"{where}: {self.target.name} does not encode "
                 f"{instr.op!r}")
         for reg in tuple(instr.defs) + tuple(instr.uses):
-            if reg not in self.reg_num:
+            if reg not in self.registers:
                 raise EncodingError(
-                    f"{context}: register {reg!r} is not in the "
+                    f"{where}: register {reg!r} is not in the "
                     f"{self.target.name} register file (virtual register "
                     "reached the assembler?)")
-        size = self.size_of(instr.op)
-        index = pool.intern(instr.op, operand_key(instr),
-                            self.pool_capacity(instr.op), context)
-        return bytes([opcode]) + index.to_bytes(size - 1, "little")
+        self.size_of(instr.op)   # raises: no room for a payload byte
+        raise AssertionError(f"{instr.op!r} should have encoded")
 
     # -- decode ------------------------------------------------------------
-    def decode(self, data: bytes, offset: int,
-               pool: OperandPool) -> Tuple[RInstr, int]:
-        """Decode the instruction at *offset*; returns (instr, size)."""
+    def decode(self, data: bytes, offset: int, pool: OperandPool
+               ) -> Tuple[str, OperandKey, int]:
+        """Decode the instruction at *offset*: ``(op, operands, size)``,
+        *operands* being the :func:`operand_key` the pool interned
+        (:func:`instr_of` turns the pair back into an ``RInstr``)."""
         try:
             opcode = data[offset]
         except IndexError:
@@ -171,7 +218,19 @@ class TargetEncoding:
             raise EncodingError(
                 f"truncated {op!r} at +{offset}: {len(payload)} payload "
                 f"byte(s), expected {size - 1}")
-        index = int.from_bytes(payload, "little")
-        defs, uses, imm, symbol, target, table = pool.lookup(op, index)
-        return (RInstr(op, defs=defs, uses=uses, imm=imm, symbol=symbol,
-                       target=target, table=table), size)
+        return op, pool.lookup(op, int.from_bytes(payload, "little")), size
+
+
+#: One encoding per target, keyed by identity: a description is
+#: unhashable (``insn_sizes`` is a dict), and the cached encoding holds
+#: its description, so an id stays taken while it is cached.
+_ENCODINGS: Dict[int, TargetEncoding] = {}
+
+
+def encoding_for(target: TargetDescription) -> TargetEncoding:
+    """*target*'s :class:`TargetEncoding`, built on first use."""
+    encoding = _ENCODINGS.get(id(target))
+    if encoding is None:
+        encoding = _ENCODINGS.setdefault(id(target),
+                                         TargetEncoding(target))
+    return encoding

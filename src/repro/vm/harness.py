@@ -193,6 +193,59 @@ class CompiledProgram:
         return CompiledMachineVM(self, externals=externals)
 
 
+class _Recorder:
+    """Turns the watched stores of one booted machine into trace records.
+
+    It holds all the watchpoint hooks read — the trace, the event and
+    state names, the dispatch echo to skip and the attributes whose
+    default was stored — and refers to neither the
+    :class:`CompiledMachineVM` nor its :class:`~.machine.Machine`, so
+    the two form no reference cycle: reference counting frees them as
+    soon as the last reference to the VM goes."""
+
+    def __init__(self, trace: Trace, event_names: List[str],
+                 state_enumerators: Optional[List[str]]) -> None:
+        self.trace = trace
+        self.event_names = event_names
+        self.state_enumerators = state_enumerators
+        #: The event index the running ``dispatch`` echoes into the
+        #: pending slot first (None outside a dispatch).
+        self.expected_echo: Optional[int] = None
+        self.default_stored: set = set()
+
+    def attr_hook(self, name: str) -> Callable[[int, int], None]:
+        trace, default_stored = self.trace, self.default_stored
+
+        def hook(_addr: int, value: int) -> None:
+            if name not in default_stored:
+                # init()'s one-time default-value store; the interpreter
+                # does not trace attribute initialization either.
+                default_stored.add(name)
+                return
+            trace.append(TraceKind.ASSIGN, name, value)
+        return hook
+
+    def pending_hook(self, _addr: int, value: int) -> None:
+        if value == _NO_EVENT:
+            return
+        if self.expected_echo is not None and value == self.expected_echo:
+            # dispatch() begins by storing its own argument into the
+            # pending slot; that store is the event we injected, not an
+            # emission by the machine.
+            self.expected_echo = None
+            return
+        names = self.event_names
+        if 0 <= value < len(names):
+            self.trace.append(TraceKind.EMIT, names[value])
+
+    def state_hook(self, _addr: int, value: int) -> None:
+        enumerators = self.state_enumerators
+        if 0 <= value < len(enumerators):
+            name = enumerators[value]
+            if name.startswith("ST_") and name != "ST_FINAL":
+                self.trace.append(TraceKind.STATE_ENTER, name[3:])
+
+
 class CompiledMachineVM:
     """One generated+compiled machine executing on the ISA simulator,
     booted from a :class:`CompiledProgram` (cheap, shares the
@@ -206,8 +259,8 @@ class CompiledMachineVM:
         self.vm = Machine(program.image, externals=externals)
         self.trace = Trace()
         self._dispatch_cycles: List[int] = []
-        self._expected_echo: Optional[int] = None
-        self._default_stored: set = set()
+        self._recorder = _Recorder(self.trace, program.event_names,
+                                   program.state_enumerators)
         self.this = self.vm.address_of(f"g_{self.cls_name}")
         self.vm.call_log = _TracingCallLog(self.trace)
         self._arm_watchpoints()
@@ -218,49 +271,17 @@ class CompiledMachineVM:
     # ------------------------------------------------------------------
     def _arm_watchpoints(self) -> None:
         layout = self.program.layout
+        recorder = self._recorder
         for name in self.model.context.attributes:
             self.vm.watch(self.this + layout.offset_of(name),
-                          self._attr_hook(name))
+                          recorder.attr_hook(name))
         if "pending" in layout.field_offsets:
             self.vm.watch(self.this + layout.offset_of("pending"),
-                          self._pending_hook)
+                          recorder.pending_hook)
         if "state" in layout.field_offsets and \
                 self.program.state_enumerators is not None:
             self.vm.watch(self.this + layout.offset_of("state"),
-                          self._state_hook(self.program.state_enumerators))
-
-    def _attr_hook(self, name: str) -> Callable[[int, int], None]:
-        def hook(_addr: int, value: int) -> None:
-            if name not in self._default_stored:
-                # init()'s one-time default-value store; the interpreter
-                # does not trace attribute initialization either.
-                self._default_stored.add(name)
-                return
-            self.trace.append(TraceKind.ASSIGN, name, value)
-        return hook
-
-    def _pending_hook(self, _addr: int, value: int) -> None:
-        if value == _NO_EVENT:
-            return
-        if self._expected_echo is not None and \
-                value == self._expected_echo:
-            # dispatch() begins by storing its own argument into the
-            # pending slot; that store is the event we injected, not an
-            # emission by the machine.
-            self._expected_echo = None
-            return
-        names = self.program.event_names
-        if 0 <= value < len(names):
-            self.trace.append(TraceKind.EMIT, names[value])
-
-    def _state_hook(self, enumerators: List[str]
-                    ) -> Callable[[int, int], None]:
-        def hook(_addr: int, value: int) -> None:
-            if 0 <= value < len(enumerators):
-                name = enumerators[value]
-                if name.startswith("ST_") and name != "ST_FINAL":
-                    self.trace.append(TraceKind.STATE_ENTER, name[3:])
-        return hook
+                          recorder.state_hook)
 
     # ------------------------------------------------------------------
     def dispatch(self, event: object) -> "CompiledMachineVM":
@@ -285,11 +306,11 @@ class CompiledMachineVM:
             self.trace.append(TraceKind.EVENT_DROPPED, name,
                               "no-alphabet")
         self.trace.append(TraceKind.EVENT_DISPATCH, name)
-        self._expected_echo = index
+        self._recorder.expected_echo = index
         before = self.vm.cycles
         self.vm.call_function(mangle(self.cls_name, "dispatch"),
                               (self.this, index))
-        self._expected_echo = None
+        self._recorder.expected_echo = None
         spent = self.vm.cycles - before
         self._dispatch_cycles.append(spent)
         _VM_CYCLES.inc(spent)

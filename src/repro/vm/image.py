@@ -8,18 +8,21 @@ addresses), encodes each instruction through the target's
 segment, and resolves every symbol — function entries, globals, and the
 ``fn:block`` references jump tables carry — to a concrete address.
 
-The :class:`Image` then *decodes its own bytes back* into the
-instruction map the simulator executes: what runs is what was encoded,
-so the encoder and decoder cannot drift apart without execution
-noticing.  ``len(image.text) == module.text_size`` by construction —
-the byte count the experiments report is the byte count the simulator
-addresses.
+It then decodes every instruction from the image's own bytes, whether
+or not it ever runs, into the **entry** the simulator executes at that
+pc: ``(handler, operands, size, base cycles)``, the handler and cost
+taken from :mod:`.machine`'s per-mnemonic table.  What runs is what was
+encoded, and an encoder/decoder disagreement anywhere in the text fails
+the assembly.  ``len(image.text) == module.text_size`` by construction
+— the byte count the experiments report is the byte count the
+simulator addresses.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..compiler.asm import AsmModule
 from ..compiler.gimple.ir import SymbolRef
@@ -27,7 +30,8 @@ from ..compiler.rtl.ir import RInstr
 from ..compiler.target.description import TargetDescription
 from ..compiler.target.registry import resolve_target
 from ..obs.trace import span as _span
-from .encoding import EncodingError, OperandPool, TargetEncoding
+from .encoding import (EncodingError, OperandKey, OperandPool,
+                       TargetEncoding, encoding_for, instr_of)
 
 __all__ = ["Image", "assemble", "TEXT_BASE", "DATA_BASE", "STACK_BASE",
            "HALT_ADDRESS"]
@@ -39,6 +43,10 @@ DATA_BASE = 0x1000_0000
 STACK_BASE = 0x3000_0000
 #: Return address of the outermost frame; ``ret`` to it halts the run.
 HALT_ADDRESS = 0x0
+
+#: What the simulator executes at one pc: ``(handler, operands, encoded
+#: size, base cycles)`` (see :mod:`.machine`).
+Entry = Tuple[Callable, OperandKey, int, int]
 
 
 @dataclass
@@ -56,9 +64,8 @@ class Image:
     data_word_size: Dict[str, int] = field(default_factory=dict)
     initial_memory: Dict[int, int] = field(default_factory=dict)
     pools: Dict[str, OperandPool] = field(default_factory=dict)
-    #: pc -> (decoded instruction, encoded size, owning function)
-    instructions: Dict[int, Tuple[RInstr, int, str]] = \
-        field(default_factory=dict)
+    #: pc -> the decoded instruction's execution entry
+    entries: Dict[int, Entry] = field(default_factory=dict)
 
     # -- symbols -----------------------------------------------------------
     def address_of(self, symbol: str) -> int:
@@ -78,12 +85,17 @@ class Image:
 
     def at(self, pc: int) -> Tuple[RInstr, int, str]:
         """Decoded instruction at *pc* (instr, size, function name)."""
-        try:
-            return self.instructions[pc]
-        except KeyError:
+        if pc not in self.entries:
             raise EncodingError(
                 f"no instruction at {pc:#x} (fell off the text "
-                "segment?)") from None
+                "segment?)")
+        # Functions are laid out in order, so the owner of *pc* is the
+        # last one that starts at or before it.
+        starts = sorted(self.entry_func)
+        owner = self.entry_func[starts[bisect.bisect_right(starts, pc) - 1]]
+        op, operands, size = self.encoding.decode(
+            self.text, pc - TEXT_BASE, self.pools[owner])
+        return instr_of(op, operands), size, owner
 
 
 def assemble(module: AsmModule, target=None) -> Image:
@@ -102,18 +114,22 @@ def assemble(module: AsmModule, target=None) -> Image:
 
 
 def _assemble(module: AsmModule, target=None) -> Image:
+    # The simulator's handler table; machine.py imports this module.
+    from .machine import step_of
+
     tgt = module.target if module.target is not None \
         else resolve_target(target)
     if target is not None and resolve_target(target).name != tgt.name:
         raise EncodingError(
             f"module {module.name!r} was compiled for {tgt.name}; "
             f"refusing to assemble it as {resolve_target(target).name}")
-    encoding = TargetEncoding(tgt)
+    encoding = encoding_for(tgt)
     image = Image(module=module, target=tgt, encoding=encoding)
 
     # Pass 1: layout — assign every instruction and label its address.
+    size_of = encoding.size_of
     addr = TEXT_BASE
-    placed: List[Tuple[str, int, RInstr]] = []   # (fn, addr, instr)
+    placed: List[Tuple[str, int, RInstr, int]] = []   # (fn, addr, instr, size)
     for fn in module.functions:
         image.func_entry[fn.name] = addr
         image.entry_func[addr] = fn.name
@@ -121,16 +137,19 @@ def _assemble(module: AsmModule, target=None) -> Image:
             if instr.op == "label":
                 image.label_addr[instr.target] = addr
                 continue
-            placed.append((fn.name, addr, instr))
-            addr += encoding.size_of(instr.op)
+            size = size_of(instr.op)
+            placed.append((fn.name, addr, instr, size))
+            addr += size
 
     # Pass 2: encode.  The pool is per function, like a literal pool.
+    encode = encoding.encode
+    pools = image.pools
     chunks: List[bytes] = []
-    for fn_name, at, instr in placed:
-        pool = image.pools.setdefault(fn_name, OperandPool())
-        chunk = encoding.encode(instr, pool,
-                                context=f"{fn_name}+{at - TEXT_BASE:#x}")
-        chunks.append(chunk)
+    for fn_name, at, instr, _size in placed:
+        pool = pools.get(fn_name)
+        if pool is None:
+            pool = pools[fn_name] = OperandPool()
+        chunks.append(encode(instr, pool, fn_name, at - TEXT_BASE))
     image.text = b"".join(chunks)
     if len(image.text) != module.text_size:
         raise EncodingError(
@@ -151,17 +170,20 @@ def _assemble(module: AsmModule, target=None) -> Image:
                 if isinstance(word, SymbolRef) else int(word)
             image.initial_memory[base + obj.word_size * i] = value
 
-    # Pass 4: decode the bytes back into the executable instruction map.
-    # Execution consumes only this decoded view, so any encoder/decoder
-    # disagreement is caught here, not in a conformance mismatch later.
-    for fn_name, at, original in placed:
+    # Pass 4: decode every instruction from the bytes, whether or not it
+    # ever runs, into the entry the simulator executes.  Execution
+    # consumes only these entries, so any encoder/decoder disagreement
+    # is caught here, not in a conformance mismatch later.
+    decode = encoding.decode
+    text = image.text
+    entries = image.entries
+    for fn_name, at, original, laid_out in placed:
         offset = at - TEXT_BASE
-        decoded, size = encoding.decode(image.text, offset,
-                                        image.pools[fn_name])
-        if size != encoding.size_of(original.op) or \
-                decoded.op != original.op:
+        op, operands, size = decode(text, offset, pools[fn_name])
+        if op != original.op or size != laid_out:
             raise EncodingError(
-                f"{fn_name}+{offset:#x}: decoded {decoded.op!r}/{size}B, "
+                f"{fn_name}+{offset:#x}: decoded {op!r}/{size}B, "
                 f"encoded {original.op!r}")
-        image.instructions[at] = (decoded, size, fn_name)
+        handler, cycles = step_of(op)
+        entries[at] = (handler, operands, size, cycles)
     return image

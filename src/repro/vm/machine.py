@@ -1,19 +1,27 @@
 """The RT ISA simulator: executes a loaded :class:`~.image.Image`.
 
-A small in-order machine model over the decoded instruction map:
-physical registers (the target's register file plus ``sp``/``lr``), a
-flat word-addressed memory initialized from the image's data segment, a
-descending stack, and an argument/return bank modeling the ABI the
-backend's ``argmv``/``retmv`` shuffles assume.  External functions are
-Python callables, logged in call order exactly like the GIMPLE
-interpreter's ``call_log`` — that shared observable is what conformance
-checking compares.
+A small in-order machine model: physical registers (the target's
+register file plus ``sp``/``lr``), a flat word-addressed memory
+initialized from the image's data segment, a descending stack, and an
+argument/return bank modeling the ABI the backend's ``argmv``/``retmv``
+shuffles assume.  External functions are Python callables, logged in
+call order exactly like the GIMPLE interpreter's ``call_log`` — that
+shared observable is what conformance checking compares.
+
+Execution is threaded code (Bell, CACM 1973).  ``assemble`` decodes
+every instruction once into an entry ``(handler, operands, size, base
+cycles)``; each step of :meth:`Machine._run` fetches the pc's entry,
+checks the step budget and calls the handler, which the one
+mnemonic -> handler table (:data:`_HANDLERS`) supplied.  The handler
+returns the address it transfers control to, or None to fall through.
 
 Every retired instruction is charged cycles from a simple in-order cost
-model (memory and wide-immediate forms 2, multiply 3, divide 8, control
-transfers pay a redirect cycle).  The counts are deterministic — they
-are *simulated* cycles, so dynamic metrics derived from them are
-reproducible across hosts, unlike wall-clock timings.
+model, :func:`cycle_cost` (memory and wide-immediate forms 2, multiply
+3, divide 8, control transfers pay a redirect cycle): the entry's base
+cycles, plus the penalty when its handler returned a target.  The
+counts are deterministic — they are *simulated* cycles, so dynamic
+metrics derived from them are reproducible across hosts, unlike
+wall-clock timings.
 
 Memory watchpoints (``watch(addr, fn)``) fire on word stores; the
 conformance harness uses them to observe attribute assignments and
@@ -23,9 +31,9 @@ generated code.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .encoding import EncodingError
 from .image import HALT_ADDRESS, Image, STACK_BASE
 
 __all__ = ["Machine", "VMError", "cycle_cost"]
@@ -50,12 +58,6 @@ _BASE_CYCLES = {
 }
 #: Extra cycle a taken branch pays for the pipeline redirect.
 _TAKEN_PENALTY = 1
-
-_CMP = {
-    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b, "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b, "ge": lambda a, b: a >= b,
-}
 
 
 def cycle_cost(op: str, taken: bool = False) -> int:
@@ -137,125 +139,33 @@ class Machine:
 
     # -- execution ---------------------------------------------------------
     def _run(self, pc: int) -> None:
-        regs = self.regs
-        while pc != HALT_ADDRESS:
-            try:
-                instr, size, _fn = self.image.at(pc)
-            except EncodingError as exc:
-                raise VMError(str(exc)) from None
-            self.instructions += 1
-            if self.instructions > self.max_steps:
-                raise VMError(
-                    f"instruction budget exceeded ({self.max_steps}); "
-                    "runaway simulated program?")
-            op = instr.op
-            next_pc = pc + size
-            taken = False
-
-            if op in ("mv", "argmv", "retmv"):
-                if op == "mv":
-                    regs[instr.defs[0]] = regs[instr.uses[0]]
-                elif op == "argmv":
-                    if instr.defs:      # callee: read parameter slot
-                        regs[instr.defs[0]] = self._args.get(instr.imm, 0)
-                    else:               # caller: fill argument slot
-                        self._args[instr.imm] = regs[instr.uses[0]]
-                        self._args_written.add(instr.imm)
-                else:                   # retmv
-                    if instr.defs:
-                        regs[instr.defs[0]] = self._ret
-                    else:
-                        self._ret = regs[instr.uses[0]]
-            elif op in ("li", "li32"):
-                regs[instr.defs[0]] = _wrap(instr.imm)
-            elif op == "la":
-                regs[instr.defs[0]] = \
-                    self.address_of(instr.symbol) + (instr.imm or 0)
-            elif op in ("add", "sub", "mul", "div", "mod"):
-                a = regs[instr.uses[0]]
-                b = regs[instr.uses[1]]
-                regs[instr.defs[0]] = self._binop(op, a, b)
-            elif op == "addi":
-                regs[instr.defs[0]] = _wrap(regs[instr.uses[0]] + instr.imm)
-            elif op == "neg":
-                regs[instr.defs[0]] = _wrap(-regs[instr.uses[0]])
-            elif op.startswith("set"):
-                cmp = _CMP[op[3:5]]
-                a = regs[instr.uses[0]]
-                b = instr.imm if op.endswith("i") else regs[instr.uses[1]]
-                regs[instr.defs[0]] = int(cmp(a, b))
-            elif op == "lw":
-                regs[instr.defs[0]] = \
-                    self.load_word(regs[instr.uses[0]] + (instr.imm or 0))
-            elif op == "sw":
-                self.store_word(regs[instr.uses[1]] + (instr.imm or 0),
-                                regs[instr.uses[0]])
-            elif op == "lwg":
-                regs[instr.defs[0]] = \
-                    self.read_global(instr.symbol, instr.imm or 0)
-            elif op == "swg":
-                self.store_word(
-                    self.address_of(instr.symbol) + (instr.imm or 0),
-                    regs[instr.uses[0]])
-            elif op == "b":
-                next_pc = self._label(instr.target)
-                taken = True
-            elif op in ("bnez", "beqz"):
-                cond = regs[instr.uses[0]]
-                if (cond != 0) == (op == "bnez"):
-                    next_pc = self._label(instr.target)
-                    taken = True
-            elif op.startswith("b") and op[1:3] in _CMP:
-                cmp = _CMP[op[1:3]]
-                a = regs[instr.uses[0]]
-                b = instr.imm if op.endswith("i") else regs[instr.uses[1]]
-                if cmp(a, b):
-                    next_pc = self._label(instr.target)
-                    taken = True
-            elif op == "jt":
-                index = regs[instr.uses[0]] - instr.imm
-                if 0 <= index < len(instr.table):
-                    # The dispatch genuinely reads the rodata table the
-                    # compiler emitted, entry width and all.
-                    base = self.address_of(instr.symbol)
-                    width = self.image.data_word_size.get(instr.symbol, 4)
-                    next_pc = self.load_word(base + width * index)
-                    taken = True
-                # else: fall through to the out-of-range branch
-            elif op == "call":
-                if instr.symbol in self.image.func_entry:
-                    regs["lr"] = next_pc
-                    next_pc = self.image.func_entry[instr.symbol]
-                    taken = True
-                else:
-                    self._call_external(instr.symbol)
-                self._args_written = set()
-            elif op == "callr":
-                target = regs[instr.uses[0]]
-                callee = self.image.entry_func.get(target)
-                if callee is None:
+        entries = self.image.entries
+        budget = self.max_steps
+        steps = self.instructions
+        cycles = self.cycles
+        try:
+            while pc != HALT_ADDRESS:
+                entry = entries.get(pc)
+                if entry is None:
+                    raise VMError(f"no instruction at {pc:#x} (fell off "
+                                  "the text segment?)")
+                steps += 1
+                if steps > budget:
                     raise VMError(
-                        f"indirect call to non-entry address {target:#x}")
-                regs["lr"] = next_pc
-                next_pc = self.image.func_entry[callee]
-                taken = True
-                self._args_written = set()
-            elif op == "ret":
-                next_pc = regs["lr"]
-                taken = True
-            elif op == "push":
-                regs["sp"] -= self._word
-                self.store_word(regs["sp"], regs[instr.uses[0]])
-            elif op == "pop":
-                regs[instr.defs[0]] = self.load_word(regs["sp"])
-                regs["sp"] += self._word
-            elif op == "addsp":
-                regs["sp"] += instr.imm
-            else:  # pragma: no cover - defensive
-                raise VMError(f"unimplemented mnemonic {op!r}")
-
-            self.cycles += cycle_cost(op, taken)
-            pc = next_pc
+                        f"instruction budget exceeded ({budget}); "
+                        "runaway simulated program?")
+                handler, operands, size, base = entry
+                next_pc = pc + size
+                target = handler(self, operands, next_pc)
+                if target is None:
+                    pc = next_pc
+                    cycles += base
+                else:
+                    pc = target
+                    cycles += base + _TAKEN_PENALTY
+        finally:
+            self.instructions = steps
+            self.cycles = cycles
 
     def _label(self, label: str) -> int:
         addr = self.image.label_addr.get(label)
@@ -263,15 +173,210 @@ class Machine:
             raise VMError(f"branch to unknown label {label!r}")
         return addr
 
-    @staticmethod
-    def _binop(op: str, a: int, b: int) -> int:
-        if op == "add":
-            return _wrap(a + b)
-        if op == "sub":
-            return _wrap(a - b)
-        if op == "mul":
-            return _wrap(a * b)
-        if b == 0:
-            raise VMError("division by zero")
-        quotient = int(a / b)   # C semantics: truncate toward zero
-        return _wrap(quotient) if op == "div" else _wrap(a - quotient * b)
+
+# ---------------------------------------------------------------------------
+# The handler table.  A handler runs one decoded instruction:
+# ``handler(machine, operands, next_pc)``, where *operands* is the
+# instruction's ``(defs, uses, imm, symbol, target, table)`` and
+# *next_pc* the address after it.  It returns the address it transfers
+# control to, or None to fall through.
+# ---------------------------------------------------------------------------
+
+def _mv(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    regs[a[0][0]] = regs[a[1][0]]
+
+
+def _argmv(m: Machine, a, _next: int) -> None:
+    if a[0]:        # callee: read parameter slot
+        m.regs[a[0][0]] = m._args.get(a[2], 0)
+    else:           # caller: fill argument slot
+        m._args[a[2]] = m.regs[a[1][0]]
+        m._args_written.add(a[2])
+
+
+def _retmv(m: Machine, a, _next: int) -> None:
+    if a[0]:
+        m.regs[a[0][0]] = m._ret
+    else:
+        m._ret = m.regs[a[1][0]]
+
+
+def _li(m: Machine, a, _next: int) -> None:
+    m.regs[a[0][0]] = _wrap(a[2])
+
+
+def _la(m: Machine, a, _next: int) -> None:
+    m.regs[a[0][0]] = m.address_of(a[3]) + (a[2] or 0)
+
+
+def _alu(fn: Callable[[int, int], int]):
+    def step(m: Machine, a, _next: int) -> None:
+        regs = m.regs
+        regs[a[0][0]] = _wrap(fn(regs[a[1][0]], regs[a[1][1]]))
+    return step
+
+
+def _quotient(a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("division by zero")
+    return int(a / b)   # C semantics: truncate toward zero
+
+
+def _addi(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    regs[a[0][0]] = _wrap(regs[a[1][0]] + a[2])
+
+
+def _neg(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    regs[a[0][0]] = _wrap(-regs[a[1][0]])
+
+
+def _set(cmp: Callable[[int, int], bool]):
+    def step(m: Machine, a, _next: int) -> None:
+        regs = m.regs
+        regs[a[0][0]] = int(cmp(regs[a[1][0]], regs[a[1][1]]))
+    return step
+
+
+def _seti(cmp: Callable[[int, int], bool]):
+    def step(m: Machine, a, _next: int) -> None:
+        regs = m.regs
+        regs[a[0][0]] = int(cmp(regs[a[1][0]], a[2]))
+    return step
+
+
+def _lw(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    regs[a[0][0]] = m.memory.get(regs[a[1][0]] + (a[2] or 0), 0)
+
+
+def _sw(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    m.store_word(regs[a[1][1]] + (a[2] or 0), regs[a[1][0]])
+
+
+def _lwg(m: Machine, a, _next: int) -> None:
+    m.regs[a[0][0]] = m.read_global(a[3], a[2] or 0)
+
+
+def _swg(m: Machine, a, _next: int) -> None:
+    m.store_word(m.address_of(a[3]) + (a[2] or 0), m.regs[a[1][0]])
+
+
+def _b(m: Machine, a, _next: int) -> int:
+    return m._label(a[4])
+
+
+def _bnez(m: Machine, a, _next: int) -> Optional[int]:
+    return m._label(a[4]) if m.regs[a[1][0]] != 0 else None
+
+
+def _beqz(m: Machine, a, _next: int) -> Optional[int]:
+    return m._label(a[4]) if m.regs[a[1][0]] == 0 else None
+
+
+def _branch(cmp: Callable[[int, int], bool]):
+    def step(m: Machine, a, _next: int) -> Optional[int]:
+        regs = m.regs
+        return m._label(a[4]) if cmp(regs[a[1][0]], regs[a[1][1]]) \
+            else None
+    return step
+
+
+def _branchi(cmp: Callable[[int, int], bool]):
+    def step(m: Machine, a, _next: int) -> Optional[int]:
+        return m._label(a[4]) if cmp(m.regs[a[1][0]], a[2]) else None
+    return step
+
+
+def _jt(m: Machine, a, _next: int) -> Optional[int]:
+    index = m.regs[a[1][0]] - a[2]
+    if 0 <= index < len(a[5]):
+        # The dispatch genuinely reads the rodata table the compiler
+        # emitted, entry width and all.
+        base = m.address_of(a[3])
+        width = m.image.data_word_size.get(a[3], 4)
+        return m.load_word(base + width * index)
+    return None     # fall through to the out-of-range branch
+
+
+def _call(m: Machine, a, next_pc: int) -> Optional[int]:
+    entry = m.image.func_entry.get(a[3])
+    if entry is None:
+        m._call_external(a[3])
+    else:
+        m.regs["lr"] = next_pc
+    m._args_written = set()
+    return entry
+
+
+def _callr(m: Machine, a, next_pc: int) -> int:
+    target = m.regs[a[1][0]]
+    callee = m.image.entry_func.get(target)
+    if callee is None:
+        raise VMError(f"indirect call to non-entry address {target:#x}")
+    m.regs["lr"] = next_pc
+    m._args_written = set()
+    return m.image.func_entry[callee]
+
+
+def _ret(m: Machine, _a, _next: int) -> int:
+    return m.regs["lr"]
+
+
+def _push(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    regs["sp"] -= m._word
+    m.store_word(regs["sp"], regs[a[1][0]])
+
+
+def _pop(m: Machine, a, _next: int) -> None:
+    regs = m.regs
+    regs[a[0][0]] = m.memory.get(regs["sp"], 0)
+    regs["sp"] += m._word
+
+
+def _addsp(m: Machine, a, _next: int) -> None:
+    m.regs["sp"] += a[2]
+
+
+_CMP = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+        "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+#: mnemonic -> handler: the one place an instruction's behaviour lives.
+_HANDLERS: Dict[str, Callable] = {
+    "mv": _mv, "argmv": _argmv, "retmv": _retmv,
+    "li": _li, "li32": _li, "la": _la,
+    "add": _alu(operator.add), "sub": _alu(operator.sub),
+    "mul": _alu(operator.mul),
+    "div": _alu(_quotient),
+    "mod": _alu(lambda a, b: a - _quotient(a, b) * b),
+    "addi": _addi, "neg": _neg,
+    "lw": _lw, "sw": _sw, "lwg": _lwg, "swg": _swg,
+    "b": _b, "bnez": _bnez, "beqz": _beqz, "jt": _jt,
+    "call": _call, "callr": _callr, "ret": _ret,
+    "push": _push, "pop": _pop, "addsp": _addsp,
+    **{f"set{cc}": _set(cmp) for cc, cmp in _CMP.items()},
+    **{f"set{cc}i": _seti(cmp) for cc, cmp in _CMP.items()},
+    **{f"b{cc}": _branch(cmp) for cc, cmp in _CMP.items()},
+    **{f"b{cc}i": _branchi(cmp) for cc, cmp in _CMP.items()},
+}
+
+
+def _unimplemented(op: str) -> Callable:
+    def step(_m: Machine, _a, _next: int) -> None:
+        raise VMError(f"unimplemented mnemonic {op!r}")
+    return step
+
+
+_STEPS = {op: (handler, cycle_cost(op)) for op, handler in _HANDLERS.items()}
+
+
+def step_of(op: str) -> Tuple[Callable, int]:
+    """*op*'s handler and base cycle cost, for an :class:`Image` entry.
+
+    A mnemonic the table lacks (a registered target may declare one)
+    assembles, and raises :class:`VMError` if it ever runs."""
+    return _STEPS.get(op) or (_unimplemented(op), cycle_cost(op))

@@ -20,7 +20,7 @@ from repro.compiler.target import available_targets, get_target
 from repro.engine.fingerprint import machine_fingerprint
 from repro.fuzz import DEFAULT_PROFILES, generate_case
 from repro.uml import dumps_machine, loads_machine, machine_to_dict
-from repro.vm.encoding import OperandPool, TargetEncoding
+from repro.vm.encoding import OperandPool, TargetEncoding, instr_of
 
 _SETTINGS = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -86,7 +86,8 @@ class TestEncodingRoundTrip:
         instr = data.draw(instructions(encoding))
         blob = encoding.encode(instr, pool, context="prop")
         assert len(blob) == encoding.size_of(instr.op)
-        decoded, size = encoding.decode(blob, 0, pool)
+        op, operands, size = encoding.decode(blob, 0, pool)
+        decoded = instr_of(op, operands)
         assert size == len(blob)
         # Everything semantic survives; the comment is listing sugar.
         assert decoded.op == instr.op
@@ -106,8 +107,8 @@ class TestEncodingRoundTrip:
                         for i in stream)
         offset, decoded = 0, []
         while offset < len(blob):
-            instr, size = encoding.decode(blob, offset, pool)
-            decoded.append(instr)
+            op, operands, size = encoding.decode(blob, offset, pool)
+            decoded.append(instr_of(op, operands))
             offset += size
         assert [d.op for d in decoded] == [i.op for i in stream]
         assert all(d.imm == i.imm and d.defs == i.defs

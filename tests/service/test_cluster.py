@@ -122,8 +122,12 @@ class TestWorkerDeath:
                  for pattern in ("flat-switch", "state-pattern")]
         for params in batch[1:]:
             params["chaos"] = {"sleep": 0.5}      # still in flight ...
-        batch[0]["chaos"] = {"exit_before": marker}   # ... at the kill
-        with cluster.client() as client:
+        # ... at the kill.  The dying job sleeps first, so the server has
+        # submitted every chunk before the pool breaks: a worker that died
+        # at once could have the pool rebuilt before the later chunks were
+        # submitted, and they would never see the death.
+        batch[0]["chaos"] = {"sleep": 0.5, "exit_before": marker}
+        with cluster.client(timeout=120) as client:
             before = client.metrics()["workers"]
             result = client.request("batch", jobs=batch)
             doc = client.metrics()
@@ -223,3 +227,35 @@ class TestModesAgree:
         assert local_doc["workers"]["mode"] == "in-process"
         assert len(local_doc["workers"]["per_worker"]) == 1
         assert cluster_doc["workers"]["per_worker"]
+
+
+def _miss_totals(doc):
+    """``(registry misses, cache-block misses)`` of a metrics document."""
+    counter = doc["registry"].get("engine_cache_misses_total", {})
+    cache = doc["cache"]
+    return (sum(counter.get("series", {}).values()),
+            cache["misses"] + cache["unit_misses"])
+
+
+@pytest.mark.parametrize("mode", ["in-process", "cluster"])
+def test_registry_counts_the_misses_of_the_cache_block(mode, cluster):
+    """The ``registry`` section counts the compiles wherever they ran:
+    in-process, the service's engine publishes into this process's
+    registry; in a cluster, every worker process reports its own."""
+    machine = generate_machine(WorkloadSpec(n_live=3, seed=77,
+                                            name=f"Counted-{mode}"))
+
+    def misses_of_one_compile(handle):
+        with handle.client() as client:
+            before = _miss_totals(client.metrics())
+            client.compile_machine(machine)
+            after = _miss_totals(client.metrics())
+        return after[0] - before[0], after[1] - before[1]
+
+    if mode == "cluster":
+        registry, cache = misses_of_one_compile(cluster)
+    else:
+        with ServiceThread(ExperimentEngine()) as in_process:
+            registry, cache = misses_of_one_compile(in_process)
+    assert cache > 0
+    assert registry == cache

@@ -16,7 +16,7 @@ from repro.experiments.models import \
     hierarchical_machine_with_shadowed_composite
 from repro.pipeline import compile_machine
 from repro.vm import EncodingError, OperandPool, TargetEncoding, assemble
-from repro.vm.encoding import operand_key
+from repro.vm.encoding import instr_of, operand_key
 
 TARGETS = ["rt32", "rt16"]
 
@@ -94,7 +94,8 @@ def test_every_mnemonic_round_trips(target_name):
         original = _representative(op, target)
         data = encoding.encode(original, pool, context=op)
         assert len(data) == target.insn_size(op), op
-        decoded, size = encoding.decode(data, 0, pool)
+        decoded_op, operands, size = encoding.decode(data, 0, pool)
+        decoded = instr_of(decoded_op, operands)
         assert size == len(data), op
         assert decoded.op == op
         assert operand_key(decoded) == operand_key(original), op

@@ -8,6 +8,9 @@ whole backend (isel, regalloc, peephole, prologue, assembler, VM) is
 behavior-preserving.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.codegen import generator_by_name
@@ -128,3 +131,23 @@ def test_unknown_function_raises():
     vm = program.boot()
     with pytest.raises(VMError, match="no function"):
         vm.vm.call_function("does::not_exist")
+
+
+@pytest.mark.parametrize("pattern", ["nested-switch", "state-table",
+                                     "state-pattern", "flat-switch"])
+def test_a_booted_vm_is_freed_without_the_cyclic_collector(pattern):
+    """The watchpoint hooks refer to neither the harness nor the
+    simulator, so dropping the last reference frees both at once."""
+    program = CompiledProgram(hierarchical_machine_with_shadowed_composite(),
+                              pattern)
+    gc.collect()
+    gc.disable()
+    try:
+        vm = program.boot()
+        vm.send_all(["e1", "e2", "e5", "e3"])
+        assert vm.metrics.events_dispatched == 4
+        refs = (weakref.ref(vm), weakref.ref(vm.vm))
+        del vm
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
