@@ -8,7 +8,7 @@ execution paths:
   match the interpreter by the runner's one rule: observable payloads,
   final state, termination;
 * **vectorized fleet** — the executor's wide-lane extra: every lane of
-  a wide, untraced fleet (static cells advance by masked stores) fed
+  a wide, untraced fleet (routed cells advance by lane masks) fed
   the same events must land in the traced lane's final configuration
   with its attribute values.
 """

@@ -15,12 +15,25 @@ share one :class:`~repro.fleet.table.TableProgram`:
 
 ``dispatch_all(event)`` is the throughput primitive.  Lanes are grouped
 by configuration (one ``config == c`` mask each, snapshotted *before*
-any lane moves so a lane never sees the same event twice); groups whose
-dispatch cell is **static** advance with one vectorized store, the rest
-fall back to the scalar run-to-completion loop — compiled-closure
-candidate scan, guard evaluation on that lane only, completion settle —
-which is also the only path taken when tracing is on (traces are
-per-lane objects) or when external callables must observe calls.
+any lane moves so a lane never sees the same event twice).  A group
+whose cell has :attr:`~repro.fleet.table.Cell.routes` advances by lane
+masks: the cell's candidates are walked over the group in the scalar
+loop's order, a guarded one taking the lanes its mask selects among
+those left, an unguarded one every lane left, and the taken lanes store
+their route's configuration and consumed flag in one masked store each;
+lanes no candidate takes discard the event.  So unguarded routes
+(static cells) and static routes behind mask guards advance without a
+per-lane step.  A group falls back to the scalar run-to-completion loop
+— compiled-closure candidate scan, guard evaluation on that lane only,
+completion settle — when a candidate it may try has no route
+(assignments, emissions, guarded completions) or its guard no mask
+(arithmetic, calls, literals beyond int64), when a route calls and
+calls are observable (mapped externals), or when one of its lanes
+would pass the step budget.  Lanes with pending events, traced fleets
+(traces are per-lane objects) and runs without NumPy take the scalar
+loop throughout; it is the reference the wide-lane checks compare the
+masked path against, and both count the same firings and charge the
+same step budget.
 
 NumPy supplies the banks when available; a pure-list fallback keeps the
 engine importable (and correct, just slower) without it.
@@ -266,31 +279,59 @@ class Fleet:
             pend_mask = _np.zeros(self.n, dtype=bool)
             pend_mask[_np.array(pend_lanes, dtype=_np.int64)] = True
         cells = self.program.cells
+        stats = self.stats
         for c in _np.unique(snap):
             cell = cells[int(c)][col]
             mask = snap == c
             if pend_mask is not None:
                 mask &= ~pend_mask
-            if cell.empty:
-                # Nobody can consume the event: vectorized discard.
-                self.stats.fast_lane_events += int(mask.sum())
+            lanes = _np.flatnonzero(mask)
+            routes = cell.routes
+            if routes is not None and \
+                    not (cell.routes_call and self._calls_observable) and \
+                    self._advance(lanes, routes):
+                stats.fast_lane_events += lanes.size
                 continue
-            if cell.static_end is not None and \
-                    not (cell.static_has_call and self._calls_observable):
-                lanes = int(mask.sum())
-                self.config[mask] = cell.static_end
-                if cell.static_consumed is not None:
-                    self.consumed[mask] = cell.static_consumed
-                self.stats.fast_lane_events += lanes
-                self.stats.fired += lanes
-            else:
-                for lane in _np.nonzero(mask)[0]:
-                    self._rtc(int(lane), col, name)
-                    self.stats.scalar_lane_events += 1
+            for lane in lanes.tolist():
+                self._rtc(lane, col, name)
+            stats.scalar_lane_events += lanes.size
         for lane in pend_lanes:
             self._rtc(lane, col, name)
-            self.stats.scalar_lane_events += 1
+            stats.scalar_lane_events += 1
         return self
+
+    def _advance(self, lanes, routes) -> bool:
+        """Move *lanes* (one configuration's, ascending) along a cell's
+        :attr:`~repro.fleet.table.Cell.routes` by masked stores.
+
+        Each guarded route takes the lanes its mask selects among those
+        no earlier route took, an unguarded route takes every lane left,
+        and lanes no route takes discard the event.  Routes change no
+        variable, so every mask reads the values the scalar loop's
+        guards would.  Returns False, having changed nothing, when some
+        lane would pass the step budget: the scalar loop then raises on
+        the lane and firing it always did."""
+        taken = []
+        for mask, route in routes:
+            if mask is None:
+                taken.append((lanes, route))
+                break
+            hit = mask(self, lanes)
+            taken.append((lanes[hit], route))
+            lanes = lanes[~hit]
+        budget = self.step_budget
+        if budget is not None and any(
+                (self._steps[part] + route.fired > budget).any()
+                for part, route in taken):
+            return False
+        for part, route in taken:
+            self.config[part] = route.end
+            if route.consumed is not None:
+                self.consumed[part] = route.consumed
+            if budget is not None:
+                self._steps[part] += route.fired
+            self.stats.fired += route.fired * part.size
+        return True
 
     def run_stream(self, events: Sequence[object]) -> "Fleet":
         for event in events:

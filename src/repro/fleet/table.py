@@ -21,10 +21,22 @@ of interpreting the model object graph per event (what
 
 Guards and behaviors are compiled to Python functions (via
 ``compile()``) over a per-lane variable bank, so a fleet of N instances
-shares one table and pays no model-graph traversal per event.  Cells
-whose outcome cannot depend on per-lane state are classified **static**
-(:attr:`Cell.static_end`): advancing a whole group of lanes in one
-vectorized store is sound for them (see :mod:`repro.fleet.engine`).
+shares one table and pays no model-graph traversal per event.  Every
+candidate whose program and completion chain cannot depend on per-lane
+state gets a precomputed :class:`Route` (end configuration, consumed
+flag, firings, calls).  A guard built only from attribute reads, int64
+literals, booleans, the six comparisons, ``!``, ``&&`` and ``||`` also
+compiles to a **lane mask** (:attr:`Candidate.mask`): its value on a
+whole group of lanes in one NumPy expression.  When every candidate of
+a cell up to its first unguarded one has a route, and each guarded one
+a mask, the cell keeps them as :attr:`Cell.routes`, and the engine
+advances a whole configuration group through it by masked stores (see
+:mod:`repro.fleet.engine`).  A cell whose first candidate is unguarded
+and routed is **static** (:attr:`Cell.static_end`): every lane lands in
+one configuration whatever its variables.  Guards outside the mask
+subset (arithmetic, unary minus on an attribute, calls, literals beyond
+int64) and routes through assignments, emissions or guarded
+completions leave their cell on the engine's scalar loop.
 
 Shapes outside the supported subset (choice/junction/history/terminate
 pseudostates, non-default semantics, orthogonal regions) raise
@@ -35,7 +47,13 @@ cell rather than a divergence.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+try:                                   # lane masks need numpy; without it
+    import numpy as _np                # every guarded cell runs scalar
+except Exception:                      # pragma: no cover
+    _np = None
 
 from ..uml.actions import (Assign, Behavior, BinOp, BoolLit, CallExpr,
                            CallStmt, EmitStmt, Expr, IntLit, UnaryOp, VarRef)
@@ -48,7 +66,7 @@ from ..semantics.variation import (ConflictPolicy, EventPoolPolicy,
                                    UnconsumedPolicy)
 
 __all__ = ["FleetUnsupported", "FleetExecutionError", "TableProgram",
-           "Cell", "Candidate", "FireProgram", "compile_table",
+           "Cell", "Candidate", "FireProgram", "Route", "compile_table",
            "FINAL_CONFIG"]
 
 #: Config id of "top region completed" (machine in final).  Always 0 so
@@ -82,8 +100,21 @@ def _c_mod(a: int, b: int) -> int:
     return a - int(a / b) * b
 
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _lanes(value, idx):
+    """A guard's value as a bool mask aligned with *idx* (a guard of
+    literals alone evaluates to one scalar for every lane)."""
+    mask = _np.asarray(value, dtype=bool)
+    return mask if mask.shape == idx.shape else _np.full(idx.shape,
+                                                         bool(mask))
+
+
 class _ExprCompiler:
-    """Expr -> Python source over ``(f, l)`` = (fleet, lane).
+    """Expr -> Python source over ``(f, l)`` = (fleet, lane), and for
+    guards in the mask subset also over ``(f, idx)`` (:meth:`mask_source`).
 
     Variable reads index the fleet's bank ``f.V[attr][lane]`` (coerced
     to Python int so arithmetic is exact); external calls go through
@@ -117,7 +148,7 @@ class _ExprCompiler:
                 return f"(bool({lhs}) and bool({rhs}))"
             if expr.op == "||":
                 return f"(bool({lhs}) or bool({rhs}))"
-            if expr.op in ("<", "<=", ">", ">=", "==", "!="):
+            if expr.op in _COMPARISONS:
                 return f"(int({lhs}) {expr.op} int({rhs}))"
             if expr.op in ("+", "-", "*"):
                 return f"(int({lhs}) {expr.op} int({rhs}))"
@@ -131,8 +162,43 @@ class _ExprCompiler:
             return f"f.call(l, {expr.func!r}, ({args}{trail}))"
         raise FleetUnsupported(f"cannot compile expression {expr!r}")
 
+    def mask_source(self, expr: Expr) -> Optional[str]:
+        """Expr -> NumPy source over ``(f, idx)``: its value on every lane
+        of the index array *idx* at once; None outside the subset that
+        can neither raise nor call (attribute reads, int64 literals,
+        booleans, the six comparisons, ``!``, ``&&``, ``||``).  On that
+        subset evaluating both sides of ``&&``/``||`` gives the scalar
+        short-circuit's result, and comparisons on the int64 banks are
+        exact."""
+        if isinstance(expr, BoolLit):
+            return repr(expr.value)
+        if isinstance(expr, UnaryOp) and expr.op == "-" and \
+                isinstance(expr.operand, IntLit):
+            expr = IntLit(-expr.operand.value)   # a negative literal
+        if isinstance(expr, IntLit):
+            if _INT64_MIN <= expr.value <= _INT64_MAX:
+                return repr(expr.value)
+            return None
+        if isinstance(expr, VarRef):
+            return f"V[{self.attr_index[expr.name]}][idx]"
+        if isinstance(expr, UnaryOp) and expr.op == "!":
+            inner = self.mask_source(expr.operand)
+            return None if inner is None else f"_np.logical_not({inner})"
+        if isinstance(expr, BinOp) and (expr.op in _COMPARISONS
+                                        or expr.op in ("&&", "||")):
+            lhs, rhs = self.mask_source(expr.lhs), self.mask_source(expr.rhs)
+            if lhs is None or rhs is None:
+                return None
+            if expr.op == "&&":
+                return f"_np.logical_and({lhs}, {rhs})"
+            if expr.op == "||":
+                return f"_np.logical_or({lhs}, {rhs})"
+            return f"({lhs} {expr.op} {rhs})"
+        return None
 
-_COMPILE_ENV = {"_div": _c_div, "_mod": _c_mod}
+
+_COMPILE_ENV = {"_div": _c_div, "_mod": _c_mod, "_np": _np,
+                "_lanes": _lanes}
 
 
 def _compile_fn(name: str, body_src: str) -> Callable:
@@ -154,11 +220,14 @@ class _BehaviorCompiler:
         self.event_column = event_column
         self.other_column = other_column
         self._behaviors: Dict[int, Optional["_CompiledBehavior"]] = {}
-        self._guards: Dict[int, Tuple[Callable, bool]] = {}
+        self._guards: Dict[int, Tuple[Callable, Optional[Callable]]] = {}
         self._n = 0
 
-    def guard(self, expr: Expr) -> Tuple[Callable, bool]:
-        """``(closure, has_call)`` for a guard expression."""
+    def guard(self, expr: Expr) -> Tuple[Callable, Optional[Callable]]:
+        """``(closure, mask)`` for a guard expression; *mask* is its
+        lane-mask form ``(f, idx) -> bool array`` (None when the guard
+        is outside the mask subset, calls included, or NumPy is
+        missing)."""
         try:
             return self._guards[id(expr)]
         except KeyError:
@@ -169,9 +238,14 @@ class _BehaviorCompiler:
         name = f"_guard_{self._n}"
         fn = _compile_fn(
             name, f"def {name}(f, l):\n    V = f.V\n    return bool({src})\n")
-        self._guards[id(expr)] = (fn, ec.has_call)
-        return fn, ec.has_call
-
+        mask_src = ec.mask_source(expr) if _np is not None else None
+        mask = None
+        if mask_src is not None:
+            mask = _compile_fn(
+                f"{name}_mask", f"def {name}_mask(f, idx):\n    V = f.V\n"
+                f"    return _lanes({mask_src}, idx)\n")
+        self._guards[id(expr)] = (fn, mask)
+        return fn, mask
 
     def behavior(self, behavior: Behavior) -> Optional["_CompiledBehavior"]:
         """Compiled behavior, or None when it has no statements."""
@@ -253,43 +327,88 @@ class FireProgram:
         self.desc = desc
 
 
+class Route(NamedTuple):
+    """Where a static candidate takes every lane that fires it, its
+    completion chain included: the lanes' variables do not change and
+    nothing is emitted."""
+
+    #: destination configuration
+    end: int
+    #: the lanes' consumed-completion flag afterwards (None keeps the
+    #: current one: internal firings)
+    consumed: Optional[bool]
+    #: transitions the scalar path fires along it (the program plus
+    #: each completion firing)
+    fired: int
+    #: whether it performs external calls
+    has_call: bool
+
+
 class Candidate:
-    """One transition a dispatch may try: pre-compiled guard + program."""
+    """One transition a dispatch may try: pre-compiled guard (and its
+    lane mask, when the guard has one) + program, and, in event cells,
+    the program's static :class:`Route` (None when the outcome depends
+    on the lane; completion cells are only walked inside routes)."""
 
-    __slots__ = ("guard", "guard_has_call", "program")
+    __slots__ = ("guard", "mask", "program", "route")
 
-    def __init__(self, guard: Optional[Callable], guard_has_call: bool,
+    def __init__(self, guard: Optional[Callable], mask: Optional[Callable],
                  program: FireProgram) -> None:
         self.guard = guard
-        self.guard_has_call = guard_has_call
+        self.mask = mask
         self.program = program
+        self.route: Optional[Route] = None
 
 
 class Cell:
     """Dispatch table entry for one (configuration, event) pair.
 
+    ``routes`` (when not None) lists the ``(mask, route)`` pairs a
+    vectorized dispatch walks over a lane group: every candidate up to
+    and including the first unguarded one, each with a route, each
+    guarded one with a mask (``mask`` is None for the unguarded one).
+    An empty tuple means no candidate: every lane discards the event.
+    ``routes_call`` notes whether any of those routes performs external
+    calls — a vectorized step may skip them only when nobody observes
+    calls (no tracing, no mapped externals).
+
     ``static_end`` (when not None) is the configuration every lane in
     this cell lands in regardless of per-lane state: the first candidate
-    is unguarded, its program performs no assignments or emissions, and
-    the completion chain from its destination resolves statically.
-    ``static_consumed`` is the consumed-completion flag those lanes end
-    up with (None = keep the lane's current flag — internal firings).
-    ``static_has_call`` notes whether that static route performs
-    external calls — a vectorized jump may skip them only when nobody
-    observes calls (no tracing, no mapped externals)."""
+    is unguarded and has a route.  ``static_consumed`` is the
+    consumed-completion flag those lanes end up with (None = keep the
+    lane's current flag — internal firings), ``static_has_call``
+    whether that route calls."""
 
-    __slots__ = ("candidates", "static_end", "static_consumed",
-                 "static_has_call")
+    __slots__ = ("candidates", "routes", "routes_call")
 
     def __init__(self, candidates: Sequence[Candidate]) -> None:
         self.candidates = tuple(candidates)
-        self.static_end: Optional[int] = None
-        self.static_consumed: Optional[bool] = None
-        self.static_has_call = False
+        self.routes: Optional[Tuple[Tuple[Optional[Callable], Route],
+                                    ...]] = None
+        self.routes_call = False
 
     @property
     def empty(self) -> bool:
         return not self.candidates
+
+    @property
+    def static_route(self) -> Optional[Route]:
+        """The first candidate's route when that candidate is
+        unguarded: where every lane goes, whatever its variables."""
+        first = self.candidates[0] if self.candidates else None
+        return first.route if first and first.guard is None else None
+
+    @property
+    def static_end(self) -> Optional[int]:
+        return self.static_route.end if self.static_route else None
+
+    @property
+    def static_consumed(self) -> Optional[bool]:
+        return self.static_route.consumed if self.static_route else None
+
+    @property
+    def static_has_call(self) -> bool:
+        return bool(self.static_route and self.static_route.has_call)
 
 
 class TableProgram:
@@ -590,12 +709,11 @@ class _TableBuilder:
 
     def _candidate(self, path: Sequence[State], config_id: int,
                    transition: Transition) -> Candidate:
-        guard_fn = None
-        guard_call = False
+        guard_fn = mask = None
         if transition.guard is not None:
-            guard_fn, guard_call = self.bc.guard(transition.guard)
+            guard_fn, mask = self.bc.guard(transition.guard)
         program = self._resolve_fire(path, config_id, transition)
-        return Candidate(guard_fn, guard_call, program)
+        return Candidate(guard_fn, mask, program)
 
     def _matches(self, transition: Transition, column: int) -> bool:
         for trig in transition.triggers:
@@ -634,65 +752,73 @@ class _TableBuilder:
 
     # -- static classification -------------------------------------------
 
-    def _classify(self, program: FireProgram
-                  ) -> Tuple[Optional[int], Optional[bool], bool]:
-        """Static destination of a program, completion chain included.
+    def _classify(self, program: FireProgram) -> Optional[Route]:
+        """Static route of a program, completion chain included.
 
-        Returns ``(end_config, consumed, has_call)`` when every lane
-        taking this program provably lands in ``end_config`` with
-        unchanged variables and no emissions; ``(None, None, False)``
-        otherwise.  ``consumed`` is the lane's resulting
-        consumed-completion flag: None keeps the current one (internal
-        event transitions), True when the route ends by consuming a
-        completion on an internal completion transition, False when the
-        final configuration was freshly entered."""
-        miss = (None, None, False)
+        Returns the :class:`Route` of every lane taking this program
+        when each provably lands in one configuration with unchanged
+        variables and no emissions; None otherwise.  Its ``consumed`` is
+        None for internal event transitions (the current flag stays),
+        True when the route ends by consuming a completion on an
+        internal completion transition, False when the final
+        configuration was freshly entered."""
         if program.has_assign or program.has_emit:
-            return miss
+            return None
         has_call = program.has_call
         config = program.end
         if program.internal:
             # Internal firings keep the (already consumed — settle
             # invariant) completion flag and never re-dispatch one.
-            return config, None, has_call
+            return Route(config, None, 1, has_call)
+        fired = 1
         seen = set()
         while True:
             cell = self.program.completion[config]
             if cell is None:
                 # Landing configuration is not ripe: a fresh entry
                 # leaves the completion unconsumed.
-                return config, False, has_call
+                return Route(config, False, fired, has_call)
             first = cell.candidates[0]
             if first.guard is not None:
-                return miss
+                return None
             prog = first.program
             if prog.has_assign or prog.has_emit:
-                return miss
+                return None
             has_call = has_call or prog.has_call
+            fired += 1
             if prog.internal:
                 # The completion was consumed; the effect-only firing
                 # keeps the lane in the (ripe) configuration.
-                return config, True, has_call
+                return Route(config, True, fired, has_call)
             if config in seen:
                 # Unguarded completion cycle: the runtime step budget
                 # must catch it, lane by lane.
-                return miss
+                return None
             seen.add(config)
             config = prog.end
+
+    @staticmethod
+    def _routes(cell: Cell
+                ) -> Optional[Tuple[Tuple[Optional[Callable], Route], ...]]:
+        """:attr:`Cell.routes` of a classified cell."""
+        routes = []
+        for cand in cell.candidates:
+            if cand.route is None or (cand.guard is not None
+                                      and cand.mask is None):
+                return None
+            routes.append((cand.mask, cand.route))
+            if cand.guard is None:
+                break      # later candidates are never tried
+        return tuple(routes)
 
     def _classify_cells(self) -> None:
         for row in self.program.cells:
             for cell in row:
-                if not cell.candidates:
-                    continue
-                first = cell.candidates[0]
-                if first.guard is not None:
-                    continue
-                end, consumed, has_call = self._classify(first.program)
-                if end is not None:
-                    cell.static_end = end
-                    cell.static_consumed = consumed
-                    cell.static_has_call = has_call
+                for cand in cell.candidates:
+                    cand.route = self._classify(cand.program)
+                cell.routes = self._routes(cell)
+                cell.routes_call = bool(cell.routes) and any(
+                    route.has_call for _, route in cell.routes)
 
     # -- entry point ------------------------------------------------------
 

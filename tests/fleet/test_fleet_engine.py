@@ -65,7 +65,7 @@ class TestVectorizedPath:
         assert fleet.stats.scalar_lane_events == 2
         assert fleet.stats.fast_lane_events == 0
 
-    def test_guarded_cells_run_scalar_but_agree(self):
+    def test_guarded_cell_vectorizes_and_assignment_runs_scalar(self):
         b = StateMachineBuilder("Guarded")
         b.attribute("n", 0)
         b.state("A")
@@ -78,11 +78,33 @@ class TestVectorizedPath:
         ref = interpreter_run(machine, ["bump", "go"])
         fleet = Fleet(machine, 8).start()
         fleet.dispatch_all("bump")
+        assert fleet.stats.scalar_lane_events == 8   # an assignment
         fleet.dispatch_all("go")
-        assert fleet.stats.scalar_lane_events > 0
+        assert fleet.stats.fast_lane_events == 8     # a lane mask
+        assert fleet.stats.scalar_lane_events == 8
         for lane in range(8):
             assert fleet.attributes_of(lane) == dict(ref.attributes)
             assert fleet.config_name(lane) == "A"   # guard was false
+
+    def test_vectorized_route_counts_every_firing(self):
+        # A -e-> B, then B's completion -> C: the scalar path fires two
+        # transitions per lane, and so must the route.
+        b = StateMachineBuilder("Chain")
+        b.state("A")
+        b.state("B")
+        b.state("C")
+        b.initial_to("A")
+        b.transition("A", "B", on="e")
+        b.completion("B", "C")
+        machine = b.build()
+        traced = Fleet(machine, 1, trace=True).start()
+        wide = Fleet(machine, 2).start()
+        traced.dispatch_all("e")
+        wide.dispatch_all("e")
+        assert wide.stats.fast_lane_events == 2
+        assert traced.stats.fired == 2
+        assert wide.stats.fired == wide.n * traced.stats.fired
+        assert wide.config_name(1) == traced.config_name(0) == "C"
 
 
 class TestObservers:
@@ -155,6 +177,23 @@ class TestBudget:
         fleet = Fleet(flat_machine, 1, step_budget=None).start()
         fleet.dispatch_all("e1")
         assert fleet.config_name(0) == "S3"
+
+    @pytest.mark.parametrize("width, trace", [(1, True), (2, False)])
+    def test_every_path_charges_the_budget(self, width, trace):
+        b = StateMachineBuilder("PingPong")
+        b.state("A")
+        b.state("B")
+        b.initial_to("A")
+        b.transition("A", "B", on="e")
+        b.transition("B", "A", on="e")
+        fleet = Fleet(b.build(), width, trace=trace, step_budget=5).start()
+        for _ in range(5):
+            fleet.dispatch_all("e")
+        assert list(fleet._steps) == [5] * width
+        with pytest.raises(FleetExecutionError, match="lane 0: .* budget"):
+            fleet.dispatch_all("e")
+        if not trace:
+            assert fleet.stats.fast_lane_events == 5 * width
 
 
 class TestSharedTable:
