@@ -13,27 +13,38 @@ share one :class:`~repro.fleet.table.TableProgram`:
   run-to-completion step that produced them, exactly like the
   interpreter's pool).
 
-``dispatch_all(event)`` is the throughput primitive.  Lanes are grouped
-by configuration (one ``config == c`` mask each, snapshotted *before*
-any lane moves so a lane never sees the same event twice).  A group
-whose cell has :attr:`~repro.fleet.table.Cell.routes` advances by lane
-masks: the cell's candidates are walked over the group in the scalar
-loop's order, a guarded one taking the lanes its mask selects among
-those left, an unguarded one every lane left, and the taken lanes store
-their route's configuration and consumed flag in one masked store each;
-lanes no candidate takes discard the event.  So unguarded routes
+``dispatch_all(event)`` is the throughput primitive.  A fleet whose
+lanes all hold one configuration — every lane of a fleet that starts
+identical and takes one stream, until per-lane attribute values split
+them at a guard — is one group, the precomputed every-lane index, with
+no grouping work at all; the fleet records that configuration and keeps
+the record true at every write to ``config``.  Otherwise lanes are
+grouped by configuration (one ``config == c`` mask each, snapshotted
+*before* any lane moves so a lane never sees the same event twice).  A
+group whose cell has :attr:`~repro.fleet.table.Cell.routes` advances by
+lane masks: the cell's candidates are walked over the group in the
+scalar loop's order, a guarded one taking the lanes its mask selects
+among those left, an unguarded one every lane left, and the taken lanes
+store their route's configuration and consumed flag in one masked store
+each; lanes no candidate takes discard the event.  So unguarded routes
 (static cells) and static routes behind mask guards advance without a
 per-lane step.  A group falls back to the scalar run-to-completion loop
 — compiled-closure candidate scan, guard evaluation on that lane only,
 completion settle — when a candidate it may try has no route
 (assignments, emissions, guarded completions) or its guard no mask
 (arithmetic, calls, literals beyond int64), when a route calls and
-calls are observable (mapped externals), or when one of its lanes
-would pass the step budget.  Lanes with pending events, traced fleets
-(traces are per-lane objects) and runs without NumPy take the scalar
-loop throughout; it is the reference the wide-lane checks compare the
-masked path against, and both count the same firings and charge the
-same step budget.
+calls are observable (mapped externals), or when a route fires more
+transitions than the step budget allows (the scalar loop then raises on
+the lane and firing the budget catches).  Lanes with pending events,
+traced fleets (traces are per-lane objects) and runs without NumPy take
+the scalar loop throughout; it is the reference the wide-lane checks
+compare the masked path against, and both count the same firings and
+charge the same step budget.
+
+The step budget bounds one run to completion: a lane's ``start()``, or
+one event's dispatch to it with the completion and emitted events that
+follow (the interpreter's budget covers one ``start()`` or
+``dispatch()`` alike), so a stream of any length never exhausts it.
 
 NumPy supplies the banks when available; a pure-list fallback keeps the
 engine importable (and correct, just slower) without it.
@@ -118,12 +129,17 @@ class Fleet:
         the scalar path for every lane (records are per-lane), so turn
         it on only for conformance-sized fleets.
     step_budget:
-        Per-lane lifetime budget of transition firings, mirroring the
-        interpreter's run-to-completion step budget (its counter ticks
-        at least as fast as this one, so a scenario the interpreter
-        survives never trips the fleet).  ``None`` removes the guard —
-        for long throughput streams; unguarded completion cycles then
-        spin forever, exactly as a generated runtime would.
+        Transition firings one lane may take in one run to completion
+        (its start, or one event and the completion and emitted events
+        that follow), mirroring the interpreter's per-call
+        run-to-completion step budget (its counter ticks at least as
+        fast as this one, so a scenario the interpreter survives never
+        trips the fleet).  Defaults to the semantics' budget.  ``None``
+        removes the guard; unguarded completion cycles then spin
+        forever, exactly as a generated runtime would.
+
+    Only the fleet writes its ``config`` and ``consumed`` banks; callers
+    may set attribute values in ``V``.
     """
 
     def __init__(self, program, n_lanes: int, *,
@@ -150,7 +166,13 @@ class Fleet:
                   for default in program.attr_defaults]
         self.config = _config_bank(self.n, FINAL_CONFIG)
         self.consumed = _bool_bank(self.n, False)
-        self._steps = _int_bank(self.n, 0)
+        #: the configuration every lane holds, or None when lanes may
+        #: differ; every write to ``config`` after start() keeps it true
+        self._uniform: Optional[int] = None
+        self._every_lane = (_np.arange(self.n) if _np is not None
+                            else None)
+        #: firings of the run to completion in progress
+        self._steps = 0
         self._pending: Dict[int, deque] = {}
         self._traces: Optional[List[Trace]] = (
             [Trace() for _ in range(self.n)] if trace else None)
@@ -226,15 +248,12 @@ class Fleet:
                     bank[1:] = [bank[0]] * (self.n - 1)
             first_cfg = self.config[0]
             first_consumed = self.consumed[0]
-            first_steps = self._steps[0]
             if _np is not None:
                 self.config[1:] = first_cfg
                 self.consumed[1:] = first_consumed
-                self._steps[1:] = first_steps
             else:
                 self.config[1:] = [first_cfg] * (self.n - 1)
                 self.consumed[1:] = [first_consumed] * (self.n - 1)
-                self._steps[1:] = [first_steps] * (self.n - 1)
             leftovers = self._pending.get(0)
             if leftovers:
                 for lane in range(1, self.n):
@@ -246,6 +265,7 @@ class Fleet:
 
     def _start_lane(self, lane: int) -> None:
         start = self.program.start
+        self._steps = 0
         try:
             for op in start.ops:
                 op(self, lane)
@@ -272,66 +292,83 @@ class Fleet:
             self.stats.scalar_lane_events += self.n
             return self
 
+        cells = self.program.cells
+        if not self._pending:
+            uniform = self._uniform
+            if uniform is None and (self.config == self.config[0]).all():
+                uniform = self._uniform = int(self.config[0])
+            if uniform is not None:
+                self._step_group(cells[uniform][col], self._every_lane,
+                                 col, name)
+                return self
+
+        # Grouped lanes hold no record: _advance reads a set one as
+        # "this group is every lane".
+        self._uniform = None
         snap = self.config.copy()   # group before any lane moves
         pend_lanes = sorted(self._pending) if self._pending else ()
         pend_mask = None
         if pend_lanes:
             pend_mask = _np.zeros(self.n, dtype=bool)
             pend_mask[_np.array(pend_lanes, dtype=_np.int64)] = True
-        cells = self.program.cells
-        stats = self.stats
         for c in _np.unique(snap):
-            cell = cells[int(c)][col]
             mask = snap == c
             if pend_mask is not None:
                 mask &= ~pend_mask
-            lanes = _np.flatnonzero(mask)
-            routes = cell.routes
-            if routes is not None and \
-                    not (cell.routes_call and self._calls_observable) and \
-                    self._advance(lanes, routes):
-                stats.fast_lane_events += lanes.size
-                continue
-            for lane in lanes.tolist():
-                self._rtc(lane, col, name)
-            stats.scalar_lane_events += lanes.size
+            self._step_group(cells[int(c)][col], _np.flatnonzero(mask),
+                             col, name)
         for lane in pend_lanes:
             self._rtc(lane, col, name)
-            stats.scalar_lane_events += 1
+            self.stats.scalar_lane_events += 1
         return self
 
-    def _advance(self, lanes, routes) -> bool:
-        """Move *lanes* (one configuration's, ascending) along a cell's
+    def _step_group(self, cell, lanes, col: int, name: str) -> None:
+        """Advance *lanes* (one configuration's, ascending) through
+        *cell*: by masked stores when its routes allow, else by the
+        scalar loop lane by lane."""
+        routes = cell.routes
+        budget = self.step_budget
+        if routes is not None and \
+                not (cell.routes_call and self._calls_observable) and \
+                (budget is None or cell.routes_fired <= budget):
+            if routes:
+                self._advance(lanes, routes)
+            self.stats.fast_lane_events += lanes.size
+            return
+        for lane in lanes.tolist():
+            self._rtc(lane, col, name)
+        self.stats.scalar_lane_events += lanes.size
+
+    def _advance(self, lanes, routes) -> None:
+        """Move *lanes* along a cell's
         :attr:`~repro.fleet.table.Cell.routes` by masked stores.
 
         Each guarded route takes the lanes its mask selects among those
         no earlier route took, an unguarded route takes every lane left,
         and lanes no route takes discard the event.  Routes change no
         variable, so every mask reads the values the scalar loop's
-        guards would.  Returns False, having changed nothing, when some
-        lane would pass the step budget: the scalar loop then raises on
-        the lane and firing it always did."""
-        taken = []
+        guards would.  When *lanes* is every lane of a one-configuration
+        fleet, the record of that configuration follows: still one when
+        every lane lands in one configuration, None when they split."""
+        ends = set()
         for mask, route in routes:
             if mask is None:
-                taken.append((lanes, route))
+                part, lanes = lanes, None
+            else:
+                hit = mask(self, lanes)
+                part, lanes = lanes[hit], lanes[~hit]
+            if part.size:
+                self.config[part] = route.end
+                if route.consumed is not None:
+                    self.consumed[part] = route.consumed
+                self.stats.fired += route.fired * part.size
+                ends.add(route.end)
+            if lanes is None:
                 break
-            hit = mask(self, lanes)
-            taken.append((lanes[hit], route))
-            lanes = lanes[~hit]
-        budget = self.step_budget
-        if budget is not None and any(
-                (self._steps[part] + route.fired > budget).any()
-                for part, route in taken):
-            return False
-        for part, route in taken:
-            self.config[part] = route.end
-            if route.consumed is not None:
-                self.consumed[part] = route.consumed
-            if budget is not None:
-                self._steps[part] += route.fired
-            self.stats.fired += route.fired * part.size
-        return True
+        if self._uniform is not None:
+            if lanes is not None and lanes.size:
+                ends.add(self._uniform)
+            self._uniform = ends.pop() if len(ends) == 1 else None
 
     def run_stream(self, events: Sequence[object]) -> "Fleet":
         for event in events:
@@ -342,6 +379,7 @@ class Fleet:
     # scalar run-to-completion (the reference-faithful path)
     # ------------------------------------------------------------------
     def _rtc(self, lane: int, col: int, name: str) -> None:
+        self._steps = 0
         q = self._pending.get(lane)
         if q is None:
             q = deque()
@@ -374,6 +412,7 @@ class Fleet:
 
     def _fire(self, lane: int, program, trace: Optional[Trace]) -> None:
         self._budget(lane)
+        self._uniform = None
         if trace is not None:
             trace.append(TraceKind.TRANSITION, program.desc)
         for op in program.ops:
@@ -405,9 +444,8 @@ class Fleet:
     def _budget(self, lane: int) -> None:
         if self.step_budget is None:
             return
-        steps = self._steps[lane] + 1
-        self._steps[lane] = steps
-        if steps > self.step_budget:
+        self._steps += 1
+        if self._steps > self.step_budget:
             raise FleetExecutionError(
                 f"lane {lane}: run-to-completion step budget exceeded "
                 f"({self.step_budget}); the model likely has an "

@@ -175,18 +175,19 @@ class FleetHarness:
         ``"broadcast"`` delivers every event to every shard (so every
         lane sees the full stream — the apples-to-apples mode against
         per-instance execution).
-    step_budget:
-        Per-lane transition budget forwarded to the fleets; defaults to
-        None (unbounded) because throughput streams legitimately exceed
-        the interpreter's debugging budget.
+
+    Every fleet keeps its semantics' run-to-completion step budget,
+    which bounds one event's dispatch to a lane, not the stream: a
+    livelocked machine raises
+    :class:`~repro.fleet.table.FleetExecutionError` instead of spinning.
     """
 
     def __init__(self, specs: Union[MachineSpec, Sequence[MachineSpec]],
                  n_instances: int = 1024, n_shards: int = 4,
                  batch_size: int = 64, routing: str = "round-robin",
                  externals: Optional[Mapping[str, Callable]] = None,
-                 semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS,
-                 step_budget: Optional[int] = None) -> None:
+                 semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS
+                 ) -> None:
         if routing not in ("round-robin", "broadcast"):
             raise ValueError(f"unknown routing policy {routing!r}")
         self.routing = routing
@@ -212,8 +213,7 @@ class FleetHarness:
                     (1 if shard_index < count % n_shards else 0)
                 if width:
                     fleets.append(Fleet(program, width,
-                                        externals=externals,
-                                        step_budget=step_budget))
+                                        externals=externals))
             self._shards.append(_Shard(fleets, batch_size,
                                        index=shard_index))
         self.n_lanes = sum(s.lanes for s in self._shards)

@@ -205,7 +205,10 @@ def _compile_fn(name: str, body_src: str) -> Callable:
     namespace = dict(_COMPILE_ENV)
     code = compile(body_src, f"<fleet:{name}>", "exec")
     exec(code, namespace)
-    return namespace[name]
+    # Popped, not read: a function left in its own globals dict would
+    # form a cycle (function -> globals -> function) that only the
+    # cyclic collector frees.
+    return namespace.pop(name)
 
 
 class _BehaviorCompiler:
@@ -370,7 +373,9 @@ class Cell:
     An empty tuple means no candidate: every lane discards the event.
     ``routes_call`` notes whether any of those routes performs external
     calls — a vectorized step may skip them only when nobody observes
-    calls (no tracing, no mapped externals).
+    calls (no tracing, no mapped externals).  ``routes_fired`` is the
+    most transitions any of them fires, which a vectorized step
+    compares with the step budget.
 
     ``static_end`` (when not None) is the configuration every lane in
     this cell lands in regardless of per-lane state: the first candidate
@@ -379,13 +384,14 @@ class Cell:
     lane's current flag — internal firings), ``static_has_call``
     whether that route calls."""
 
-    __slots__ = ("candidates", "routes", "routes_call")
+    __slots__ = ("candidates", "routes", "routes_call", "routes_fired")
 
     def __init__(self, candidates: Sequence[Candidate]) -> None:
         self.candidates = tuple(candidates)
         self.routes: Optional[Tuple[Tuple[Optional[Callable], Route],
                                     ...]] = None
         self.routes_call = False
+        self.routes_fired = 0
 
     @property
     def empty(self) -> bool:
@@ -816,9 +822,12 @@ class _TableBuilder:
             for cell in row:
                 for cand in cell.candidates:
                     cand.route = self._classify(cand.program)
-                cell.routes = self._routes(cell)
-                cell.routes_call = bool(cell.routes) and any(
-                    route.has_call for _, route in cell.routes)
+                cell.routes = routes = self._routes(cell)
+                if routes:
+                    cell.routes_call = any(route.has_call
+                                           for _, route in routes)
+                    cell.routes_fired = max(route.fired
+                                            for _, route in routes)
 
     # -- entry point ------------------------------------------------------
 

@@ -35,8 +35,11 @@ __all__ = ["SCHEMA_VERSION", "schema_stamp"]
 #: observation caches share one fingerprint kind.  Generation 4:
 #: ``GimpleFunction`` (pickled in ``CompileResult.program`` and
 #: ``UnitArtifact.optimized_fn``) keeps its label and register counters
-#: as ints.
-SCHEMA_VERSION = 4
+#: as ints.  Generation 5: the run-to-completion step budget
+#: (``max_rtc_steps`` in the semantics key) bounds one ``start()`` or
+#: ``dispatch()`` instead of an instance's lifetime, so observations and
+#: equivalence reports stored under the same budget may differ.
+SCHEMA_VERSION = 5
 
 
 def schema_stamp() -> str:

@@ -262,6 +262,9 @@ class MachineInstance:
         name = event.name if isinstance(event, Event) else str(event)
         self._pool.append((name, priority))
         self.max_pool_depth = max(self.max_pool_depth, len(self._pool))
+        # The budget bounds one call: the event and the completion and
+        # emitted events it causes.
+        self._steps = 0
         self._run_to_completion()
         return self
 

@@ -63,6 +63,11 @@ class SemanticsConfig:
     unconsumed_events: UnconsumedPolicy = UnconsumedPolicy.DISCARD
     conflict_resolution: ConflictPolicy = ConflictPolicy.INNERMOST_FIRST
     completion_priority: bool = True
+    #: Steps one ``start()`` or ``dispatch()`` may take (the event plus
+    #: the completion and emitted events it causes) before the run
+    #: raises as a livelock: an unguarded completion cycle or an emit
+    #: storm.  The count restarts with each call, so a long stream never
+    #: exhausts it.
     max_run_to_completion_steps: int = 10_000
 
     def with_(self, **changes) -> "SemanticsConfig":

@@ -5,7 +5,8 @@ import pytest
 from repro.fleet import (Fleet, FleetExecutionError, compile_table)
 from repro.semantics.runtime import MachineInstance
 from repro.semantics.trace import observable_equal
-from repro.uml import Assign, StateMachineBuilder, calls, parse_expr
+from repro.uml import (Assign, EmitStmt, StateMachineBuilder, calls,
+                        parse_expr)
 
 
 def interpreter_run(machine, events, externals=None):
@@ -178,22 +179,71 @@ class TestBudget:
         fleet.dispatch_all("e1")
         assert fleet.config_name(0) == "S3"
 
-    @pytest.mark.parametrize("width, trace", [(1, True), (2, False)])
-    def test_every_path_charges_the_budget(self, width, trace):
+    def _ping_pong(self):
+        """``A -e-> B -e-> A``: no completion transitions at all."""
         b = StateMachineBuilder("PingPong")
         b.state("A")
         b.state("B")
         b.initial_to("A")
         b.transition("A", "B", on="e")
         b.transition("B", "A", on="e")
-        fleet = Fleet(b.build(), width, trace=trace, step_budget=5).start()
-        for _ in range(5):
+        return b.build()
+
+    def _chain(self):
+        """One ``e`` fires four transitions: ``A -e-> B``, then the
+        completions of B, C and D."""
+        b = StateMachineBuilder("Chain")
+        for name in "ABCDE":
+            b.state(name)
+        b.initial_to("A")
+        b.transition("A", "B", on="e")
+        b.completion("B", "C")
+        b.completion("C", "D")
+        b.completion("D", "E")
+        return b.build()
+
+    @pytest.mark.parametrize("width, trace", [(1, True), (2, False)])
+    def test_every_path_charges_the_budget(self, width, trace):
+        """The budget bounds one dispatch: a dispatch that fires more
+        transitions than it allows raises on every path with one
+        message, and a stream of dispatches that each fit runs on."""
+        fleet = Fleet(self._chain(), width, trace=trace,
+                      step_budget=3).start()
+        with pytest.raises(FleetExecutionError) as info:
             fleet.dispatch_all("e")
-        assert list(fleet._steps) == [5] * width
-        with pytest.raises(FleetExecutionError, match="lane 0: .* budget"):
+        assert str(info.value) == (
+            "lane 0: run-to-completion step budget exceeded (3); the "
+            "model likely has an unguarded completion cycle")
+        fleet = Fleet(self._chain(), width, trace=trace,
+                      step_budget=4).start()
+        fleet.dispatch_all("e")
+        assert fleet.config_name(width - 1) == "E"
+        fleet = Fleet(self._ping_pong(), width, trace=trace,
+                      step_budget=5).start()
+        for _ in range(20):
             fleet.dispatch_all("e")
+        assert fleet.stats.fired == 20 * width
         if not trace:
-            assert fleet.stats.fast_lane_events == 5 * width
+            assert fleet.stats.fast_lane_events == 20 * width
+
+    @pytest.mark.parametrize("width, trace", [(1, True), (64, False)])
+    def test_long_streams_stay_within_the_default_budget(self, width,
+                                                         trace):
+        fleet = Fleet(self._ping_pong(), width, trace=trace).start()
+        fleet.run_stream(["e"] * 20_000)
+        assert fleet.stats.fired == 20_000 * width
+        assert fleet.config_name(width - 1) == "A"
+
+    @pytest.mark.parametrize("width, trace", [(1, True), (2, False)])
+    def test_emit_storm_raises_within_one_dispatch(self, width, trace):
+        b = StateMachineBuilder("Storm")
+        b.state("A")
+        b.initial_to("A")
+        b.internal("A", on="e", effect=[EmitStmt("e")])
+        fleet = Fleet(b.build(), width, trace=trace).start()
+        with pytest.raises(FleetExecutionError,
+                           match=r"lane 0: .* budget exceeded \(10000\)"):
+            fleet.dispatch_all("e")
 
 
 class TestSharedTable:

@@ -1,9 +1,22 @@
-"""The sharded fleet harness: routing, accounting, reports."""
+"""The sharded fleet harness: routing, accounting, reports, budget."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.fleet import FleetHarness, compile_table
 from repro.obs.metrics import REGISTRY
+
+_REPO = pathlib.Path(__file__).resolve().parents[2]
+#: The child imports `repro` like an installed package; run it with src/
+#: on PYTHONPATH so the suite works without `pip install -e .`.
+_ENV = dict(os.environ)
+_ENV["PYTHONPATH"] = os.pathsep.join(
+    [str(_REPO / "src")] + ([_ENV["PYTHONPATH"]]
+                            if _ENV.get("PYTHONPATH") else []))
 
 
 class TestRouting:
@@ -81,3 +94,33 @@ class TestRegistry:
         report = harness.run([])
         assert report.lane_events == 900
         assert counter.value() - before == 900
+
+
+#: A harness over a machine whose completions cycle ``A -> B -> A``; it
+#: prints the error its start raises.
+LIVELOCK = """
+from repro.fleet import FleetExecutionError, FleetHarness
+from repro.uml import StateMachineBuilder
+b = StateMachineBuilder("Livelock")
+b.state("A")
+b.state("B")
+b.initial_to("A")
+b.completion("A", "B")
+b.completion("B", "A")
+try:
+    FleetHarness(b.build(), n_instances=8, n_shards=2).start()
+except FleetExecutionError as exc:
+    print(exc)
+"""
+
+
+class TestBudget:
+    def test_livelocked_machine_raises_instead_of_spinning(self):
+        """Harness fleets keep the step budget.  Run in a child process
+        under a timeout, so a start that spins fails the test instead
+        of hanging the suite."""
+        proc = subprocess.run([sys.executable, "-c", LIVELOCK], env=_ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "run-to-completion step budget exceeded (10000)" in \
+            proc.stdout

@@ -4,24 +4,22 @@ A wide untraced fleet advances a guarded cell by lane masks when every
 candidate it may try has a static route and each guard a mask form; a
 traced fleet always runs the scalar run-to-completion loop.  Each test
 compares the two lane by lane — configuration, consumed flag,
-attributes, step count, firings — and requires a budget error from the
-same event, with the same message, on both.
+attributes, firings — and requires a budget error from the same event,
+with the same message, on both.  After every dispatch the wide fleet's
+record of the configuration all its lanes hold must be None or held by
+every lane.
 """
 
 import random
 
 import pytest
 
-from repro.experiments.workload import WorkloadSpec, generate_machine
-from repro.fleet import (Fleet, FleetExecutionError, FleetUnsupported,
-                         compile_table)
+from repro.fleet import (Fleet, FleetExecutionError, FleetHarness,
+                         FleetUnsupported, compile_table)
+from repro.fleet import engine
 from repro.fuzz.generate import DEFAULT_PROFILES, generate_case
-from repro.uml import StateMachineBuilder
+from repro.uml import Assign, EmitStmt, StateMachineBuilder, parse_expr
 
-#: (n_live, n_dead, n_shadowed_composites, guarded_fraction,
-#: entry_calls): the machine shapes of perfbench's ``fleet`` workload.
-FLEET_FAMILY = ((8, 2, 1, 0.25, 2), (6, 1, 0, 0.5, 3),
-                (10, 0, 2, 0.25, 1), (5, 3, 1, 0.75, 2))
 WIDE = 64
 
 
@@ -35,11 +33,16 @@ def _fails(call, *args):
     return None
 
 
-def _lane(fleet, lane, steps=True):
+def _lane(fleet, lane):
     """Everything the scalar loop leaves in one lane."""
     return (fleet.config_name(lane), bool(fleet.consumed[lane]),
-            fleet.attributes_of(lane),
-            int(fleet._steps[lane]) if steps else None)
+            fleet.attributes_of(lane))
+
+
+def _check_uniform(fleet):
+    """The one-configuration record is None or held by every lane."""
+    uniform = fleet._uniform
+    assert uniform is None or (fleet.config == uniform).all(), uniform
 
 
 def _adaptive(rng, length):
@@ -58,16 +61,6 @@ def _adaptive(rng, length):
     return events
 
 
-def _family_tables():
-    rng = random.Random(0xF1EE7)
-    for n_live, n_dead, n_comp, guarded, entry in 3 * FLEET_FAMILY:
-        machine = generate_machine(WorkloadSpec(
-            n_live=n_live, n_dead=n_dead, n_shadowed_composites=n_comp,
-            guarded_fraction=guarded, entry_calls=entry,
-            seed=rng.getrandbits(32)))
-        yield compile_table(machine)
-
-
 def _case_tables(count):
     for index in range(count):
         machine = generate_case(7000 + index,
@@ -84,7 +77,6 @@ def _broadcast(table, budget, events):
     traced = Fleet(table, 1, trace=True,
                    step_budget=-1 if budget is None else budget)
     wide = Fleet(table, WIDE, step_budget=budget)
-    steps = budget is not None
     failure = _fails(traced.start)
     if failure is not None and budget is None:
         return False         # an unbudgeted fleet would spin here
@@ -96,20 +88,21 @@ def _broadcast(table, budget, events):
         if failure is not None and budget is None:
             return False
         assert _fails(wide.dispatch_all, event) == failure, event
+        _check_uniform(wide)
         if failure is not None:
             return False
-        expected = _lane(traced, 0, steps)
+        expected = _lane(traced, 0)
         for lane in range(wide.n):
-            assert _lane(wide, lane, steps) == expected, (event, lane)
+            assert _lane(wide, lane) == expected, (event, lane)
         assert wide.stats.fired == wide.n * traced.stats.fired
     return wide.stats.scalar_lane_events == 0
 
 
 @pytest.mark.parametrize("family", ["fleet", "fuzz"])
-def test_wide_fleets_match_a_traced_lane(family):
+def test_wide_fleets_match_a_traced_lane(family, fleet_family):
     rng = random.Random(len(family))
-    tables = list(_family_tables() if family == "fleet"
-                  else _case_tables(48))
+    tables = ([compile_table(machine) for machine in fleet_family]
+              if family == "fleet" else list(_case_tables(48)))
     assert len(tables) >= 12
     for table in tables:
         for _ in range(2):
@@ -167,6 +160,7 @@ def _per_lane(table, values, budget, events, externals=None):
     for event in events(wide):
         failures = [_fails(t.dispatch_all, event) for t in traced]
         failure = _fails(wide.dispatch_all, event)
+        _check_uniform(wide)
         if failure is not None or any(failures):
             # The wide fleet raises on the first failing lane of its
             # group order; that lane's own fleet fails alike.
@@ -227,3 +221,88 @@ def test_guards_outside_the_mask_subset_run_scalar(guard):
                      externals={"probe": lambda n: n - 1})
     assert wide.stats.scalar_lane_events == 2 * len(values)
     assert wide.stats.fast_lane_events == len(values)
+
+
+def test_broadcast_harness_never_regroups_its_lanes(fleet_family,
+                                                     monkeypatch):
+    """Every fleet of a broadcast harness starts identical and takes
+    one stream, so each dispatch finds its lanes in one configuration
+    and takes them as one group: ``np.unique`` never runs."""
+    unique = engine._np.unique
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(engine._np, "unique", counting)
+    tables = [compile_table(machine) for machine in fleet_family]
+    harness = FleetHarness([(table, 64) for table in tables], n_shards=2,
+                           batch_size=32, routing="broadcast").start()
+    rng = random.Random(3)
+    alphabet = sorted({name for table in tables
+                       for name in table.event_names})
+    report = harness.run([rng.choice(alphabet) for _ in range(300)])
+    assert report.lane_events == 300 * 64 * len(tables)
+    assert all(shard.fast_fraction == 1.0 for shard in report.shards)
+    assert calls == []
+
+
+def _merge_machine():
+    """``go`` splits lanes three ways by ``n``; ``reset`` takes every
+    lane of every configuration to R, unguarded."""
+    b = StateMachineBuilder("Merge")
+    b.attribute("n", 0)
+    for name in ("A", "B", "C", "R"):
+        b.state(name)
+    b.initial_to("A")
+    b.transition("A", "B", on="go", guard="n > 0")
+    b.transition("A", "C", on="go", guard="n < 0")
+    for name in ("A", "B", "C"):
+        b.transition(name, "R", on="reset")
+    b.transition("R", "A", on="again")
+    return b.build()
+
+
+def test_split_lanes_merge_back_into_one_configuration():
+    table = compile_table(_merge_machine())
+    values = [{"n": n} for n in range(-3, 4)]
+    wide = _per_lane(table, values, None, lambda _: ["go"])
+    assert {wide.config_name(lane) for lane in range(wide.n)} == \
+        {"A", "B", "C"}
+    assert wide._uniform is None
+    wide = _per_lane(table, values, None, lambda _: ["go", "reset"])
+    assert {wide.config_name(lane) for lane in range(wide.n)} == {"R"}
+    # The grouped dispatch leaves the record unset; the next dispatch
+    # finds every lane in R and records it.
+    wide = _per_lane(table, values, None,
+                     lambda _: ["go", "reset", "tick"])
+    assert wide._uniform == table.config_names.index("R")
+    wide = _per_lane(table, values, None,
+                     lambda _: ["go", "reset", "again", "reset"])
+    assert wide._uniform == table.config_names.index("R")
+    assert wide.stats.scalar_lane_events == 0
+
+
+def test_one_configuration_meets_scalar_cells_and_pending_lanes():
+    """The start emits ``kick``, so the first dispatch finds every lane
+    pending; ``bump`` assigns, so its cell runs the scalar loop over
+    the one group."""
+    b = StateMachineBuilder("Kick")
+    b.attribute("n", 0)
+    for name in ("A", "B", "C"):
+        b.state(name)
+    b.initial_to("A", effect=[EmitStmt("kick")])
+    b.transition("A", "B", on="kick")
+    b.internal("B", on="bump", effect=[Assign("n", parse_expr("n + 1"))])
+    b.transition("B", "C", on="go", guard="n > 1")
+    b.transition("C", "B", on="back")
+    table = compile_table(b.build())
+    stream = ["go", "bump", "go", "bump", "go", "back", "bump", "go"]
+    wide = _per_lane(table, [{}] * 8, None, lambda _: stream)
+    assert wide.config_name(0) == "C"
+    assert wide._uniform == table.config_names.index("C")
+    # pending lanes and the three bumps ran scalar, every go and back
+    # by one masked store
+    assert wide.stats.scalar_lane_events == 4 * wide.n
+    assert wide.stats.fast_lane_events == 4 * wide.n

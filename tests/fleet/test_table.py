@@ -1,5 +1,7 @@
 """The table compiler: config space, cell classification, rejections."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,25 @@ class TestRejections:
         machine = b.build()
         with pytest.raises(FleetUnsupported):
             compile_table(machine)
+
+
+class TestGarbage:
+    def test_compiled_fleets_leave_no_cyclic_garbage(self, fleet_family):
+        """Compiled guards and behaviors hold no reference back to
+        themselves, so a table and its fleets are freed by reference
+        counting alone."""
+        def compile_and_run():
+            for machine in fleet_family:
+                table = compile_table(machine)
+                fleet = Fleet(table, 100).start()
+                for name in 4 * table.event_names:
+                    fleet.dispatch_all(name)
+
+        compile_and_run()            # warm up imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            compile_and_run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

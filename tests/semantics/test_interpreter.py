@@ -394,6 +394,26 @@ class TestVariationPoints:
         with pytest.raises(ExecutionError):
             inst.start()
 
+    def test_step_budget_bounds_one_dispatch_not_the_stream(self):
+        b = StateMachineBuilder("PingPong")
+        b.state("A")
+        b.state("B")
+        b.initial_to("A")
+        b.transition("A", "B", on="e")
+        b.transition("B", "A", on="e")
+        inst = MachineInstance(b.build()).start()
+        inst.send_all(["e"] * 20_000)
+        assert inst.current_state == "A"
+
+    def test_emit_storm_hits_step_budget_within_one_dispatch(self):
+        b = StateMachineBuilder("Storm")
+        b.state("A")
+        b.initial_to("A")
+        b.internal("A", on="e", effect=[EmitStmt("e")])
+        inst = MachineInstance(b.build()).start()
+        with pytest.raises(ExecutionError, match=r"budget exceeded \(10000\)"):
+            inst.dispatch("e")
+
 
 class TestPseudostates:
     def test_choice_selects_guarded_branch(self):
