@@ -20,8 +20,9 @@ FROM python:3.12-slim
 WORKDIR /app
 
 # Install exactly what the wheel needs first, so source edits don't
-# bust the dependency layer.  The package is dependency-free; the test
-# extra pulls the SLO gate's runtime (pytest et al. for CI use).
+# bust the dependency layer.  The package's one runtime dependency is
+# NumPy (the fleet engine); the test extra pulls the SLO gate's runtime
+# (pytest et al. for CI use).
 COPY pyproject.toml setup.py README.md ./
 COPY src ./src
 COPY scripts ./scripts

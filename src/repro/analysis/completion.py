@@ -17,9 +17,10 @@ This analysis computes, purely structurally (no execution):
 
 A state is always-completing when
 
-* it is a simple state (or a composite whose only region has no initial
-  pseudostate — such a composite completes immediately, like a simple
-  state), **and**
+* it is a simple state (a composite completes only when its region
+  reaches a final state; one whose region has no initial pseudostate
+  never does, since the reference interpreter never enters that
+  region), **and**
 * the disjunction of its completion-transition guards is a tautology;
   in practice we check the common cases: some completion transition is
   un-guarded or constant-true after folding, or an exhaustive
@@ -40,15 +41,6 @@ from ..uml.statemachine import State, StateMachine
 from ..uml.transitions import Transition
 
 __all__ = ["CompletionInfo", "analyze_completion", "is_always_completing"]
-
-
-def _completes_immediately_on_entry(state: State) -> bool:
-    """True when the state's completion event is generated directly on
-    entry (no nested region keeps running)."""
-    if state.is_simple:
-        return True
-    region = state.regions[0] if state.regions else None
-    return region is not None and region.initial is None
 
 
 def _guards_exhaustive(transitions: List[Transition]) -> bool:
@@ -74,9 +66,7 @@ def is_always_completing(state: State) -> bool:
     """True when *state* always exits through a completion transition
     immediately after being entered (making its event transitions dead)."""
     completions = state.completion_transitions()
-    if not completions:
-        return False
-    if not _completes_immediately_on_entry(state):
+    if not completions or not state.is_simple:
         return False
     return _guards_exhaustive(completions)
 

@@ -16,8 +16,8 @@ counterpart is :mod:`repro.vm`).
 
 from typing import List, Type
 
-from .base import (CodeGenerator, CodegenError, GenConfig, NO_EVENT,
-                   COMPLETION_EVENT, EVENT_ENUM, event_enumerator)
+from .base import (CodeGenerator, CodegenError, NO_EVENT, COMPLETION_EVENT,
+                   EVENT_ENUM, event_enumerator)
 from .common import event_index
 from .flat_switch import FlatSwitchGenerator
 from .flattening import (FlatMachine, FlatTransition, LeafConfig,
@@ -27,7 +27,7 @@ from .state_pattern import StatePatternGenerator
 from .state_table import StateTableGenerator
 
 __all__ = [
-    "CodeGenerator", "CodegenError", "GenConfig", "NO_EVENT",
+    "CodeGenerator", "CodegenError", "NO_EVENT",
     "COMPLETION_EVENT", "EVENT_ENUM", "event_enumerator", "event_index",
     "FlatMachine", "FlatTransition", "LeafConfig", "flatten_machine",
     "FlatSwitchGenerator", "NestedSwitchGenerator", "StatePatternGenerator",
@@ -50,11 +50,10 @@ ALL_PATTERNS: List[Type[CodeGenerator]] = ALL_GENERATORS + [
 ]
 
 
-def generator_by_name(name: str, config: GenConfig = GenConfig()
-                      ) -> CodeGenerator:
+def generator_by_name(name: str) -> CodeGenerator:
     """Instantiate a generator by its stable name."""
     for gen_cls in ALL_PATTERNS:
         if gen_cls.name == name:
-            return gen_cls(config)
+            return gen_cls()
     raise KeyError(f"unknown generator {name!r}; available: "
                    f"{[g.name for g in ALL_PATTERNS]}")

@@ -1,4 +1,4 @@
-"""Code generator interface and configuration.
+"""Code generator interface.
 
 Paper §III.B: "There are number of patterns that may be used to implement
 a UML state machine.  Most popular ones are: the State Pattern, the State
@@ -23,12 +23,11 @@ Shared conventions of all three generators:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from ..cpp import ast as cpp
 from ..uml.statemachine import StateMachine
 
-__all__ = ["GenConfig", "CodeGenerator", "CodegenError", "EVENT_ENUM",
+__all__ = ["CodeGenerator", "CodegenError", "EVENT_ENUM",
            "event_enumerator", "NO_EVENT", "COMPLETION_EVENT"]
 
 EVENT_ENUM = "Event"
@@ -46,14 +45,6 @@ def event_enumerator(event_name: str) -> str:
     return f"EV_{event_name}"
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Generation options shared by all patterns."""
-
-    class_prefix: str = ""       # prepended to every generated class name
-    emit_is_final: bool = True   # generate the is_final() observer
-
-
 class CodeGenerator(abc.ABC):
     """One implementation pattern."""
 
@@ -63,13 +54,10 @@ class CodeGenerator(abc.ABC):
     #: human-readable pattern name as the paper spells it
     display_name: str = ""
 
-    def __init__(self, config: GenConfig = GenConfig()) -> None:
-        self.config = config
-
     @abc.abstractmethod
     def generate(self, machine: StateMachine) -> cpp.TranslationUnit:
         """Generate the translation unit implementing *machine*."""
 
     def class_name(self, machine: StateMachine) -> str:
         """Name of the generated machine class."""
-        return f"{self.config.class_prefix}{machine.name}"
+        return machine.name

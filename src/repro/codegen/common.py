@@ -18,7 +18,26 @@ from ..uml.statemachine import StateMachine
 from .base import CodegenError, EVENT_ENUM, event_enumerator
 
 __all__ = ["guard_to_cpp", "behavior_to_cpp", "event_enum_decl",
-           "extern_decls", "attribute_fields", "event_index"]
+           "extern_decls", "attribute_fields", "event_index",
+           "check_composite_initials"]
+
+
+def check_composite_initials(machine: StateMachine) -> None:
+    """Decline a composite whose region has no initial pseudostate.
+
+    The interpreter never enters such a region, so the composite never
+    completes; every pattern's runtime would complete it (or, in the
+    state pattern, jump through a null state).  Every pattern calls
+    this, so such a machine is a documented feature gap (a
+    :class:`CodegenError`) rather than wrong code.
+    """
+    for state in machine.all_states():
+        for region in state.regions:
+            if region.initial is None:
+                raise CodegenError(
+                    f"composite state {state.label!r} has a region without "
+                    "an initial pseudostate; generated code cannot leave "
+                    "it uncompleted")
 
 
 def guard_to_cpp(expr: uact.Expr, holder: Callable[[], cpp.Expr]) -> cpp.Expr:

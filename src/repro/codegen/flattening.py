@@ -3,38 +3,71 @@
 The State-Transition-Table pattern in the literature the paper cites
 (R.C. Martin's FSM article) describes a *flat* table; table-driven
 implementations of hierarchical machines flatten the hierarchy at
-generation time.  This module computes that flattening:
+generation time.  This module computes that flattening, the one
+resolution of the hierarchy outside the reference interpreter: the STT
+and flat-switch generators emit it as code, and the fleet's table
+compiler (:mod:`repro.fleet.table`) turns it into dispatch cells.  It
+computes:
 
 * the **leaf configurations** — one per stable configuration the machine
   can rest in: simple states, final states of nested regions, and
   composites whose region has no initial transition;
 * for each (leaf, trigger) the **resolved transition** found by UML's
   innermost-first lookup along the leaf's ancestor chain;
-* the full **action sequence** of each resolved transition: exit
-  behaviors innermost-out up to the LCA, the transition effect, then
-  entry behaviors (and initial-transition effects) outside-in down to
-  the target leaf;
-* **completion rows** for leaves whose configuration completes a
-  composite (finals of nested regions) or that own completion
-  transitions directly.
+* the **steps** of each resolved transition, in the interpreter's order
+  (:class:`repro.semantics.runtime.MachineInstance`): exit states
+  innermost-out up to the LCA, run the transition effect, then enter
+  states outside-in down to the target leaf, running each default
+  entry's initial-transition effect on the way; entering a final state
+  completes its region, which exits what the region still holds.  A
+  row's **actions** are the non-empty behaviors those steps run (exit;
+  effect; entry, then do-activity);
+* **completion rows** for leaves whose configuration is complete: a
+  simple state, or a final of a nested region (which completes its
+  owner).  A composite whose region has no initial transition never
+  completes — the interpreter never dispatches its completion event —
+  so it gets none.
 
-The result is consumed by the STT generator; it is also a reusable
-analysis (the sweep benchmarks use it to count table rows).
+The result is also a reusable analysis (the sweep benchmarks use it to
+count table rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from ..uml.actions import Behavior, Expr
-from ..uml.elements import ModelError
-from ..uml.statemachine import (FinalState, Pseudostate, State, StateMachine,
-                                Vertex)
+from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
+                                StateMachine, Vertex)
 from ..uml.transitions import Transition, TransitionKind
 from .base import CodegenError
 
-__all__ = ["LeafConfig", "FlatTransition", "FlatMachine", "flatten_machine"]
+__all__ = ["LeafConfig", "FlatTransition", "FlatMachine", "Step",
+           "flatten_machine"]
+
+
+class Step(NamedTuple):
+    """One step of a firing: ``kind`` is ``"exit"`` or ``"enter"`` (of
+    the :class:`State` *element*), ``"effect"`` (run the
+    :class:`Behavior` *element*) or ``"complete"`` (the :class:`Region`
+    *element* reached a final state)."""
+
+    kind: str
+    element: Union[State, Behavior, Region]
+
+
+def _actions(steps: Iterable[Step]) -> Tuple[Behavior, ...]:
+    """The non-empty behaviors *steps* run, in order."""
+    actions: List[Behavior] = []
+    for kind, element in steps:
+        if kind == "exit":
+            actions.append(element.exit)
+        elif kind == "enter":
+            actions.extend((element.entry, element.do_activity))
+        elif kind == "effect":
+            actions.append(element)
+    return tuple(b for b in actions if b)
 
 
 @dataclass(frozen=True)
@@ -45,6 +78,7 @@ class LeafConfig:
     name: str            # unique flat name, e.g. "S3.S31" or "S3.final"
     vertex_kind: str     # "state" | "final" | "top-final"
     active_states: Tuple[str, ...]  # active state names, outermost first
+    vertex: Vertex = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -53,11 +87,19 @@ class FlatTransition:
 
     source: int                     # leaf index
     trigger: Optional[str]          # event name; None = completion row
-    guard: Optional[Expr]
-    actions: Tuple[Behavior, ...]   # exits, effect, entries - in order
+    transition: Transition          # the model transition the row fires
+    steps: Tuple[Step, ...]         # exits, effect, entries... in order
     target: int                     # leaf index
-    internal: bool = False          # internal transition: actions only
+    internal: bool = False          # internal transition: effect only
     description: str = ""
+
+    @property
+    def guard(self) -> Optional[Expr]:
+        return self.transition.guard
+
+    @property
+    def actions(self) -> Tuple[Behavior, ...]:
+        return _actions(self.steps)
 
 
 @dataclass
@@ -68,8 +110,13 @@ class FlatMachine:
     leaves: List[LeafConfig] = field(default_factory=list)
     transitions: List[FlatTransition] = field(default_factory=list)
     initial_leaf: int = 0
-    initial_actions: Tuple[Behavior, ...] = ()
+    initial_transition: Optional[Transition] = None
+    initial_steps: Tuple[Step, ...] = ()
     top_final_leaf: Optional[int] = None
+
+    @property
+    def initial_actions(self) -> Tuple[Behavior, ...]:
+        return _actions(self.initial_steps)
 
     def leaf_by_name(self, name: str) -> LeafConfig:
         for leaf in self.leaves:
@@ -92,20 +139,16 @@ class _Flattener:
             if len(state.regions) > 1:
                 raise CodegenError(
                     f"orthogonal regions unsupported ({state.label})")
-            if state.do_activity:
-                # Do-activities are carried in the metamodel but the
-                # generated runtimes treat them as instantaneous; they are
-                # appended to the entry behavior during flattening.
-                pass
         self._collect_leaves()
         top = self.machine.regions[0]
-        initial = top.initial
-        if initial is None:
+        if top.initial is None:
             raise CodegenError("machine has no initial pseudostate")
-        arc = initial.outgoing()[0]
-        actions, leaf = self._entry_chain_from_transition(arc, [])
+        arc = self._initial_arc(top)
+        steps: List[Step] = []
+        leaf = self._take(arc, [], steps)
         self.flat.initial_leaf = leaf
-        self.flat.initial_actions = tuple(actions)
+        self.flat.initial_transition = arc
+        self.flat.initial_steps = tuple(steps)
         self._collect_transitions()
         return self.flat
 
@@ -113,7 +156,7 @@ class _Flattener:
     def _add_leaf(self, vertex: Vertex, kind: str) -> int:
         path = self._path_name(vertex)
         actives = tuple(s.name for s in self._active_chain(vertex))
-        leaf = LeafConfig(len(self.flat.leaves), path, kind, actives)
+        leaf = LeafConfig(len(self.flat.leaves), path, kind, actives, vertex)
         self.flat.leaves.append(leaf)
         self._leaf_of_vertex[vertex.element_id] = leaf.index
         return leaf.index
@@ -150,52 +193,51 @@ class _Flattener:
                     self._add_leaf(vertex, "final")
 
     # ------------------------------------------------------------------
-    # entry chains
+    # entering (the interpreter's _enter_target, resolved statically)
     # ------------------------------------------------------------------
-    def _entry_chain_from_transition(
-            self, transition: Transition,
-            already_active: Sequence[State]) -> Tuple[List[Behavior], int]:
-        """Actions + final leaf for taking *transition* (effect, entries,
-        default entries, resolving pseudostate chains)."""
-        actions: List[Behavior] = []
+    @staticmethod
+    def _initial_arc(region: Region) -> Transition:
+        out = region.initial.outgoing()
+        if not out:
+            raise CodegenError(f"initial of region {region.label!r} has no "
+                               "outgoing transition")
+        return out[0]
+
+    def _take(self, transition: Transition, active: List[State],
+              steps: List[Step]) -> int:
+        """Run *transition*'s effect and enter its target from the
+        *active* path (outermost first); returns the target leaf."""
         if transition.effect:
-            actions.append(transition.effect)
-        return self._enter_vertex(transition.target, list(already_active),
-                                  actions)
+            steps.append(Step("effect", transition.effect))
+        return self._enter_vertex(transition.target, active, steps)
 
     def _enter_vertex(self, target: Vertex, active: List[State],
-                      actions: List[Behavior]) -> Tuple[List[Behavior], int]:
-        if isinstance(target, State):
-            chain = self._active_chain(target)
-            active_ids = {s.element_id for s in active}
-            for state in chain:
-                if state.element_id in active_ids:
-                    continue
-                if state.entry:
-                    actions.append(state.entry)
-                if state.do_activity:
-                    actions.append(state.do_activity)
-                active.append(state)
-                active_ids.add(state.element_id)
-            region = target.regions[0] if target.regions else None
-            if region is not None and region.initial is not None:
-                arc = region.initial.outgoing()[0]
-                if arc.effect:
-                    actions.append(arc.effect)
-                return self._enter_vertex(arc.target, active, actions)
-            return actions, self._leaf_of_vertex[target.element_id]
-        if isinstance(target, FinalState):
-            # Entering a nested final exits nothing further; the leaf
-            # represents "composite with completed region".
-            chain = self._active_chain(target)
-            active_ids = {s.element_id for s in active}
-            for state in chain:
-                if state.element_id not in active_ids:
-                    if state.entry:
-                        actions.append(state.entry)
+                      steps: List[Step]) -> int:
+        entered = set()
+        while isinstance(target, State):
+            for state in self._active_chain(target):
+                if state not in active:
+                    steps.append(Step("enter", state))
                     active.append(state)
-                    active_ids.add(state.element_id)
-            return actions, self._leaf_of_vertex[target.element_id]
+            region = target.regions[0] if target.regions else None
+            if region is None or region.initial is None:
+                return self._leaf_of_vertex[target.element_id]
+            if target in entered:
+                raise CodegenError(f"default entry of {target.label!r} does "
+                                   "not terminate")
+            entered.add(target)
+            # Default entry: the nested region's initial transition.
+            arc = self._initial_arc(region)
+            if arc.effect:
+                steps.append(Step("effect", arc.effect))
+            target = arc.target
+        if isinstance(target, FinalState):
+            for state in self._active_chain(target):
+                if state not in active:
+                    steps.append(Step("enter", state))
+                    active.append(state)
+            self._complete(target, active, steps)
+            return self._leaf_of_vertex[target.element_id]
         if isinstance(target, Pseudostate):
             raise CodegenError(
                 f"flattening does not support transitions through "
@@ -205,6 +247,17 @@ class _Flattener:
                 "state patterns")
         raise CodegenError(f"cannot enter vertex {target!r}")
 
+    @staticmethod
+    def _complete(final: FinalState, active: List[State],
+                  steps: List[Step]) -> None:
+        """Entering *final* completes its region: the top region exits
+        every active state, a nested one what its owner still holds."""
+        region = final.container
+        steps.append(Step("complete", region))
+        owner = region.owner
+        while active and active[-1] is not owner:
+            steps.append(Step("exit", active.pop()))
+
     # ------------------------------------------------------------------
     # transitions
     # ------------------------------------------------------------------
@@ -212,16 +265,9 @@ class _Flattener:
         for leaf in self.flat.leaves:
             if leaf.vertex_kind == "top-final":
                 continue
-            vertex = self._vertex_of_leaf(leaf)
-            chain = self._dispatch_chain(vertex)
-            self._event_rows(leaf, vertex, chain)
-            self._completion_rows(leaf, vertex, chain)
-
-    def _vertex_of_leaf(self, leaf: LeafConfig) -> Vertex:
-        for vertex in self.machine.all_vertices():
-            if self._leaf_of_vertex.get(vertex.element_id) == leaf.index:
-                return vertex
-        raise ModelError(f"no vertex for leaf {leaf.name}")  # pragma: no cover
+            chain = self._dispatch_chain(leaf.vertex)
+            self._event_rows(leaf, chain)
+            self._completion_rows(leaf, chain)
 
     @staticmethod
     def _dispatch_chain(vertex: Vertex) -> List[State]:
@@ -235,8 +281,7 @@ class _Flattener:
                 chain.append(anc)
         return chain
 
-    def _event_rows(self, leaf: LeafConfig, vertex: Vertex,
-                    chain: List[State]) -> None:
+    def _event_rows(self, leaf: LeafConfig, chain: List[State]) -> None:
         # Innermost-first: once an inner state handles (event, guard
         # unconditionally true), outer rows for that event are shadowed.
         # We emit rows in priority order; the generated engine scans in
@@ -244,62 +289,49 @@ class _Flattener:
         for depth, state in enumerate(chain):
             for tr in state.event_transitions():
                 for trig in tr.triggers:
-                    self._emit_row(leaf, vertex, chain, depth, state, tr,
-                                   trig.name)
+                    self._emit_row(leaf, chain, depth, tr, trig.name)
 
-    def _completion_rows(self, leaf: LeafConfig, vertex: Vertex,
+    def _completion_rows(self, leaf: LeafConfig,
                          chain: List[State]) -> None:
-        # A completion row applies to the state that is "complete" in this
-        # configuration: the leaf itself when it is a simple state (or an
-        # initial-less composite), or the region owner when the leaf is a
-        # nested final state.
+        # A completion row applies to the state that is complete in this
+        # configuration: the leaf itself when it is a simple state, or
+        # the region owner when the leaf is a nested final state.  The
+        # completing state is innermost in the chain.
+        vertex = leaf.vertex
         if isinstance(vertex, State):
-            completing: Optional[State] = vertex
+            completing = vertex if vertex.is_simple else None
         else:
-            owner = vertex.container.owner if vertex.container else None
-            completing = owner if isinstance(owner, State) else None
+            completing = vertex.container.owner
         if completing is None:
             return
         for tr in completing.completion_transitions():
-            depth = next(i for i, s in enumerate(chain)
-                         if s is completing) if completing in chain else 0
-            self._emit_row(leaf, vertex, chain, depth, completing, tr, None)
+            self._emit_row(leaf, chain, 0, tr, None)
 
-    def _emit_row(self, leaf: LeafConfig, vertex: Vertex,
-                  chain: List[State], depth: int, source_state: State,
+    def _emit_row(self, leaf: LeafConfig, chain: List[State], depth: int,
                   tr: Transition, trigger: Optional[str]) -> None:
         if tr.kind is TransitionKind.INTERNAL:
-            actions = [tr.effect] if tr.effect else []
+            steps = [Step("effect", tr.effect)] if tr.effect else []
             self.flat.transitions.append(FlatTransition(
-                source=leaf.index, trigger=trigger, guard=tr.guard,
-                actions=tuple(actions), target=leaf.index, internal=True,
+                source=leaf.index, trigger=trigger, transition=tr,
+                steps=tuple(steps), target=leaf.index, internal=True,
                 description=f"{leaf.name}: {tr.describe()} (internal)"))
             return
         # Exits: from the innermost active state out to (and including)
-        # the transition's source level; then continue to the LCA of the
-        # target.
-        exit_states = list(chain[:depth + 1])
-        target_active = {s.element_id
-                         for s in self._active_chain(tr.target)[:-1]} \
-            if isinstance(tr.target, State) else {
-                s.element_id for s in self._active_chain(tr.target)}
-        # Extend exits past the source level while the remaining active
-        # chain is not an ancestor of the target.
+        # the transition's source level, then on while the active state
+        # does not enclose the target (the LCA).
+        enclosing = {anc for anc in tr.target.owner_chain()
+                     if isinstance(anc, State)}
+        exits = chain[:depth + 1]
         for state in chain[depth + 1:]:
-            if state.element_id in target_active:
+            if state in enclosing:
                 break
-            exit_states.append(state)
-        actions: List[Behavior] = []
-        for state in exit_states:
-            if state.exit:
-                actions.append(state.exit)
-        remaining = [s for s in reversed(chain) if s not in exit_states]
-        entry_actions, target_leaf = self._entry_chain_from_transition(
-            tr, remaining)
-        actions.extend(entry_actions)
+            exits.append(state)
+        steps = [Step("exit", state) for state in exits]
+        remaining = [s for s in reversed(chain) if s not in exits]
+        target_leaf = self._take(tr, remaining, steps)
         self.flat.transitions.append(FlatTransition(
-            source=leaf.index, trigger=trigger, guard=tr.guard,
-            actions=tuple(actions), target=target_leaf,
+            source=leaf.index, trigger=trigger, transition=tr,
+            steps=tuple(steps), target=target_leaf,
             description=f"{leaf.name}: {tr.describe()}"))
 
 

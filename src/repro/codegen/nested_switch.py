@@ -36,8 +36,9 @@ from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
                                 StateMachine)
 from ..uml.transitions import Transition, TransitionKind
 from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
-from .common import (attribute_fields, behavior_to_cpp, event_enum_decl,
-                     extern_decls, guard_to_cpp)
+from .common import (attribute_fields, behavior_to_cpp,
+                     check_composite_initials, event_enum_decl, extern_decls,
+                     guard_to_cpp)
 
 __all__ = ["NestedSwitchGenerator"]
 
@@ -110,6 +111,7 @@ class NestedSwitchGenerator(CodeGenerator):
         for state in machine.all_states():
             if len(state.regions) > 1:
                 raise CodegenError("orthogonal regions unsupported")
+        check_composite_initials(machine)
 
     def _plan_region(self, cls_name: str, region: Region,
                      is_top: bool) -> _RegionPlan:
@@ -414,17 +416,11 @@ class NestedSwitchGenerator(CodeGenerator):
         body = cpp.Block()
         body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "done"),
                             cpp.IntLit(0)))
-        initial = plan.region.initial
-        if initial is not None:
-            arc = initial.outgoing()[0]
-            self._effect_stmts(plan, arc, body)
-            self._enter_target(plan, arc, body)
-            body.add(cpp.ExprStmt(cpp.MethodCall(
-                cpp.ThisExpr(), plan.cls_name, "completions")))
-        else:
-            # Region without initial: composite behaves as a simple state.
-            body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "done"),
-                                cpp.IntLit(1)))
+        arc = plan.region.initial.outgoing()[0]
+        self._effect_stmts(plan, arc, body)
+        self._enter_target(plan, arc, body)
+        body.add(cpp.ExprStmt(cpp.MethodCall(
+            cpp.ThisExpr(), plan.cls_name, "completions")))
         return cpp.Method("reset", [], VOID, body)
 
     def _gen_exit_all(self, plan: _RegionPlan) -> cpp.Method:

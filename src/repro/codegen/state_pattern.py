@@ -34,8 +34,9 @@ from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
                                 StateMachine)
 from ..uml.transitions import Transition, TransitionKind
 from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
-from .common import (attribute_fields, behavior_to_cpp, event_enum_decl,
-                     extern_decls, guard_to_cpp)
+from .common import (attribute_fields, behavior_to_cpp,
+                     check_composite_initials, event_enum_decl, extern_decls,
+                     guard_to_cpp)
 
 __all__ = ["StatePatternGenerator"]
 
@@ -93,6 +94,7 @@ class StatePatternGenerator(CodeGenerator):
                 raise CodegenError("orthogonal regions unsupported")
         if len(machine.regions) != 1:
             raise CodegenError("state-pattern needs one top region")
+        check_composite_initials(machine)
 
     def _plan(self, cls_name: str, region: Region,
               is_top: bool) -> _MachinePlan:
@@ -341,10 +343,7 @@ class StatePatternGenerator(CodeGenerator):
     def _initial_entry(self, plan: _MachinePlan, body: cpp.Block,
                        self_expr: Callable[[], cpp.Expr]) -> None:
         initial = plan.region.initial
-        if initial is None:
-            if not plan.is_top:
-                body.add(cpp.Assign(
-                    cpp.FieldAccess(cpp.ThisExpr(), "done"), cpp.IntLit(1)))
+        if initial is None:     # the top region (composites have one)
             return
         arc = initial.outgoing()[0]
         holder = (cpp.ThisExpr if plan.is_top

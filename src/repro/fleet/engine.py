@@ -35,19 +35,16 @@ completion settle — when a candidate it may try has no route
 (arithmetic, calls, literals beyond int64), when a route calls and
 calls are observable (mapped externals), or when a route fires more
 transitions than the step budget allows (the scalar loop then raises on
-the lane and firing the budget catches).  Lanes with pending events,
-traced fleets (traces are per-lane objects) and runs without NumPy take
-the scalar loop throughout; it is the reference the wide-lane checks
-compare the masked path against, and both count the same firings and
-charge the same step budget.
+the lane and firing the budget catches).  Lanes with pending events
+and traced fleets (traces are per-lane objects) take the scalar loop
+throughout; it is the reference the wide-lane checks compare the masked
+path against, and both count the same firings and charge the same step
+budget.
 
 The step budget bounds one run to completion: a lane's ``start()``, or
 one event's dispatch to it with the completion and emitted events that
 follow (the interpreter's budget covers one ``start()`` or
 ``dispatch()`` alike), so a stream of any length never exhausts it.
-
-NumPy supplies the banks when available; a pure-list fallback keeps the
-engine importable (and correct, just slower) without it.
 """
 
 from __future__ import annotations
@@ -56,10 +53,7 @@ from collections import deque
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-try:                                   # the container bakes numpy in,
-    import numpy as _np                # but the engine must not require it
-except Exception:                      # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..semantics.trace import Trace, TraceKind
 from ..semantics.variation import SemanticsConfig, UML_DEFAULT_SEMANTICS
@@ -88,24 +82,6 @@ class FleetStats:
     def fast_fraction(self) -> float:
         total = self.lane_events
         return self.fast_lane_events / total if total else 0.0
-
-
-def _int_bank(n: int, fill: int):
-    if _np is not None:
-        return _np.full(n, fill, dtype=_np.int64)
-    return [fill] * n
-
-
-def _config_bank(n: int, fill: int):
-    if _np is not None:
-        return _np.full(n, fill, dtype=_np.int32)
-    return [fill] * n
-
-
-def _bool_bank(n: int, fill: bool):
-    if _np is not None:
-        return _np.full(n, fill, dtype=bool)
-    return [fill] * n
 
 
 class Fleet:
@@ -162,15 +138,14 @@ class Fleet:
         #: calls are observable per lane: the fast path must not skip
         #: call-bearing static routes.
         self._calls_observable = bool(self.externals) or trace
-        self.V = [_int_bank(self.n, default)
+        self.V = [_np.full(self.n, default, dtype=_np.int64)
                   for default in program.attr_defaults]
-        self.config = _config_bank(self.n, FINAL_CONFIG)
-        self.consumed = _bool_bank(self.n, False)
+        self.config = _np.full(self.n, FINAL_CONFIG, dtype=_np.int32)
+        self.consumed = _np.zeros(self.n, dtype=bool)
         #: the configuration every lane holds, or None when lanes may
         #: differ; every write to ``config`` after start() keeps it true
         self._uniform: Optional[int] = None
-        self._every_lane = (_np.arange(self.n) if _np is not None
-                            else None)
+        self._every_lane = _np.arange(self.n)
         #: firings of the run to completion in progress
         self._steps = 0
         self._pending: Dict[int, deque] = {}
@@ -195,9 +170,7 @@ class Fleet:
 
     def finals(self) -> int:
         """Number of lanes whose top region completed."""
-        if _np is not None:
-            return int((self.config == FINAL_CONFIG).sum())
-        return sum(1 for c in self.config if c == FINAL_CONFIG)
+        return int((self.config == FINAL_CONFIG).sum())
 
     def attribute(self, lane: int, name: str) -> int:
         return int(self.V[self.program.attr_index[name]][lane])
@@ -242,18 +215,9 @@ class Fleet:
         if not self._calls_observable and self.n > 1:
             self._start_lane(0)
             for bank in self.V:
-                if _np is not None:
-                    bank[1:] = bank[0]
-                else:
-                    bank[1:] = [bank[0]] * (self.n - 1)
-            first_cfg = self.config[0]
-            first_consumed = self.consumed[0]
-            if _np is not None:
-                self.config[1:] = first_cfg
-                self.consumed[1:] = first_consumed
-            else:
-                self.config[1:] = [first_cfg] * (self.n - 1)
-                self.consumed[1:] = [first_consumed] * (self.n - 1)
+                bank[1:] = bank[0]
+            self.config[1:] = self.config[0]
+            self.consumed[1:] = self.consumed[0]
             leftovers = self._pending.get(0)
             if leftovers:
                 for lane in range(1, self.n):
@@ -285,8 +249,8 @@ class Fleet:
             raise FleetExecutionError("dispatch before start()")
         name = getattr(event, "name", None) or str(event)
         col = self.program.column_of(name)
-        if self._traces is not None or _np is None:
-            # Per-lane observers (or no numpy): scalar everywhere.
+        if self._traces is not None:
+            # Per-lane observers: scalar everywhere.
             for lane in range(self.n):
                 self._rtc(lane, col, name)
             self.stats.scalar_lane_events += self.n

@@ -3,19 +3,28 @@
 This is the paper's state-table pattern pushed to fleet scale: instead
 of interpreting the model object graph per event (what
 :class:`repro.semantics.runtime.MachineInstance` does), the machine's
-*entire* reachable behavior is compiled once into
+*entire* reachable behavior is compiled once.  The hierarchy is
+resolved by the codegen flattening
+(:func:`repro.codegen.flattening.flatten_machine`, which the
+``state-table`` and ``flat-switch`` generators read too); this module
+turns its leaves and rows into
 
 * a **configuration space** — every active configuration the machine
   can settle in.  With one region per level (the subset the whole
   pipeline supports) an active configuration is a root-to-leaf path of
   states, so it is identified by its leaf plus a "region done" bit for
-  composites whose nested region reached its final state;
+  composites whose nested region reached its final state: a state leaf
+  is ``(state, done=False)``, a nested final ``(owner, done=True)``,
+  the top final :data:`FINAL_CONFIG`.  Only configurations reachable
+  from the start program get an id, breadth first from it;
 * a **dispatch table** ``cells[config][event] -> Cell``: the ordered
-  candidate transitions a dispatch would try, exactly in the reference
-  interpreter's order (innermost state first, document order within a
-  state), each carrying its **guard pre-compiled to a Python closure**
-  and a :class:`FireProgram` — the exit/effect/entry sequence resolved
-  at compile time down to the destination configuration;
+  candidate transitions a dispatch would try — the configuration's rows
+  for that event or a wildcard, one per transition, which is the
+  reference interpreter's order (innermost state first, document order
+  within a state) — each carrying its **guard pre-compiled to a Python
+  closure** and a :class:`FireProgram`: the row's exit/effect/entry/
+  completion steps as closures with trace hooks, ending in the
+  destination configuration;
 * a **completion table** ``completion[config]`` for the UML-priority
   completion dispatch that runs after every fired transition.
 
@@ -50,17 +59,17 @@ from __future__ import annotations
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-try:                                   # lane masks need numpy; without it
-    import numpy as _np                # every guarded cell runs scalar
-except Exception:                      # pragma: no cover
-    _np = None
+import numpy as _np
 
+from ..codegen.base import CodegenError
+from ..codegen.flattening import (FlatTransition, LeafConfig, Step,
+                                  flatten_machine)
 from ..uml.actions import (Assign, Behavior, BinOp, BoolLit, CallExpr,
                            CallStmt, EmitStmt, Expr, IntLit, UnaryOp, VarRef)
 from ..uml.events import AnyEvent
-from ..uml.statemachine import (FinalState, Pseudostate, PseudostateKind,
-                                State, StateMachine, Vertex)
-from ..uml.transitions import Transition, TransitionKind
+from ..uml.statemachine import (Pseudostate, PseudostateKind, State,
+                                StateMachine)
+from ..uml.transitions import Transition
 from ..semantics.variation import (ConflictPolicy, EventPoolPolicy,
                                    SemanticsConfig, UML_DEFAULT_SEMANTICS,
                                    UnconsumedPolicy)
@@ -222,15 +231,14 @@ class _BehaviorCompiler:
         self.attr_names = list(attr_names)
         self.event_column = event_column
         self.other_column = other_column
-        self._behaviors: Dict[int, Optional["_CompiledBehavior"]] = {}
+        self._behaviors: Dict[Tuple[int, ...], "_CompiledBehavior"] = {}
         self._guards: Dict[int, Tuple[Callable, Optional[Callable]]] = {}
         self._n = 0
 
     def guard(self, expr: Expr) -> Tuple[Callable, Optional[Callable]]:
         """``(closure, mask)`` for a guard expression; *mask* is its
         lane-mask form ``(f, idx) -> bool array`` (None when the guard
-        is outside the mask subset, calls included, or NumPy is
-        missing)."""
+        is outside the mask subset, calls included)."""
         try:
             return self._guards[id(expr)]
         except KeyError:
@@ -241,7 +249,7 @@ class _BehaviorCompiler:
         name = f"_guard_{self._n}"
         fn = _compile_fn(
             name, f"def {name}(f, l):\n    V = f.V\n    return bool({src})\n")
-        mask_src = ec.mask_source(expr) if _np is not None else None
+        mask_src = ec.mask_source(expr)
         mask = None
         if mask_src is not None:
             mask = _compile_fn(
@@ -250,18 +258,22 @@ class _BehaviorCompiler:
         self._guards[id(expr)] = (fn, mask)
         return fn, mask
 
-    def behavior(self, behavior: Behavior) -> Optional["_CompiledBehavior"]:
-        """Compiled behavior, or None when it has no statements."""
-        if not behavior:
+    def behavior(self, *behaviors: Behavior
+                 ) -> Optional["_CompiledBehavior"]:
+        """The behaviors' statements compiled as one function, in order,
+        or None when they have none."""
+        behaviors = tuple(b for b in behaviors if b)
+        if not behaviors:
             return None
+        key = tuple(map(id, behaviors))
         try:
-            return self._behaviors[id(behavior)]
+            return self._behaviors[key]
         except KeyError:
             pass
         ec = _ExprCompiler(self.attr_index)
         lines: List[str] = []
         has_assign = has_emit = False
-        for stmt in behavior.statements:
+        for stmt in (s for b in behaviors for s in b.statements):
             if isinstance(stmt, Assign):
                 has_assign = True
                 if stmt.target not in self.attr_index:
@@ -288,7 +300,7 @@ class _BehaviorCompiler:
         compiled = _CompiledBehavior(
             fn=_compile_fn(name, src), has_assign=has_assign,
             has_emit=has_emit, has_call=ec.has_call)
-        self._behaviors[id(behavior)] = compiled
+        self._behaviors[key] = compiled
         return compiled
 
 
@@ -476,9 +488,6 @@ class TableProgram:
 # the compiler
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = UML_DEFAULT_SEMANTICS
-
-
 def _check_semantics(semantics: SemanticsConfig) -> None:
     if semantics.event_pool is not EventPoolPolicy.FIFO or \
             semantics.unconsumed_events is not UnconsumedPolicy.DISCARD or \
@@ -488,6 +497,13 @@ def _check_semantics(semantics: SemanticsConfig) -> None:
         raise FleetUnsupported(
             "fleet tables implement the UML-default semantics "
             f"(got {semantics.describe()})")
+
+
+def _fires_on(transition: Transition, name: Optional[str]) -> bool:
+    """Whether *transition* takes the event *name* (None: an event
+    outside the alphabet, which only a wildcard trigger takes)."""
+    return any(isinstance(trig, AnyEvent) or trig.name == name
+               for trig in transition.triggers)
 
 
 class _TableBuilder:
@@ -508,42 +524,48 @@ class _TableBuilder:
                     vertex.kind is not PseudostateKind.INITIAL:
                 raise FleetUnsupported(
                     f"pseudostate kind {vertex.kind.value!r} not supported")
-        self.machine = machine
+        try:
+            self.flat = flatten_machine(machine)
+        except CodegenError as exc:
+            raise FleetUnsupported(str(exc)) from exc
         self.program = TableProgram(machine, semantics)
         self.bc = _BehaviorCompiler(self.program.attr_index,
                                     self.program.attr_names,
                                     self.program.event_column,
                                     self.program.other_column)
-        #: (leaf element_id, done) -> config id; FINAL_CONFIG preassigned.
-        self._ids: Dict[Tuple[int, bool], int] = {}
-        self._leaves: List[Optional[Tuple[State, bool]]] = [None]
+        #: (state, done) -> config id; FINAL_CONFIG preassigned.
+        self._ids: Dict[Tuple[State, bool], int] = {}
+        #: the leaf each config id was first reached at (None: FINAL)
+        self._leaf_of: List[Optional[LeafConfig]] = [None]
+        #: each leaf's rows, in flattening order
+        self._rows: Dict[int, List[FlatTransition]] = {}
+        for row in self.flat.transitions:
+            self._rows.setdefault(row.source, []).append(row)
         self._worklist: List[int] = []
 
     # -- configuration ids ------------------------------------------------
 
-    def _config_id(self, leaf: State, done: bool) -> int:
-        key = (leaf.element_id, done)
-        try:
-            return self._ids[key]
-        except KeyError:
-            cid = len(self.program.config_names)
-            self._ids[key] = cid
+    def _id_of(self, leaf_index: int) -> int:
+        """Config id of a flattening leaf: the top final is
+        :data:`FINAL_CONFIG`, a state leaf is ``(state, done=False)``, a
+        nested final ``(owner, done=True)``; leaves that map to one
+        pair share its id, assigned on first reach."""
+        leaf = self.flat.leaves[leaf_index]
+        if leaf.vertex_kind == "top-final":
+            return FINAL_CONFIG
+        done = leaf.vertex_kind == "final"
+        state = leaf.vertex.container.owner if done else leaf.vertex
+        cid = self._ids.get((state, done))
+        if cid is None:
+            cid = self._ids[state, done] = len(self.program.config_names)
             suffix = " (done)" if done else ""
-            self.program.config_names.append(f"{leaf.name}{suffix}")
-            self.program.leaves.append(leaf)
-            self._leaves.append((leaf, done))
+            self.program.config_names.append(f"{state.name}{suffix}")
+            self.program.leaves.append(state)
+            self._leaf_of.append(leaf)
             self._worklist.append(cid)
-            return cid
+        return cid
 
-    @staticmethod
-    def _path_of(leaf: State) -> List[State]:
-        """Active path for a leaf, outermost -> innermost."""
-        path = [leaf]
-        path.extend(leaf.ancestors())
-        path.reverse()
-        return path
-
-    # -- program resolution ----------------------------------------------
+    # -- fire programs ----------------------------------------------------
 
     def _ops_exit(self, ops: List, flags: Dict[str, bool],
                   state: State) -> None:
@@ -563,7 +585,7 @@ class _TableBuilder:
 
     def _ops_enter(self, ops: List, flags: Dict[str, bool],
                    state: State) -> None:
-        beh = self.bc.behavior(state.entry)
+        beh = self.bc.behavior(state.entry, state.do_activity)
         name = state.name
         if beh is not None:
             self._merge(flags, beh)
@@ -596,165 +618,56 @@ class _TableBuilder:
         flags["emit"] = flags["emit"] or beh.has_emit
         flags["call"] = flags["call"] or beh.has_call
 
-    def _enter_state_path(self, active: List[State], target: State,
-                          ops: List, flags: Dict[str, bool]) -> None:
-        """Mirror of the interpreter's ``_enter_state_path``."""
-        chain = [target]
-        chain.extend(target.ancestors())
-        for state in reversed(chain):
-            if state not in active:
-                active.append(state)
-                self._ops_enter(ops, flags, state)
-
-    def _enter_enclosing(self, active: List[State], vertex: Vertex,
-                         ops: List, flags: Dict[str, bool]) -> None:
-        """Mirror of ``_enter_state_path_to_region``."""
-        enclosing = [anc for anc in vertex.owner_chain()
-                     if isinstance(anc, State)]
-        for state in reversed(enclosing):
-            if state not in active:
-                active.append(state)
-                self._ops_enter(ops, flags, state)
-
-    def _initial_transition(self, region) -> Transition:
-        initial = region.initial
-        if initial is None:
-            raise FleetUnsupported(
-                f"region {region.label!r} has no initial pseudostate")
-        out = initial.outgoing()
-        if not out:
-            raise FleetUnsupported(
-                f"initial of region {region.label!r} has no outgoing "
-                "transition")
-        return out[0]
-
-    def _resolve_enter(self, active: List[State], target: Vertex,
-                       ops: List, flags: Dict[str, bool]) -> int:
-        """Enter *target* (resolving default entries and finals);
-        returns the destination config id."""
-        if isinstance(target, State):
-            self._enter_state_path(active, target, ops, flags)
-            return self._default_entry(active, target, ops, flags)
-        if isinstance(target, FinalState):
-            self._enter_enclosing(active, target, ops, flags)
-            return self._complete_region(active, target, ops, flags)
-        raise FleetUnsupported(f"cannot enter vertex {target!r}")
-
-    def _default_entry(self, active: List[State], state: State,
-                       ops: List, flags: Dict[str, bool]) -> int:
-        current = state
-        for _ in range(4096):
-            if not current.is_composite:
-                return self._config_id(current, False)
-            region = current.regions[0]
-            if region.initial is None:
-                # Region never entered: the composite behaves like a
-                # simple state (and can never complete).
-                return self._config_id(current, False)
-            transition = self._initial_transition(region)
-            self._ops_effect(ops, flags, transition.effect)
-            target = transition.target
-            if isinstance(target, State):
-                self._enter_state_path(active, target, ops, flags)
-                current = target
-                continue
-            if isinstance(target, FinalState):
-                self._enter_enclosing(active, target, ops, flags)
-                return self._complete_region(active, target, ops, flags)
-            raise FleetUnsupported(
-                f"initial transition targets {target!r}")
-        raise FleetUnsupported("default-entry chain does not terminate")
-
-    def _complete_region(self, active: List[State], final: FinalState,
-                         ops: List, flags: Dict[str, bool]) -> int:
-        region = final.container
-        assert region is not None
-        owner = region.owner
-        self._ops_completed(ops, region.label)
-        if isinstance(owner, StateMachine):
-            while active:
-                self._ops_exit(ops, flags, active.pop())
-            return FINAL_CONFIG
-        assert isinstance(owner, State)
-        while active and active[-1] is not owner:
-            self._ops_exit(ops, flags, active.pop())
-        if not active:        # pragma: no cover - model invariant
-            raise FleetUnsupported(
-                f"final state {final.label!r} completes an inactive region")
-        return self._config_id(owner, True)
-
-    def _resolve_fire(self, path: Sequence[State], config_id: int,
-                      transition: Transition) -> FireProgram:
+    def _program(self, steps: Sequence[Step], end: int, internal: bool,
+                 desc: str) -> FireProgram:
+        """A firing's steps as ``(f, l)`` closures with trace hooks."""
         flags = {"assign": False, "emit": False, "call": False}
         ops: List[Callable] = []
-        if transition.kind is TransitionKind.INTERNAL:
-            self._ops_effect(ops, flags, transition.effect)
-            return FireProgram(ops, config_id, True, flags["assign"],
-                               flags["emit"], flags["call"],
-                               transition.describe())
-        active = list(path)
-        source = transition.source
-        if isinstance(source, State) and source in active:
-            while active:
-                top = active.pop()
-                self._ops_exit(ops, flags, top)
-                if top is source:
-                    break
-        enclosure = {anc.element_id for anc in
-                     transition.target.owner_chain()
-                     if isinstance(anc, State)}
-        while active and active[-1].element_id not in enclosure:
-            self._ops_exit(ops, flags, active.pop())
-        self._ops_effect(ops, flags, transition.effect)
-        end = self._resolve_enter(active, transition.target, ops, flags)
-        return FireProgram(ops, end, False, flags["assign"],
-                           flags["emit"], flags["call"],
-                           transition.describe())
+        for kind, element in steps:
+            if kind == "exit":
+                self._ops_exit(ops, flags, element)
+            elif kind == "enter":
+                self._ops_enter(ops, flags, element)
+            elif kind == "effect":
+                self._ops_effect(ops, flags, element)
+            else:
+                self._ops_completed(ops, element.label)
+        return FireProgram(ops, end, internal, flags["assign"],
+                           flags["emit"], flags["call"], desc)
 
     # -- cells ------------------------------------------------------------
 
-    def _candidate(self, path: Sequence[State], config_id: int,
-                   transition: Transition) -> Candidate:
-        guard_fn = mask = None
-        if transition.guard is not None:
-            guard_fn, mask = self.bc.guard(transition.guard)
-        program = self._resolve_fire(path, config_id, transition)
-        return Candidate(guard_fn, mask, program)
+    def _fill(self, config_id: int) -> None:
+        """The event and completion cells of one configuration, from its
+        leaf's rows (one candidate per transition, in row order)."""
+        compiled: Dict[Transition, Candidate] = {}
 
-    def _matches(self, transition: Transition, column: int) -> bool:
-        for trig in transition.triggers:
-            if isinstance(trig, AnyEvent):
-                return True
-            if column != self.program.other_column and \
-                    trig.name == self.program.event_names[column]:
-                return True
-        return False
+        def candidate(row: FlatTransition) -> Candidate:
+            cand = compiled.get(row.transition)
+            if cand is None:
+                guard_fn = mask = None
+                if row.guard is not None:
+                    guard_fn, mask = self.bc.guard(row.guard)
+                program = self._program(
+                    row.steps, self._id_of(row.target), row.internal,
+                    row.transition.describe())
+                cand = compiled[row.transition] = Candidate(
+                    guard_fn, mask, program)
+            return cand
 
-    def _build_config(self, config_id: int) -> None:
-        leaf, done = self._leaves[config_id]
-        path = self._path_of(leaf)
-        row: List[Cell] = []
-        for column in range(self.program.n_columns):
-            candidates: List[Candidate] = []
-            for state in reversed(path):     # innermost first
-                for transition in state.event_transitions():
-                    if self._matches(transition, column):
-                        candidates.append(
-                            self._candidate(path, config_id, transition))
-            row.append(Cell(candidates))
-        completions = leaf.completion_transitions()
-        ripe = bool(completions) and (leaf.is_simple or done)
-        completion_cell: Optional[Cell] = None
-        if ripe:
-            completion_cell = Cell([
-                self._candidate(path, config_id, t) for t in completions])
-        # Rows are keyed by config id; fill any gap left by configs
-        # discovered out of order.
-        while len(self.program.cells) <= config_id:
-            self.program.cells.append([])
-            self.program.completion.append(None)
-        self.program.cells[config_id] = row
-        self.program.completion[config_id] = completion_cell
+        rows = self._rows.get(self._leaf_of[config_id].index, ())
+        event_rows: Dict[Transition, FlatTransition] = {}
+        for row in rows:
+            if row.trigger is not None:
+                event_rows.setdefault(row.transition, row)
+        self.program.cells.append([
+            Cell([candidate(row) for row in event_rows.values()
+                  if _fires_on(row.transition, name)])
+            for name in (*self.program.event_names, None)])
+        completions = [candidate(row) for row in rows
+                       if row.trigger is None]
+        self.program.completion.append(
+            Cell(completions) if completions else None)
 
     # -- static classification -------------------------------------------
 
@@ -832,26 +745,17 @@ class _TableBuilder:
     # -- entry point ------------------------------------------------------
 
     def build(self) -> TableProgram:
-        top = self.machine.regions[0]
-        transition = self._initial_transition(top)
-        flags = {"assign": False, "emit": False, "call": False}
-        ops: List[Callable] = []
-        self._ops_effect(ops, flags, transition.effect)
-        end = self._resolve_enter([], transition.target, ops, flags)
-        self.program.start = FireProgram(
-            ops, end, False, flags["assign"], flags["emit"], flags["call"],
-            "initial")
-        while self._worklist:
-            self._build_config(self._worklist.pop(0))
+        self.program.start = self._program(
+            self.flat.initial_steps, self._id_of(self.flat.initial_leaf),
+            False, "initial")
         # FINAL row: every dispatch is a drop.
-        if not self.program.cells:
-            self.program.cells.append(
-                [Cell(()) for _ in range(self.program.n_columns)])
-            self.program.completion.append(None)
-        else:
-            self.program.cells[FINAL_CONFIG] = \
-                [Cell(()) for _ in range(self.program.n_columns)]
-            self.program.completion[FINAL_CONFIG] = None
+        self.program.cells.append(
+            [Cell(()) for _ in range(self.program.n_columns)])
+        self.program.completion.append(None)
+        # Breadth first from the start program's end; ids are assigned
+        # in that order, so each configuration's row lands at its id.
+        while self._worklist:
+            self._fill(self._worklist.pop(0))
         self._classify_cells()
         return self.program
 

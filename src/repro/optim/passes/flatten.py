@@ -70,7 +70,9 @@ def _trivial_substate(composite: State) -> Optional[State]:
     # completes -> after flattening the simple state completes on entry).
     if composite.completion_transitions():
         return None
-    if substate.do_activity:
+    # A do-activity runs right after its state's entry behavior: the
+    # composite's would move behind the inlined substate entry.
+    if substate.do_activity or composite.do_activity:
         return None
     return substate
 

@@ -39,7 +39,10 @@ __all__ = ["SCHEMA_VERSION", "schema_stamp"]
 #: (``max_rtc_steps`` in the semantics key) bounds one ``start()`` or
 #: ``dispatch()`` instead of an instance's lifetime, so observations and
 #: equivalence reports stored under the same budget may differ.
-SCHEMA_VERSION = 5
+#: Generation 6: the interpreter and the fleet run a state's do-activity
+#: right after its entry behavior, so stored observations and
+#: equivalence reports of machines with do-activities change.
+SCHEMA_VERSION = 6
 
 
 def schema_stamp() -> str:

@@ -11,7 +11,8 @@ generated C++ behave identically.  The interpreter serves three roles:
   (:mod:`repro.optim.equivalence`).
 
 Supported: hierarchical (single region per level) machines, entry/exit
-behaviors, guards over context attributes, completion transitions with
+behaviors, do-activities (run to their end right after the entry
+behavior), guards over context attributes, completion transitions with
 UML priority, choice/junction pseudostates, shallow/deep history,
 terminate, internal transitions, event deferral/discard, and the
 variation points of :mod:`repro.semantics.variation`.
@@ -501,12 +502,16 @@ class MachineInstance:
         """Enter every not-yet-active state on *vertex*'s entry path,
         outermost first: the composites enclosing it, then the vertex
         itself when it is a state (a transition may target a vertex
-        nested in a composite the machine is not currently in)."""
+        nested in a composite the machine is not currently in).  A
+        state's do-activity runs to its end right after its entry
+        behavior."""
         for state in self.plan.entry_path[vertex]:
             if state in self._active:
                 continue
             self._active.append(state)
             self._run_effect(state.entry)
+            if state.do_activity:
+                self._run_effect(state.do_activity)
             self.trace.append(TraceKind.STATE_ENTER, state.name)
 
     def _default_entry(self, state: State) -> None:

@@ -93,10 +93,11 @@ class State(Vertex):
     """A simple or composite state.
 
     A state is *composite* when it owns at least one region.  Entry and
-    exit behaviors run on entering/leaving; ``do_activity`` is carried in
-    the metamodel (and emitted by generators) but treated as instantaneous
-    by the interpreter, matching the paper's code-size experiments which
-    never rely on interruptible activities.
+    exit behaviors run on entering/leaving.  ``do_activity`` is not
+    interruptible: the interpreter, the fleet and every generated
+    pattern run it to its end right after the entry behavior of each
+    entry, matching the paper's code-size experiments, which never rely
+    on interruptible activities.
     """
 
     def __init__(self, name: str = "",

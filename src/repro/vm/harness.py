@@ -112,11 +112,11 @@ class _FrontEnd:
 
 
 #: Front ends of the programs that compile against a unit cache, per
-#: machine, then per ``(type(generator), generator.config)``.  Machines
-#: are immutable once built by repo convention (as for
-#: ``machine_fingerprint``'s memo), and the unit path never mutates the
-#: lowered program, so every cell of a VM grid can share one.
-_FRONT_ENDS: "weakref.WeakKeyDictionary[StateMachine, Dict[tuple, _FrontEnd]]" \
+#: machine, then per generator class.  Machines are immutable once built
+#: by repo convention (as for ``machine_fingerprint``'s memo), and the
+#: unit path never mutates the lowered program, so every cell of a VM
+#: grid can share one.
+_FRONT_ENDS: "weakref.WeakKeyDictionary[StateMachine, Dict[type, _FrontEnd]]" \
     = weakref.WeakKeyDictionary()
 
 
@@ -125,7 +125,7 @@ def _shared_front_end(machine: StateMachine,
     per_machine = _FRONT_ENDS.get(machine)
     if per_machine is None:
         per_machine = _FRONT_ENDS.setdefault(machine, {})
-    key = (type(generator), generator.config)
+    key = type(generator)
     front = per_machine.get(key)
     if front is None:
         # A generator that rejects the machine raises here and stores

@@ -11,9 +11,11 @@ shared observable is what conformance checking compares.
 Execution is threaded code (Bell, CACM 1973).  ``assemble`` decodes
 every instruction once into an entry ``(handler, operands, size, base
 cycles)``; each step of :meth:`Machine._run` fetches the pc's entry,
-checks the step budget and calls the handler, which the one
-mnemonic -> handler table (:data:`_HANDLERS`) supplied.  The handler
-returns the address it transfers control to, or None to fall through.
+checks the step budget (``max_steps`` instructions per
+:meth:`~Machine.call_function`, however long the instance lives) and
+calls the handler, which the one mnemonic -> handler table
+(:data:`_HANDLERS`) supplied.  The handler returns the address it
+transfers control to, or None to fall through.
 
 Every retired instruction is charged cycles from a simple in-order cost
 model, :func:`cycle_cost` (memory and wide-immediate forms 2, multiply
@@ -142,6 +144,8 @@ class Machine:
         entries = self.image.entries
         budget = self.max_steps
         steps = self.instructions
+        # The budget bounds one call, not the instance's lifetime.
+        limit = steps + budget
         cycles = self.cycles
         try:
             while pc != HALT_ADDRESS:
@@ -150,7 +154,7 @@ class Machine:
                     raise VMError(f"no instruction at {pc:#x} (fell off "
                                   "the text segment?)")
                 steps += 1
-                if steps > budget:
+                if steps > limit:
                     raise VMError(
                         f"instruction budget exceeded ({budget}); "
                         "runaway simulated program?")

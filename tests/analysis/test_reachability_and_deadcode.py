@@ -119,6 +119,25 @@ class TestCompletionShadowing:
         m = b.build()
         assert not is_always_completing(m.find_state("C"))
 
+    def test_composite_without_initial_never_completes(self):
+        # The interpreter never enters a region without an initial
+        # pseudostate, so its composite never completes: the event
+        # transition stays live and optimizing must keep it.
+        from repro.optim import check_equivalence, optimize
+        b = StateMachineBuilder("NI")
+        sub = b.composite("C", entry=calls("enter_c"))
+        sub.state("C1")
+        b.state("D", entry=calls("enter_d"))
+        b.state("Out", entry=calls("enter_out"))
+        b.initial_to("C")
+        b.completion("C", "D")
+        b.transition("C", "Out", on="leave")
+        m = b.build()
+        assert not is_always_completing(m.find_state("C"))
+        assert analyze_completion(m).shadowed_transitions == ()
+        report = check_equivalence(m, optimize(m).optimized)
+        assert report.equivalent, report.summary()
+
     def test_false_guard_transition_is_dead(self):
         b = StateMachineBuilder("FG")
         b.state("A")

@@ -107,6 +107,61 @@ class TestHierarchicalFlattening:
         assert row.source == row.target
 
 
+class TestSteps:
+    """Each row carries its source transition and its steps in the
+    interpreter's order; ``actions`` are the behaviors they run."""
+
+    def test_exit_cascade_steps_and_source_transition(self):
+        flat = flatten_machine(
+            hierarchical_machine_with_shadowed_composite())
+        row = next(t for t in flat.transitions
+                   if t.trigger == "e3"
+                   and flat.leaves[t.source].name == "S3.S31")
+        assert row.transition.describe() in row.description
+        assert row.guard is row.transition.guard
+        kinds = [(kind, getattr(element, "name", None))
+                 for kind, element in row.steps
+                 if kind in ("exit", "enter")]
+        assert kinds == [("exit", "S31"), ("exit", "S3"), ("enter", "S1")]
+
+    def test_initial_transition_and_steps(self):
+        machine = flat_machine_with_unreachable_state()
+        flat = flatten_machine(machine)
+        assert flat.initial_transition is \
+            machine.regions[0].initial.outgoing()[0]
+        assert [(k, e.name) for k, e in flat.initial_steps
+                if k == "enter"] == [("enter", "S1")]
+
+    def test_entering_a_nested_final_completes_its_region(self):
+        b = StateMachineBuilder("F")
+        b.state("A")
+        b.initial_to("A")
+        c = b.composite("C", entry=calls("enterC"))
+        c.region.owner.do_activity = calls("doC")
+        c.state("X")
+        c.initial_to("X")
+        b.transition("A", c.final, on="jump")
+        flat = flatten_machine(b.build())
+        row = next(t for t in flat.transitions if t.trigger == "jump")
+        assert [k for k, _ in row.steps] == ["exit", "enter", "complete"]
+        assert row.steps[-1].element is c.region
+        assert flat.leaves[row.target].name == "C.final"
+        # The do-activity runs right after the entry behavior.
+        assert [str(b.statements) for b in row.actions] == [
+            str(calls("enterC").statements), str(calls("doC").statements)]
+
+    def test_composite_without_initial_never_completes(self):
+        b = StateMachineBuilder("N")
+        c = b.composite("C")
+        c.state("X")
+        b.state("D")
+        b.initial_to("C")
+        b.completion("C", "D")
+        flat = flatten_machine(b.build())
+        assert flat.leaves[flat.initial_leaf].name == "C"
+        assert not [t for t in flat.transitions if t.trigger is None]
+
+
 class TestUnsupported:
     def test_choice_pseudostate_rejected(self):
         b = StateMachineBuilder("Ch")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.codegen import (ALL_GENERATORS, CodegenError, GenConfig,
+from repro.codegen import (ALL_GENERATORS, CodegenError,
                            NestedSwitchGenerator, StatePatternGenerator,
                            StateTableGenerator, generator_by_name)
 from repro.codegen.harness import (GeneratedMachine,
@@ -47,11 +47,6 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             generator_by_name("banana")
-
-    def test_class_prefix_config(self):
-        gen = NestedSwitchGenerator(GenConfig(class_prefix="App"))
-        m = flat_machine_with_unreachable_state()
-        assert gen.class_name(m) == "AppFig1Flat"
 
 
 @pytest.mark.parametrize("gen_cls", ALL_GENERATORS, ids=GEN_IDS)

@@ -164,6 +164,16 @@ class TestFlattenTrivialComposites:
         m = b.build()
         assert not FlattenTrivialComposites().run(m).changed
 
+    def test_does_not_flatten_a_composite_with_a_do_activity(self):
+        # The composite's do-activity runs before the substate's entry;
+        # inlining the substate would run it after.
+        original = self.make_trivial()
+        original.find_state("C").do_activity = calls("c_do")
+        optimized = self.make_trivial()
+        optimized.find_state("C").do_activity = calls("c_do")
+        assert not FlattenTrivialComposites().run(optimized).changed
+        assert check_equivalence(original, optimized).equivalent
+
     def test_does_not_flatten_composite_with_completion(self):
         b = StateMachineBuilder("CC")
         sub = b.composite("C")

@@ -133,6 +133,29 @@ def test_unknown_function_raises():
         vm.vm.call_function("does::not_exist")
 
 
+def test_instruction_budget_bounds_one_call():
+    """``max_steps`` bounds one ``call_function``, not the instance's
+    lifetime: a ping-pong machine at about 52 instructions a dispatch
+    runs 1,000 dispatches under a 2,000-instruction budget, and one call
+    that outruns its budget still raises."""
+    b = StateMachineBuilder("PingPong")
+    b.state("A")
+    b.state("B")
+    b.initial_to("A")
+    b.transition("A", "B", on="e")
+    b.transition("B", "A", on="e")
+    vm = CompiledProgram(b.build(), "nested-switch", level=OptLevel.O0,
+                         target="rt32").boot()
+    vm.vm.max_steps = 2000
+    vm.send_all(["e"] * 1000)
+    assert vm.metrics.events_dispatched == 1000
+    assert vm.vm.instructions > 20 * vm.vm.max_steps
+    vm.vm.max_steps = 10
+    with pytest.raises(VMError, match=r"^instruction budget exceeded "
+                       r"\(10\); runaway simulated program\?$"):
+        vm.dispatch("e")
+
+
 @pytest.mark.parametrize("pattern", ["nested-switch", "state-table",
                                      "state-pattern", "flat-switch"])
 def test_a_booted_vm_is_freed_without_the_cyclic_collector(pattern):
