@@ -1,18 +1,18 @@
-"""Engine benchmarks: cold compile, warm cache hit, deduped batches.
+"""Engine benchmarks: cold compile, warm cache hit, a repeated grid.
 
 These pin the engine's two performance claims so regressions are caught
 by ``scripts/check_bench.py``:
 
 * a warm cache hit must stay orders of magnitude cheaper than a cold
   compile (it is a fingerprint + dict lookup);
-* a batch with repeated jobs must cost about one unique-set, not one
-  per job.
+* a grid compiled with repeated jobs must cost about one unique-set,
+  not one per job: the cache makes each repeat a hit.
 """
 
 import pytest
 
 from repro.codegen import ALL_PATTERNS
-from repro.engine import CompileJob, ExperimentEngine
+from repro.engine import ExperimentEngine
 from repro.experiments.models import \
     hierarchical_machine_with_shadowed_composite
 
@@ -45,18 +45,18 @@ def test_bench_engine_warm_hit(benchmark, machine):
 
 
 def test_bench_engine_batch_dedup(benchmark, machine):
-    # Every pattern twice: the planner must schedule each compile once.
-    jobs = [CompileJob(machine, gen_cls.name)
-            for gen_cls in ALL_PATTERNS] * 2
+    # Every pattern twice: the cache must compile each pattern once.
+    patterns = [gen_cls.name for gen_cls in ALL_PATTERNS] * 2
 
     def run():
         engine = ExperimentEngine()
-        results = engine.run_batch(jobs)
+        results = [engine.compile_machine(machine, pattern)
+                   for pattern in patterns]
         assert engine.stats.misses == len(ALL_PATTERNS)
         return results
 
     results = benchmark.pedantic(run, rounds=5, iterations=1)
-    assert len(results) == len(jobs)
+    assert len(results) == len(patterns)
 
 
 def test_warm_hit_is_much_cheaper_than_cold(machine):

@@ -132,7 +132,9 @@ def run_fleet_smoke(min_events_per_sec: float, min_speedup: float,
                     retries: int) -> int:
     """The fleet throughput gate: shell out to the fixed-seed smoke,
     parse its JSON, assert the floors.  Wall-clock, so a failed attempt
-    gets re-run (a genuinely broken fast path fails every time)."""
+    gets re-run (a genuinely broken fast path fails every time).  A
+    null speedup (the interpreter baseline timed at 0 events/sec)
+    misses the speedup floor."""
     cmd = [sys.executable, "-m", "repro.fleet", "smoke",
            "--instances", "10000", "--seed", "0", "--json"]
     env = dict(os.environ)
@@ -147,11 +149,13 @@ def run_fleet_smoke(min_events_per_sec: float, min_speedup: float,
         result = json.loads(proc.stdout)
         eps = result["events_per_sec"]
         speedup = result["speedup_vs_interp"]
+        shown = "n/a" if speedup is None else f"{speedup:.1f}x"
         print(f"check_bench --fleet-smoke: {result['instances']} "
               f"instances, {eps:,.0f} events/sec "
               f"({result['lane_events']} lane-events), "
-              f"{speedup:.1f}x vs per-instance interpretation")
-        if eps >= min_events_per_sec and speedup >= min_speedup:
+              f"{shown} vs per-instance interpretation")
+        if eps >= min_events_per_sec and speedup is not None \
+                and speedup >= min_speedup:
             print(f"check_bench --fleet-smoke: PASS (floors: "
                   f"{min_events_per_sec:,.0f} events/sec, "
                   f"{min_speedup:.0f}x speedup)")
@@ -161,7 +165,7 @@ def run_fleet_smoke(min_events_per_sec: float, min_speedup: float,
                   f"to rule out a noisy window "
                   f"(retry {attempt + 1}/{retries})")
     print(f"check_bench --fleet-smoke: FAIL - events/sec {eps:,.0f} "
-          f"(floor {min_events_per_sec:,.0f}) speedup {speedup:.1f}x "
+          f"(floor {min_events_per_sec:,.0f}) speedup {shown} "
           f"(floor {min_speedup:.0f}x)")
     return 1
 

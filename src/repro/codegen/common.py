@@ -14,22 +14,29 @@ from typing import Callable, List, Optional
 
 from ..cpp import ast as cpp
 from ..uml import actions as uact
+from ..uml.events import AnyEvent
 from ..uml.statemachine import StateMachine
 from .base import CodegenError, EVENT_ENUM, event_enumerator
 
 __all__ = ["guard_to_cpp", "behavior_to_cpp", "event_enum_decl",
            "extern_decls", "attribute_fields", "event_index",
-           "check_composite_initials"]
+           "check_codegen_subset"]
 
 
-def check_composite_initials(machine: StateMachine) -> None:
-    """Decline a composite whose region has no initial pseudostate.
+def check_codegen_subset(machine: StateMachine) -> None:
+    """Decline the two shapes no pattern can express.
 
-    The interpreter never enters such a region, so the composite never
-    completes; every pattern's runtime would complete it (or, in the
-    state pattern, jump through a null state).  Every pattern calls
-    this, so such a machine is a documented feature gap (a
-    :class:`CodegenError`) rather than wrong code.
+    * A composite whose region has no initial pseudostate: the
+      interpreter never enters such a region, so the composite never
+      completes; every pattern's runtime would complete it (or, in the
+      state pattern, jump through a null state).
+    * A wildcard trigger (:class:`~repro.uml.events.AnyEvent`, ``*``):
+      the interpreter and the fleet fire it on any event, while every
+      pattern would compile it as an ordinary event named ``*`` that
+      never arrives.
+
+    Every pattern calls this, so such a machine is a documented feature
+    gap (a :class:`CodegenError`) rather than wrong code.
     """
     for state in machine.all_states():
         for region in state.regions:
@@ -38,6 +45,11 @@ def check_composite_initials(machine: StateMachine) -> None:
                     f"composite state {state.label!r} has a region without "
                     "an initial pseudostate; generated code cannot leave "
                     "it uncompleted")
+    for transition in machine.all_transitions():
+        if any(isinstance(trig, AnyEvent) for trig in transition.triggers):
+            raise CodegenError(
+                f"transition {transition.describe()!r} has a wildcard "
+                "trigger; generated code dispatches named events only")
 
 
 def guard_to_cpp(expr: uact.Expr, holder: Callable[[], cpp.Expr]) -> cpp.Expr:

@@ -32,7 +32,7 @@ from ..cpp.types import INT, VOID, ClassRefType
 from ..uml.statemachine import StateMachine
 from .base import CodeGenerator, NO_EVENT, event_enumerator
 from .common import (attribute_fields, behavior_to_cpp,
-                     check_composite_initials, event_enum_decl, extern_decls,
+                     check_codegen_subset, event_enum_decl, extern_decls,
                      guard_to_cpp)
 from .flattening import FlatMachine, FlatTransition, flatten_machine
 
@@ -49,7 +49,7 @@ class FlatSwitchGenerator(CodeGenerator):
     def generate(self, machine: StateMachine) -> cpp.TranslationUnit:
         self.machine = machine
         self.flat: FlatMachine = flatten_machine(machine)
-        check_composite_initials(machine)
+        check_codegen_subset(machine)
         self.cls_name = self.class_name(machine)
         self.enum_name = f"{self.cls_name}_State"
         unit = cpp.TranslationUnit(f"{machine.name}_flat_switch")

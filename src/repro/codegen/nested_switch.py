@@ -37,7 +37,7 @@ from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
 from ..uml.transitions import Transition, TransitionKind
 from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
 from .common import (attribute_fields, behavior_to_cpp,
-                     check_composite_initials, event_enum_decl, extern_decls,
+                     check_codegen_subset, event_enum_decl, extern_decls,
                      guard_to_cpp)
 
 __all__ = ["NestedSwitchGenerator"]
@@ -111,7 +111,7 @@ class NestedSwitchGenerator(CodeGenerator):
         for state in machine.all_states():
             if len(state.regions) > 1:
                 raise CodegenError("orthogonal regions unsupported")
-        check_composite_initials(machine)
+        check_codegen_subset(machine)
 
     def _plan_region(self, cls_name: str, region: Region,
                      is_top: bool) -> _RegionPlan:

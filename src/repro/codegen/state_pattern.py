@@ -35,7 +35,7 @@ from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
 from ..uml.transitions import Transition, TransitionKind
 from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
 from .common import (attribute_fields, behavior_to_cpp,
-                     check_composite_initials, event_enum_decl, extern_decls,
+                     check_codegen_subset, event_enum_decl, extern_decls,
                      guard_to_cpp)
 
 __all__ = ["StatePatternGenerator"]
@@ -94,7 +94,7 @@ class StatePatternGenerator(CodeGenerator):
                 raise CodegenError("orthogonal regions unsupported")
         if len(machine.regions) != 1:
             raise CodegenError("state-pattern needs one top region")
-        check_composite_initials(machine)
+        check_codegen_subset(machine)
 
     def _plan(self, cls_name: str, region: Region,
               is_top: bool) -> _MachinePlan:

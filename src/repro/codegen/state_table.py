@@ -36,7 +36,7 @@ from ..uml.actions import Behavior
 from ..uml.statemachine import StateMachine
 from .base import COMPLETION_EVENT, CodeGenerator, NO_EVENT
 from .common import (attribute_fields, behavior_to_cpp,
-                     check_composite_initials, event_enum_decl, event_index,
+                     check_codegen_subset, event_enum_decl, event_index,
                      extern_decls, guard_to_cpp)
 from .flattening import FlatMachine, FlatTransition, flatten_machine
 
@@ -52,7 +52,7 @@ class StateTableGenerator(CodeGenerator):
     def generate(self, machine: StateMachine) -> cpp.TranslationUnit:
         self.machine = machine
         self.flat: FlatMachine = flatten_machine(machine)
-        check_composite_initials(machine)
+        check_codegen_subset(machine)
         cls_name = self.class_name(machine)
         self.cls_name = cls_name
         self.machine_ptr = PointerType(ClassRefType(cls_name))

@@ -13,12 +13,10 @@ machinery to exploit that:
   sharding over N store shards (:class:`ShardedBackend`);
 * :mod:`~repro.engine.cache` — a thread-safe content-addressed result
   cache with hit/miss statistics and in-flight deduplication over any
-  backend;
-* :mod:`~repro.engine.jobs` — job value objects and the deduplicating
-  batch planner;
-* :mod:`~repro.engine.core` — :class:`ExperimentEngine`, the cached,
-  batched call surface the experiments, CLI, benchmarks and the
-  compile service all go through.
+  backend; it is the one place experiment work is shared;
+* :mod:`~repro.engine.core` — :class:`ExperimentEngine`, the cached
+  call surface the experiments, CLI, benchmarks and the compile
+  service all go through.
 """
 
 from .backends import (CacheBackend, DiskBackend, MemoryBackend,
@@ -28,7 +26,6 @@ from .core import EngineSpec, ExperimentEngine
 from .fingerprint import (compile_fingerprint, equivalence_fingerprint,
                           machine_fingerprint, optimize_fingerprint,
                           semantics_key, target_key)
-from .jobs import BatchPlan, CompareJob, CompileJob, plan_batch
 
 __all__ = [
     "CacheStats", "CompileCache", "EngineSpec", "ExperimentEngine",
@@ -37,5 +34,4 @@ __all__ = [
     "compile_fingerprint", "equivalence_fingerprint",
     "machine_fingerprint", "optimize_fingerprint", "semantics_key",
     "target_key",
-    "BatchPlan", "CompareJob", "CompileJob", "plan_batch",
 ]

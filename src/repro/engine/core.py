@@ -1,22 +1,19 @@
-"""The experiment engine: cached, batched execution.
+"""The experiment engine: cached execution.
 
 :class:`ExperimentEngine` is the one call surface every experiment and
 benchmark goes through.  It wraps the :mod:`repro.pipeline` primitives
-with
-
-* a **content-addressed cache** (:mod:`repro.engine.cache`) keyed by a
-  stable fingerprint of (serialized machine, pattern, opt level, target
-  name, semantics config) — repeated work across patterns, sweeps and
-  whole experiment reruns is computed once;
-* a **batch planner** (:mod:`repro.engine.jobs`) that dedupes a job grid
-  before execution and reassembles results in input order.
+with a **content-addressed cache** (:mod:`repro.engine.cache`) keyed by
+a stable fingerprint of (serialized machine, pattern, opt level, target
+name, semantics config): repeated work across patterns, sweeps and
+whole experiment reruns is computed once.  The harnesses call the
+cached primitives in plain loops, and a repeated job is a cache hit.
 
 An engine runs its work on the calling thread.  The compiles are
-pure-Python and GIL-bound, so threads would buy no speedup; the wins
-are the cache and the dedup.  Parallel compiles run in the compile
-service's worker processes (:mod:`repro.service.workers`), each with
-its own engine.  Threads may still share one engine (the in-process
-service does): the cache's in-flight futures compute each key once.
+pure-Python and GIL-bound, so threads would buy no speedup; the win
+is the cache.  Parallel compiles run in the compile service's worker
+processes (:mod:`repro.service.workers`), each with its own engine.
+Threads may still share one engine (the in-process service does): the
+cache's in-flight futures compute each key once.
 
 Engines are cheap; ``ExperimentEngine()`` gives an isolated cache (the
 default of every harness function), while sharing one engine across
@@ -27,7 +24,7 @@ experiment suite becomes >90 % cache hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..compiler import CompileResult, OptLevel
 from ..compiler.target import TargetDescription, resolve_target
@@ -41,7 +38,6 @@ from .cache import CacheStats, CompileCache
 from .fingerprint import (compile_fingerprint, conformance_fingerprint,
                           equivalence_fingerprint, machine_fingerprint,
                           optimize_fingerprint)
-from .jobs import BatchPlan, CompareJob, CompileJob, plan_batch
 
 __all__ = ["EngineSpec", "ExperimentEngine"]
 
@@ -82,7 +78,7 @@ class EngineSpec:
 
 
 class ExperimentEngine:
-    """Cached, deduplicating executor of experiment jobs.
+    """Cached executor of experiment work.
 
     Each engine owns a fresh cache; callers share work by sharing the
     engine.  ``backend`` picks its storage (any
@@ -281,31 +277,15 @@ class ExperimentEngine:
                              UML_DEFAULT_SEMANTICS,
                              target: Union[TargetDescription, str, None]
                              = None,
-                             tuned: bool = False,
                              ):
         """Cached equivalent of :func:`repro.pipeline.optimize_and_compare`.
 
         The model optimization, both compiles and the equivalence check
         are cached independently, so a grid of comparisons shares its
         baseline compiles and optimized models across cells.
-
-        ``tuned=True`` asks the autotuner first: pattern, level and
-        pass selection are taken from the winning cell of
-        :meth:`tune` for this machine/target (the explicit ``pattern``
-        / ``level`` / ``model_optimizations`` arguments are ignored),
-        so the comparison answers "what does the measured-best
-        configuration save" instead of "what does this configuration
-        save".  Raises :class:`repro.tune.TuningError` when no
-        conformant configuration exists.
         """
         from ..pipeline import CompareResult
         tgt = resolve_target(target)
-        if tuned:
-            winner = self.tune(machine, target=tgt,
-                               semantics=semantics).require_winner()
-            pattern = winner.pattern
-            level = OptLevel(winner.level)
-            model_optimizations = list(winner.passes)
         report = self.optimize_model(machine,
                                      selection=model_optimizations,
                                      semantics=semantics)
@@ -325,41 +305,6 @@ class ExperimentEngine:
                              size_after=size_after,
                              model_report=report, equivalence=equivalence,
                              target_name=tgt.name)
-
-    # -- batch execution ----------------------------------------------------
-
-    def run_batch(self, jobs: Sequence[CompileJob]) -> List[CompileResult]:
-        """Execute a grid of compile jobs; results in input order."""
-        return self.run_batch_planned(jobs)[0]
-
-    def run_batch_planned(self, jobs: Sequence[CompileJob]
-                          ) -> "tuple[List[CompileResult], BatchPlan]":
-        """Like :meth:`run_batch`, also returning the executed
-        :class:`BatchPlan` (dedup counts etc.) — planning happens once."""
-        return self._run_planned(jobs, self._run_compile_job)
-
-    def compare_batch(self, jobs: Sequence[CompareJob]) -> List:
-        """Execute a grid of comparison jobs; results in input order."""
-        return self._run_planned(jobs, self._run_compare_job)[0]
-
-    def _run_compile_job(self, job: CompileJob) -> CompileResult:
-        return self.compile_machine(job.machine, pattern=job.pattern,
-                                    level=job.level, target=job.target,
-                                    semantics=job.semantics)
-
-    def _run_compare_job(self, job: CompareJob):
-        return self.optimize_and_compare(
-            job.machine, pattern=job.pattern, level=job.level,
-            model_optimizations=job.model_optimizations,
-            check_behavior=job.check_behavior, semantics=job.semantics,
-            target=job.target)
-
-    def _run_planned(self, jobs: Sequence, run_one: Callable
-                     ) -> "tuple[List, BatchPlan]":
-        plan: BatchPlan = plan_batch(jobs)
-        results: Dict[str, object] = {fp: run_one(job) for fp, job
-                                      in plan.unique.items()}
-        return plan.assemble(results), plan
 
     # -- introspection ------------------------------------------------------
 

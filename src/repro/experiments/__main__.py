@@ -32,6 +32,30 @@ from ..compiler.target import (UnknownTargetError, available_targets,
                                get_target)
 from ..engine import ExperimentEngine
 from . import dynamics, figure1, sweeps, table1, table2, tuning
+from .models import hierarchical_machine_with_shadowed_composite
+from .report import render_table
+from .workload import generate_machine, mixed_workload
+
+
+def throughput_table() -> str:
+    """The opt-in wall-clock fleet throughput table (``--throughput``)."""
+    from ..fleet.baseline import run_fleet_throughput
+    machines = [hierarchical_machine_with_shadowed_composite(),
+                generate_machine(mixed_workload(7, "ThroughputWorkload"))]
+    rows = [run_fleet_throughput(machine) for machine in machines]
+    table = render_table(
+        "Fleet throughput - vectorized table engine vs. per-instance "
+        "interpretation (wall-clock; excluded from deterministic output)",
+        ["machine", "instances", "shards", "lane events", "fast %",
+         "events/sec", "interp ev/s", "speedup"],
+        [[r.machine_name, r.report.n_lanes, r.report.n_shards,
+          r.report.lane_events, f"{r.fast_fraction:.0%}",
+          f"{r.report.events_per_sec:,.0f}",
+          f"{r.interp_events_per_sec:,.0f}", r.speedup_display]
+         for r in rows])
+    note = ("events/sec and speedup are wall-clock (vary per host/run); "
+            "lane events and fast % are deterministic")
+    return table + "\n" + note
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("#" * 72)
             print(f"# FLEET THROUGHPUT  (target: {target.name})")
             print("#" * 72)
-            print(dynamics.throughput_main())
+            print(throughput_table())
             print()
     finally:
         if args.trace_out:

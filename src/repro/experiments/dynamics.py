@@ -17,8 +17,9 @@ scenario set, and reports
   Table 1's size gain.
 
 All quantities are simulated and therefore deterministic: the same
-table is produced on any host — unlike wall-clock
-benchmarks, which live in ``benchmarks/`` instead.
+table is produced on any host — unlike wall-clock measurements, which
+live in ``benchmarks/`` and, for fleet throughput, in
+:mod:`repro.fleet.baseline`.
 
 Run as ``python -m repro.experiments.dynamics`` (or through
 ``python -m repro.experiments``).
@@ -37,8 +38,7 @@ from ..uml.statemachine import StateMachine
 from .models import hierarchical_machine_with_shadowed_composite
 from .report import render_table
 
-__all__ = ["DynamicsRow", "run_dynamics", "main",
-           "FleetThroughputRow", "run_fleet_throughput", "throughput_main"]
+__all__ = ["DynamicsRow", "run_dynamics", "main"]
 
 #: Levels the dynamics table sweeps: unoptimized vs. the paper's -Os.
 LEVELS = (OptLevel.O0, OptLevel.OS)
@@ -109,118 +109,6 @@ def run_dynamics(machine: Optional[StateMachine] = None,
 
     return [run_cell(gen_cls, level) for gen_cls in ALL_PATTERNS
             for level in LEVELS]
-
-
-@dataclass(frozen=True)
-class FleetThroughputRow:
-    """One machine's fleet-vs-interpreter throughput measurement.
-
-    ``events_per_sec``/``speedup`` are wall-clock and therefore
-    non-deterministic; ``lane_events``/``fast_fraction`` are exact.
-    """
-
-    machine_name: str
-    instances: int
-    shards: int
-    stream_events: int
-    lane_events: int
-    fast_fraction: float
-    events_per_sec: float
-    interp_events_per_sec: float
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Fleet-vs-interpreter ratio, ``None`` when the interpreter
-        baseline rate is 0 (nothing to divide by — "infinitely faster"
-        was a measurement artifact, not a result)."""
-        if self.interp_events_per_sec == 0:
-            return None
-        return self.events_per_sec / self.interp_events_per_sec
-
-    @property
-    def speedup_display(self) -> str:
-        """``"12.3x"``, or ``"n/a"`` without a usable baseline."""
-        return "n/a" if self.speedup is None else f"{self.speedup:.1f}x"
-
-
-def run_fleet_throughput(machine: Optional[StateMachine] = None,
-                         n_instances: int = 10_000,
-                         n_events: int = 200,
-                         n_shards: int = 4,
-                         batch_size: int = 32,
-                         seed: int = 0,
-                         interp_sample: int = 25) -> FleetThroughputRow:
-    """Broadcast one event stream to an ``n_instances``-wide fleet and
-    to a small per-instance interpreter sample of the same workload.
-
-    Wall-clock by construction, so this axis never feeds the
-    deterministic experiment tables — it is opt-in via
-    ``python -m repro.experiments --throughput``.
-
-    The interpreter baseline times **dispatch only**
-    (:func:`repro.fleet.baseline.interpreter_dispatch_rate`): instance
-    construction and ``start()`` happen outside the timed region,
-    matching what the fleet side's report times, so the speedup
-    compares steady-state dispatch against steady-state dispatch.
-    """
-    import random as _random
-
-    from ..fleet.baseline import interpreter_dispatch_rate
-    from ..fleet.harness import FleetHarness
-    from ..fleet.table import compile_table
-    if machine is None:
-        machine = hierarchical_machine_with_shadowed_composite()
-    table = compile_table(machine)
-    alphabet = [e.name for e in machine.signal_alphabet()]
-    rng = _random.Random(seed)
-    events = [rng.choice(alphabet) for _ in range(n_events)]
-
-    harness = FleetHarness(table, n_instances=n_instances,
-                           n_shards=n_shards, batch_size=batch_size,
-                           routing="broadcast")
-    harness.start()
-    report = harness.run(events)
-
-    sample = min(interp_sample, n_instances)
-    interp_eps = interpreter_dispatch_rate(machine, events, sample)
-
-    fast = sum(s.fast_fraction * s.lane_events for s in report.shards)
-    total = sum(s.lane_events for s in report.shards)
-    return FleetThroughputRow(
-        machine_name=machine.name,
-        instances=harness.n_lanes,
-        shards=harness.n_shards,
-        stream_events=len(events),
-        lane_events=report.lane_events,
-        fast_fraction=fast / total if total else 0.0,
-        events_per_sec=report.events_per_sec,
-        interp_events_per_sec=interp_eps)
-
-
-def throughput_main() -> str:
-    """The opt-in wall-clock throughput table (``--throughput``)."""
-    from .workload import WorkloadSpec, generate_machine
-    machines = [
-        hierarchical_machine_with_shadowed_composite(),
-        generate_machine(WorkloadSpec(
-            n_live=8, n_dead=2, n_shadowed_composites=1,
-            composite_width=3, entry_calls=2, exit_calls=1,
-            events_per_state=2, guarded_fraction=0.25, seed=7,
-            name="ThroughputWorkload")),
-    ]
-    rows = [run_fleet_throughput(machine) for machine in machines]
-    table = render_table(
-        "Fleet throughput - vectorized table engine vs. per-instance "
-        "interpretation (wall-clock; excluded from deterministic output)",
-        ["machine", "instances", "shards", "lane events", "fast %",
-         "events/sec", "interp ev/s", "speedup"],
-        [[r.machine_name, r.instances, r.shards, r.lane_events,
-          f"{r.fast_fraction:.0%}", f"{r.events_per_sec:,.0f}",
-          f"{r.interp_events_per_sec:,.0f}", r.speedup_display]
-         for r in rows])
-    note = ("events/sec and speedup are wall-clock (vary per host/run); "
-            "lane events and fast % are deterministic")
-    return table + "\n" + note
 
 
 def main(target: Union[TargetDescription, str, None] = None,

@@ -27,7 +27,7 @@ from typing import List, Optional, Union
 
 from ..compiler import OptLevel
 from ..compiler.target import TargetDescription, resolve_target
-from ..engine import CompareJob, ExperimentEngine
+from ..engine import ExperimentEngine
 from .models import (flat_machine_with_unreachable_state,
                      hierarchical_machine_with_shadowed_composite)
 from .report import render_table
@@ -71,14 +71,13 @@ def run_figure1(pattern: str = "nested-switch",
                 target: Union[TargetDescription, str, None] = None,
                 engine: Optional[ExperimentEngine] = None,
                 ) -> List[Figure1Row]:
-    """Regenerate both Figure 1 rows (one engine batch)."""
+    """Regenerate both Figure 1 rows."""
     eng = engine if engine is not None else ExperimentEngine()
     rows: List[Figure1Row] = []
     flat = flat_machine_with_unreachable_state()
     hier = hierarchical_machine_with_shadowed_composite()
-    cmp_flat, cmp_hier = eng.compare_batch(
-        [CompareJob(flat, pattern, target=target),
-         CompareJob(hier, pattern, target=target)])
+    cmp_flat, cmp_hier = (eng.optimize_and_compare(m, pattern, target=target)
+                          for m in (flat, hier))
     rows.append(Figure1Row(
         example="flat (unreachable state S2)",
         pattern=pattern,

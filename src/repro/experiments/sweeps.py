@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..compiler import OptLevel, available_targets
 from ..compiler.target import TargetDescription, resolve_target
-from ..engine import CompareJob, CompileJob, ExperimentEngine
+from ..engine import ExperimentEngine
 from ..optim import DEFAULT_PIPELINE
 from .models import hierarchical_machine_with_shadowed_composite
 from .report import render_table
@@ -70,15 +70,15 @@ def unreachable_sweep(dead_counts: Sequence[int] = (0, 1, 2, 4, 8),
                       ) -> List[SweepPoint]:
     """Gain as a function of the number of removed (dead) states."""
     eng = _engine(engine)
-    machines = [generate_machine(WorkloadSpec(n_live=n_live, n_dead=n_dead))
-                for n_dead in dead_counts]
-    cmps = eng.compare_batch([CompareJob(machine, pattern,
-                                         check_behavior=False,
-                                         target=target)
-                              for machine in machines])
-    return [SweepPoint(n_dead, f"{n_dead} dead states",
-                       cmp.size_before, cmp.size_after)
-            for n_dead, cmp in zip(dead_counts, cmps)]
+    points = []
+    for n_dead in dead_counts:
+        machine = generate_machine(WorkloadSpec(n_live=n_live,
+                                                n_dead=n_dead))
+        cmp = eng.optimize_and_compare(machine, pattern,
+                                       check_behavior=False, target=target)
+        points.append(SweepPoint(n_dead, f"{n_dead} dead states",
+                                 cmp.size_before, cmp.size_after))
+    return points
 
 
 def composite_sweep(widths: Sequence[int] = (1, 2, 4, 8),
@@ -88,16 +88,15 @@ def composite_sweep(widths: Sequence[int] = (1, 2, 4, 8),
                     ) -> List[SweepPoint]:
     """Gain as the shadowed composite's submachine grows."""
     eng = _engine(engine)
-    machines = [generate_machine(WorkloadSpec(
-        n_live=4, n_shadowed_composites=1, composite_width=width))
-        for width in widths]
-    cmps = eng.compare_batch([CompareJob(machine, pattern,
-                                         check_behavior=False,
-                                         target=target)
-                              for machine in machines])
-    return [SweepPoint(width, f"width {width}",
-                       cmp.size_before, cmp.size_after)
-            for width, cmp in zip(widths, cmps)]
+    points = []
+    for width in widths:
+        machine = generate_machine(WorkloadSpec(
+            n_live=4, n_shadowed_composites=1, composite_width=width))
+        cmp = eng.optimize_and_compare(machine, pattern,
+                                       check_behavior=False, target=target)
+        points.append(SweepPoint(width, f"width {width}",
+                                 cmp.size_before, cmp.size_after))
+    return points
 
 
 def pattern_scaling_sweep(sizes: Sequence[int] = (4, 8, 16, 24),
@@ -107,17 +106,15 @@ def pattern_scaling_sweep(sizes: Sequence[int] = (4, 8, 16, 24),
     """Absolute size per pattern as the (live) machine grows."""
     from ..codegen import ALL_GENERATORS
     eng = _engine(engine)
-    machines = {n: generate_machine(WorkloadSpec(n_live=n)) for n in sizes}
-    grid = [(n, gen_cls) for n in sizes for gen_cls in ALL_GENERATORS]
-    results = eng.run_batch([CompileJob(machines[n], gen_cls.name,
-                                        OptLevel.OS, target=target)
-                             for n, gen_cls in grid])
     curves: Dict[str, List[SweepPoint]] = {g.name: [] for g in
                                            ALL_GENERATORS}
-    for (n, gen_cls), result in zip(grid, results):
-        size = result.total_size
-        curves[gen_cls.name].append(SweepPoint(n, f"{n} states",
-                                               size, size))
+    for n in sizes:
+        machine = generate_machine(WorkloadSpec(n_live=n))
+        for gen_cls in ALL_GENERATORS:
+            size = eng.compile_machine(machine, gen_cls.name, OptLevel.OS,
+                                       target=target).total_size
+            curves[gen_cls.name].append(SweepPoint(n, f"{n} states",
+                                                   size, size))
     return curves
 
 
@@ -130,17 +127,14 @@ def pass_ablation(pattern: str = "nested-switch",
     machine = hierarchical_machine_with_shadowed_composite()
     baseline = eng.compile_machine(machine, pattern, OptLevel.OS,
                                    target=target).total_size
-    prefixes = [list(DEFAULT_PIPELINE[:i])
-                for i in range(1, len(DEFAULT_PIPELINE) + 1)]
-    optimized = [eng.optimize_model(machine, selection=selection).optimized
-                 for selection in prefixes]
-    results = eng.run_batch([CompileJob(opt, pattern, OptLevel.OS,
-                                        target=target)
-                             for opt in optimized])
     points = [SweepPoint(0, "no model optimization", baseline, baseline)]
-    for i, result in enumerate(results, start=1):
+    for i in range(1, len(DEFAULT_PIPELINE) + 1):
+        optimized = eng.optimize_model(
+            machine, selection=list(DEFAULT_PIPELINE[:i])).optimized
+        size = eng.compile_machine(optimized, pattern, OptLevel.OS,
+                                   target=target).total_size
         points.append(SweepPoint(i, "+" + DEFAULT_PIPELINE[i - 1],
-                                 baseline, result.total_size))
+                                 baseline, size))
     return points
 
 
@@ -151,18 +145,16 @@ def opt_level_sweep(pattern: str = "nested-switch",
     """Compiler-only optimization (non-optimized model) per -O level.
 
     The ``-O0`` reference compile and the loop's ``-O0`` cell are the
-    same cache entry — the engine's dedup at work.
+    same cache entry: the second lookup is a hit.
     """
     eng = _engine(engine)
     machine = hierarchical_machine_with_shadowed_composite()
     o0 = eng.compile_machine(machine, pattern, OptLevel.O0,
                              target=target).total_size
-    levels = list(OptLevel)
-    results = eng.run_batch([CompileJob(machine, pattern, level,
-                                        target=target)
-                             for level in levels])
-    return [SweepPoint(i, level.value, o0, result.total_size)
-            for i, (level, result) in enumerate(zip(levels, results))]
+    return [SweepPoint(i, level.value, o0,
+                       eng.compile_machine(machine, pattern, level,
+                                           target=target).total_size)
+            for i, level in enumerate(OptLevel)]
 
 
 @dataclass(frozen=True)
@@ -186,19 +178,16 @@ def target_sweep(level: OptLevel = OptLevel.OS,
     from ..codegen import ALL_PATTERNS
     eng = _engine(engine)
     machine = hierarchical_machine_with_shadowed_composite()
-    grid = [(target_name, gen_cls)
-            for target_name in (targets or available_targets())
-            for gen_cls in ALL_PATTERNS]
-    results = eng.run_batch([CompileJob(machine, gen_cls.name, level,
-                                        target=target_name)
-                             for target_name, gen_cls in grid])
     rows: List[TargetSweepRow] = []
-    for (target_name, gen_cls), result in zip(grid, results):
-        module = result.module
-        rows.append(TargetSweepRow(
-            pattern=gen_cls.name, target=target_name,
-            text_size=module.text_size, rodata_size=module.rodata_size,
-            total_size=module.total_size))
+    for target_name in targets or available_targets():
+        for gen_cls in ALL_PATTERNS:
+            module = eng.compile_machine(machine, gen_cls.name, level,
+                                         target=target_name).module
+            rows.append(TargetSweepRow(
+                pattern=gen_cls.name, target=target_name,
+                text_size=module.text_size,
+                rodata_size=module.rodata_size,
+                total_size=module.total_size))
     return rows
 
 

@@ -30,7 +30,7 @@ from typing import List, Optional, Union
 from ..codegen import ALL_GENERATORS
 from ..compiler import OptLevel
 from ..compiler.target import TargetDescription, resolve_target
-from ..engine import CompareJob, ExperimentEngine
+from ..engine import ExperimentEngine
 from ..uml.statemachine import StateMachine
 from .models import hierarchical_machine_with_shadowed_composite
 from .report import render_table
@@ -62,17 +62,16 @@ def run_table1(machine: Optional[StateMachine] = None,
                ) -> List[Table1Row]:
     """Regenerate Table 1 (defaults to the paper's hierarchical model).
 
-    All patterns run as one engine batch: the model optimization is
-    shared across the grid.
+    The engine's cache shares the model optimization across the
+    patterns.
     """
     if machine is None:
         machine = hierarchical_machine_with_shadowed_composite()
     eng = engine if engine is not None else ExperimentEngine()
-    cmps = eng.compare_batch([CompareJob(machine, gen_cls.name, level,
-                                         target=target)
-                              for gen_cls in ALL_GENERATORS])
     rows: List[Table1Row] = []
-    for gen_cls, cmp in zip(ALL_GENERATORS, cmps):
+    for gen_cls in ALL_GENERATORS:
+        cmp = eng.optimize_and_compare(machine, gen_cls.name, level,
+                                       target=target)
         rows.append(Table1Row(
             pattern=gen_cls.name,
             display_name=gen_cls.display_name,

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Union
 from ..codegen import ALL_GENERATORS
 from ..compiler import OptLevel
 from ..compiler.target import TargetDescription
-from ..engine import CompileJob, ExperimentEngine
+from ..engine import ExperimentEngine
 from ..optim import PassManager
 from ..semantics.variation import SemanticsConfig
 from .models import hierarchical_machine_with_shadowed_composite
@@ -91,11 +91,9 @@ def _evidence(target: Union[TargetDescription, str, None] = None,
     # (1) Before-codegen optimization is implementation-independent: one
     # optimized model serves every pattern.
     optimized = eng.optimize_model(machine).optimized
-    results = eng.run_batch([CompileJob(optimized, gen_cls.name,
-                                        OptLevel.OS, target=target)
-                             for gen_cls in ALL_GENERATORS])
-    sizes = {gen_cls.name: result.total_size
-             for gen_cls, result in zip(ALL_GENERATORS, results)}
+    sizes = {gen_cls.name: eng.compile_machine(
+        optimized, gen_cls.name, OptLevel.OS, target=target).total_size
+        for gen_cls in ALL_GENERATORS}
     checks["independent from implementation"] = (
         "one optimized model feeds all three patterns "
         f"(sizes {sizes}); no per-pattern rework needed")

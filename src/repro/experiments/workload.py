@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from ..uml import Behavior, StateMachineBuilder, StateMachine, calls
 
-__all__ = ["WorkloadSpec", "generate_machine", "mutate_one_transition"]
+__all__ = ["WorkloadSpec", "mixed_workload", "generate_machine",
+           "mutate_one_transition"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,20 @@ class WorkloadSpec:
             return self.name
         return (f"W{self.n_live}L{self.n_dead}D"
                 f"{self.n_shadowed_composites}C")
+
+
+def mixed_workload(seed: int, name: str) -> WorkloadSpec:
+    """A live ring of 8 with 2 dead states, a shadowed composite of 3
+    and a quarter of its event transitions guarded, so a stream
+    exercises hierarchy, guards and calls — not just bare jumps.
+
+    The fleet throughput runs and the tuner's ``workload:<seed>``
+    machine share this spec; *name* names the machine.
+    """
+    return WorkloadSpec(n_live=8, n_dead=2, n_shadowed_composites=1,
+                        composite_width=3, entry_calls=2, exit_calls=1,
+                        events_per_state=2, guarded_fraction=0.25,
+                        seed=seed, name=name)
 
 
 def _behavior(prefix: str, count: int) -> Behavior:

@@ -199,7 +199,6 @@ def optimize_and_compare(machine: StateMachine,
                          semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS,
                          target: Union[TargetDescription, str, None] = None,
                          engine: Optional["ExperimentEngine"] = None,
-                         tuned: bool = False,
                          ) -> CompareResult:
     """The paper's experiment, end to end: compile the model as-is and
     after model-level optimization, compare assembly sizes, and verify
@@ -211,17 +210,10 @@ def optimize_and_compare(machine: StateMachine,
     Passing an :class:`~repro.engine.ExperimentEngine` routes the work
     through its cache (a private single-call engine otherwise — the
     engine owns the one implementation of this workflow).
-
-    ``tuned=True`` lets the autotuner pick pattern, level and pass
-    selection from measurement (see
-    :meth:`~repro.engine.ExperimentEngine.optimize_and_compare`);
-    the explicit ``pattern``/``level``/``model_optimizations``
-    arguments are ignored then.
     """
     from .engine import ExperimentEngine
     eng = engine if engine is not None else ExperimentEngine()
     return eng.optimize_and_compare(
         machine, pattern=pattern, level=level,
         model_optimizations=model_optimizations,
-        check_behavior=check_behavior, semantics=semantics, target=target,
-        tuned=tuned)
+        check_behavior=check_behavior, semantics=semantics, target=target)

@@ -42,7 +42,10 @@ __all__ = ["SCHEMA_VERSION", "schema_stamp"]
 #: Generation 6: the interpreter and the fleet run a state's do-activity
 #: right after its entry behavior, so stored observations and
 #: equivalence reports of machines with do-activities change.
-SCHEMA_VERSION = 6
+#: Generation 7: every code generator declines a wildcard trigger
+#: (``AnyEvent``), so a stored module or VM observation of such a
+#: machine would hold code that ignored it.
+SCHEMA_VERSION = 7
 
 
 def schema_stamp() -> str:

@@ -5,8 +5,9 @@ These are the pure functions between "a batch request arrived" and
 policy is unit-testable without processes.
 
 **Dedup** folds byte-identical jobs (same canonical params JSON) onto
-one computation, mirroring the engine's batch planner one layer
-earlier — a duplicate never even crosses a process boundary.
+one computation before any chunk is planned, so a duplicate never
+crosses a process boundary (inside a worker, the engine's cache would
+only have made it a hit).
 
 **Locality sort** (the ROADMAP item 5 follow-up): mixed batches are
 full of *near*-duplicates — mutant chains of one machine, the same

@@ -46,10 +46,12 @@ the cache entry an in-process run of the same job would.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
 from ..compiler import CompileResult, OptLevel
-from ..engine.jobs import CompileJob
+from ..compiler.target import TargetDescription
+from ..engine.fingerprint import compile_fingerprint
 from ..semantics.variation import (ConflictPolicy, EventPoolPolicy,
                                    SemanticsConfig, UML_DEFAULT_SEMANTICS,
                                    UnconsumedPolicy)
@@ -58,7 +60,8 @@ from ..uml.statemachine import StateMachine
 
 __all__ = ["MAX_LINE_BYTES", "encode_message", "decode_message",
            "parse_opt_level", "semantics_to_dict", "semantics_from_dict",
-           "compile_params", "job_from_params", "compile_result_payload"]
+           "compile_params", "CompileJob", "job_from_params",
+           "compile_result_payload"]
 
 #: Stream limit for one JSON line (a serialized machine can be large).
 MAX_LINE_BYTES = 8 * 1024 * 1024
@@ -145,8 +148,27 @@ def compile_params(machine: Union[StateMachine, Dict[str, Any]],
     }
 
 
+@dataclass(frozen=True, eq=False)
+class CompileJob:
+    """One parsed compile job: machine x pattern x level x target.
+
+    ``fingerprint()`` is the engine's cache key for the compile, and
+    every result payload carries it.
+    """
+
+    machine: StateMachine
+    pattern: str = "nested-switch"
+    level: OptLevel = OptLevel.OS
+    target: Union[TargetDescription, str, None] = None
+    semantics: SemanticsConfig = UML_DEFAULT_SEMANTICS
+
+    def fingerprint(self) -> str:
+        return compile_fingerprint(self.machine, self.pattern, self.level,
+                                   self.target, self.semantics)
+
+
 def job_from_params(params: Dict[str, Any]) -> CompileJob:
-    """Rebuild the engine job a ``compile``/``batch`` params object
+    """Rebuild the compile job a ``compile``/``batch`` params object
     describes (raises ``KeyError``/``ValueError`` on malformed input)."""
     return CompileJob(
         machine=machine_from_dict(params["machine"]),

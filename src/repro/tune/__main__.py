@@ -46,13 +46,9 @@ def named_machine(name: str) -> StateMachine:
     if name == "flat":
         return flat_machine_with_unreachable_state()
     if name.startswith("workload:"):
-        from ..experiments.workload import WorkloadSpec, generate_machine
+        from ..experiments.workload import generate_machine, mixed_workload
         seed = int(name.split(":", 1)[1])
-        return generate_machine(WorkloadSpec(
-            n_live=8, n_dead=2, n_shadowed_composites=1,
-            composite_width=3, entry_calls=2, exit_calls=1,
-            events_per_state=2, guarded_fraction=0.25, seed=seed,
-            name=f"TuneWorkload{seed}"))
+        return generate_machine(mixed_workload(seed, f"TuneWorkload{seed}"))
     raise SystemExit(f"error: unknown machine {name!r} (use "
                      f"'hierarchical', 'flat', or 'workload:<seed>')")
 

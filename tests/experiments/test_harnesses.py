@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import find_dead_code, measure_model
 from repro.codegen import ALL_PATTERNS
-from repro.engine import CompareJob, ExperimentEngine
+from repro.engine import ExperimentEngine
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.models import (
     flat_machine_with_unreachable_state,
@@ -89,10 +89,9 @@ class TestFigure1Harness:
         engine = ExperimentEngine()
         run_figure1(target=target, engine=engine)
         alone = ExperimentEngine()
-        alone.compare_batch([
-            CompareJob(flat_machine_with_unreachable_state(), target=target),
-            CompareJob(hierarchical_machine_with_shadowed_composite(),
-                       target=target)])
+        for machine in (flat_machine_with_unreachable_state(),
+                        hierarchical_machine_with_shadowed_composite()):
+            alone.optimize_and_compare(machine, target=target)
         assert engine.stats.misses == alone.stats.misses
         for gen_cls in ALL_PATTERNS:
             rows = run_figure1(pattern=gen_cls.name, target=target,

@@ -5,13 +5,21 @@ interpreter instance *inside* the timed region, charging per-instance
 setup to the baseline and inflating the reported fleet speedup.  The
 pinned test here instruments the injectable clock and the interpreter
 to prove the timed window contains nothing but ``dispatch`` calls.
+
+The fleet gate (``scripts/check_bench.py --fleet-smoke``) must fail
+with a FAIL line, not a traceback, when the smoke reports no speedup.
 """
+
+import json
+import pathlib
+import runpy
+import subprocess
+import sys
 
 import pytest
 
-from repro.experiments.dynamics import (FleetThroughputRow,
-                                        run_fleet_throughput)
-from repro.fleet import interpreter_dispatch_rate
+from repro.fleet import ThroughputReport, interpreter_dispatch_rate
+from repro.fleet.baseline import FleetThroughputRow, run_fleet_throughput
 from repro.semantics.runtime import MachineInstance
 from repro.uml import StateMachineBuilder
 
@@ -84,10 +92,13 @@ class TestDispatchOnlyTiming:
 
 class TestSpeedupRendering:
     def row(self, interp):
+        # 50 lane-events in 0.05 s: 1000 events/sec.
+        report = ThroughputReport(
+            n_lanes=10, n_shards=1, routing="broadcast", events_routed=5,
+            lane_events=50, fired=0, elapsed_s=0.05, shards=[])
         return FleetThroughputRow(
-            machine_name="M", instances=10, shards=1, stream_events=5,
-            lane_events=50, fast_fraction=1.0, events_per_sec=1000.0,
-            interp_events_per_sec=interp)
+            machine_name="M", table="table[M]", stream_events=5,
+            report=report, interp_sample=1, interp_events_per_sec=interp)
 
     def test_speedup_is_ratio(self):
         assert self.row(100.0).speedup == pytest.approx(10.0)
@@ -108,24 +119,37 @@ class TestSpeedupRendering:
 class TestSmokeJsonGuard:
     def test_smoke_json_never_emits_infinity(self, monkeypatch, capsys):
         import repro.fleet.__main__ as fleet_main
-        monkeypatch.setattr(fleet_main, "interpreter_dispatch_rate",
+        import repro.fleet.baseline as baseline
+        monkeypatch.setattr(baseline, "interpreter_dispatch_rate",
                             lambda *a, **k: 0.0)
         code = fleet_main.main(["smoke", "--instances", "16",
                                 "--events", "4", "--shards", "1",
                                 "--json"])
         out = capsys.readouterr().out
         assert code == 0
-        result = __import__("json").loads(out)   # valid JSON, no Infinity
+        result = json.loads(out)   # valid JSON, no Infinity
         assert result["speedup_vs_interp"] is None
 
-    def test_smoke_speedup_floor_fails_without_baseline(self, monkeypatch,
-                                                        capsys):
-        import repro.fleet.__main__ as fleet_main
-        monkeypatch.setattr(fleet_main, "interpreter_dispatch_rate",
-                            lambda *a, **k: 0.0)
-        code = fleet_main.main(["smoke", "--instances", "16",
-                                "--events", "4", "--shards", "1",
-                                "--min-speedup", "2"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "n/a" in err
+
+class TestFleetGate:
+    SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / \
+        "check_bench.py"
+
+    def test_gate_fails_cleanly_without_baseline(self, monkeypatch,
+                                                 capsys):
+        smoke = {"instances": 10000, "lane_events": 2000000,
+                 "events_per_sec": 5e8, "speedup_vs_interp": None}
+
+        def fake_run(cmd, **kwargs):
+            return subprocess.CompletedProcess(
+                cmd, 0, stdout=json.dumps(smoke), stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), "--fleet-smoke",
+                                          "--retries", "0"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exit_info.value.code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("check_bench --fleet-smoke: FAIL")
+        assert "speedup n/a" in lines[-1]

@@ -9,6 +9,9 @@
   :class:`~repro.codegen.CodegenError`, which the differential runner
   reports as ``unsupported:`` (a documented feature gap, not wrong
   code).
+* **A wildcard trigger** (``AnyEvent``, ``*``) fires on any event in
+  the interpreter and in the fleet; every pattern declines it the same
+  way, and the fuzz oracle counts each pattern cell as skipped.
 """
 
 import pytest
@@ -18,7 +21,8 @@ from repro.compiler import OptLevel
 from repro.exec import InterpreterExecutor, VMExecutor, observe
 from repro.exec.runner import UNSUPPORTED_PREFIX
 from repro.fleet import check_fleet_conformance
-from repro.uml import StateMachineBuilder, calls
+from repro.fuzz import DifferentialOracle, FuzzCase, OracleConfig, Stimulus
+from repro.uml import AnyEvent, StateMachineBuilder, calls
 from repro.vm import check_vm_conformance, conformance_scenarios
 
 PATTERNS = [g.name for g in ALL_PATTERNS]
@@ -67,6 +71,17 @@ def _initial_less_machine():
     return b.build()
 
 
+def _wildcard_machine():
+    """``A`` (entry) -x-> ``B`` (entry); ``B`` -*-> ``A`` on any event."""
+    b = StateMachineBuilder("Wildcard")
+    b.state("A", entry=calls("enterA"))
+    b.state("B", entry=calls("enterB"))
+    b.initial_to("A")
+    b.transition("A", "B", on="x")
+    b.transition("B", "A", on=AnyEvent())
+    return b.build()
+
+
 class TestDoActivities:
     def test_interpreter_runs_do_after_entry(self):
         machine = _do_machine()
@@ -101,25 +116,61 @@ class TestDoActivities:
                 assert report.conformant, report.mismatches[:1]
 
 
+#: Shapes every pattern declines while the interpreter and the fleet
+#: run them: machine, the ``CodegenError`` message, one stimulus.
+DECLINED = {
+    "no-initial": (_initial_less_machine, "without an initial", ("back",)),
+    "wildcard": (_wildcard_machine, "wildcard trigger", ("x", "x")),
+}
+
+
 class TestInitialLessComposite:
     def test_interpreter_never_completes_it(self):
         [obs] = observe(InterpreterExecutor(), _initial_less_machine(),
                         [("back",)])
         assert [d[0] for _, d in obs.payloads] == ["enterC"]
 
+
+class TestWildcardTrigger:
+    def test_interpreter_fires_it_on_any_event(self):
+        [obs] = observe(InterpreterExecutor(), _wildcard_machine(),
+                        [("x", "x")])
+        assert [d[0] for _, d in obs.payloads] == \
+            ["enterA", "enterB", "enterA"]
+
+
+@pytest.mark.parametrize("shape", DECLINED)
+class TestDeclinedShapes:
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_every_pattern_declines_it(self, pattern):
-        machine = _initial_less_machine()
-        with pytest.raises(CodegenError, match="without an initial"):
+    def test_every_pattern_declines_it(self, shape, pattern):
+        build, message, _ = DECLINED[shape]
+        machine = build()
+        with pytest.raises(CodegenError, match=message):
             generator_by_name(pattern).generate(machine)
         scenarios = conformance_scenarios(machine)
-        for obs in observe(VMExecutor(pattern, OptLevel.OS, "rt32"),
-                           machine, scenarios):
-            assert obs.error.startswith(UNSUPPORTED_PREFIX), obs.error
+        for level in (OptLevel.O0, OptLevel.OS):
+            for target in ("rt32", "rt16"):
+                for obs in observe(VMExecutor(pattern, level, target),
+                                   machine, scenarios):
+                    assert obs.error.startswith(UNSUPPORTED_PREFIX), \
+                        obs.error
 
     @pytest.mark.parametrize("lanes", [1, 64])
-    def test_fleet_runs_it(self, lanes):
-        report = check_fleet_conformance(_initial_less_machine(),
+    def test_fleet_runs_it(self, shape, lanes):
+        report = check_fleet_conformance(DECLINED[shape][0](),
                                          wide_lanes=lanes)
         assert report.conformant, report.summary()
         assert report.scenarios_run > 0
+
+    def test_oracle_skips_every_pattern_cell(self, shape, memory_engine):
+        build, _, events = DECLINED[shape]
+        oracle = DifferentialOracle(
+            engine=memory_engine,
+            config=OracleConfig(patterns=tuple(PATTERNS),
+                                targets=("rt32",), levels=("-Os",),
+                                check_optimized=False))
+        result = oracle.run_case(FuzzCase(machine=build(),
+                                          stimuli=(Stimulus.of(*events),)))
+        assert result.ok, result.summary()
+        assert result.cells_skipped == len(PATTERNS)
+        assert result.executors_run == 1      # the fleet

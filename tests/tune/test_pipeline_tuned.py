@@ -7,7 +7,7 @@ from repro.compiler import OptLevel, compile_unit
 from repro.engine import ExperimentEngine
 from repro.experiments.models import (
     hierarchical_machine_with_shadowed_composite)
-from repro.pipeline import optimize_and_compare, tuned_compile
+from repro.pipeline import tuned_compile
 
 FAST = dict(patterns=["state-table", "flat-switch"],
             levels=(OptLevel.O0, OptLevel.OS))
@@ -56,15 +56,3 @@ class TestTunedCompile:
         assert tuned.winner.pattern in tuned.summary()
         assert str(tuned.total_size) in tuned.summary()
 
-
-class TestTunedCompare:
-    def test_tuned_flag_overrides_manual_choice(self, machine, engine):
-        record = engine.tune(machine)    # default lattice
-        result = optimize_and_compare(machine, pattern="nested-switch",
-                                      level=OptLevel.O0, engine=engine,
-                                      tuned=True)
-        assert result.pattern == record.winner.pattern
-
-    def test_tuned_compare_is_behavior_checked(self, machine, engine):
-        result = optimize_and_compare(machine, engine=engine, tuned=True)
-        assert result.equivalence.equivalent
