@@ -136,6 +136,8 @@ def optimize_function(fn, level: OptLevel, stats: Dict[str, int]) -> None:
                 stats[key] = stats.get(key, 0) + run_pass(fn)
         with _span("stage.ssa-out"):
             _finish_iteration(fn)
+    # The backend reads no CFG fact, and caches hold the function.
+    fn.drop_cfg_facts()
 
 
 def make_switch_lowering(level: OptLevel,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from .cfg import predecessors, reverse_postorder
+from .cfg import reverse_postorder
 from .ir import GimpleFunction
 
-__all__ = ["DomInfo", "compute_dominators"]
+__all__ = ["DomInfo", "compute_dominators", "dominators"]
 
 
 class DomInfo:
@@ -42,14 +42,14 @@ class DomInfo:
 
 
 def compute_dominators(fn: GimpleFunction) -> DomInfo:
-    """Compute the dominator tree and dominance frontiers of *fn*.
+    """Compute the dominator tree and dominance frontiers of *fn* from
+    scratch.
 
-    Assumes unreachable blocks were removed (callers run
-    :func:`~repro.compiler.gimple.cfg.remove_unreachable_blocks` first).
+    Unreachable blocks take no part: only reachable predecessors count.
     """
     rpo = reverse_postorder(fn)
     index = {label: i for i, label in enumerate(rpo)}
-    preds = predecessors(fn)
+    preds = fn.preds
 
     idom: Dict[str, Optional[str]] = {label: None for label in rpo}
     idom[fn.entry] = fn.entry
@@ -69,7 +69,7 @@ def compute_dominators(fn: GimpleFunction) -> DomInfo:
         for label in rpo:
             if label == fn.entry:
                 continue
-            candidates = [p for p in preds[label]
+            candidates = [p for p in preds(label)
                           if p in index and idom[p] is not None]
             if not candidates:
                 continue
@@ -82,7 +82,7 @@ def compute_dominators(fn: GimpleFunction) -> DomInfo:
 
     frontier: Dict[str, Set[str]] = {label: set() for label in rpo}
     for label in rpo:
-        ps = [p for p in preds[label] if p in index]
+        ps = [p for p in preds(label) if p in index]
         if len(ps) < 2:
             continue
         for pred in ps:
@@ -95,3 +95,9 @@ def compute_dominators(fn: GimpleFunction) -> DomInfo:
     result = dict(idom)
     result[fn.entry] = None
     return DomInfo(result, frontier, rpo)
+
+
+def dominators(fn: GimpleFunction) -> DomInfo:
+    """The dominator info of *fn*, computed at most once per CFG state:
+    passes that change no edge leave it valid for the next reader."""
+    return fn.cfg_fact(compute_dominators)

@@ -21,7 +21,8 @@ paper's era made in their RTL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
 __all__ = [
     "Reg", "Operand", "Instr", "Const", "Move", "BinOp", "UnOp",
@@ -31,6 +32,8 @@ __all__ = [
     "BasicBlock", "GimpleFunction", "DataItem", "SymbolRef", "DataObject",
     "Program", "IRError", "copy_node",
 ]
+
+T = TypeVar("T")
 
 BIN_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!="}
 UN_OPS = {"-", "!"}
@@ -497,7 +500,25 @@ class BasicBlock:
 
 
 class GimpleFunction:
-    """One function in GIMPLE form."""
+    """One function in GIMPLE form.
+
+    The function keeps its CFG facts instead of having every pass
+    recompute them.  Predecessor lists are built at the first
+    :meth:`preds` query, so construction code may assign terminators
+    and fill :attr:`blocks` directly until then.  From that query on,
+    every edge change goes through :meth:`set_terminator`,
+    :meth:`add_block` (and :meth:`new_block`) or :meth:`delete_block`,
+    which keep the lists current the way GCC's
+    ``redirect_edge_and_branch`` keeps ``bb->preds``.  Those helpers
+    also bump :attr:`cfg_version`, which drops every fact memoized by
+    :meth:`cfg_fact` (reachability, dominators): a fact is computed at
+    most once per CFG state.
+    """
+
+    #: The attributes a pickle (and so the store) carries, in the order
+    #: they always had; the CFG facts are derived, and dropped.
+    _PICKLED = ("name", "params", "blocks", "entry", "_next_label",
+                "_next_reg")
 
     def __init__(self, name: str, params: Optional[List[Reg]] = None) -> None:
         self.name = name
@@ -508,6 +529,23 @@ class GimpleFunction:
         # 3.12 deprecates pickling iterator counters.
         self._next_label = 0
         self._next_reg = 0
+        self.drop_cfg_facts()
+
+    def drop_cfg_facts(self) -> None:
+        """Forget the predecessor lists and every memoized fact, as a
+        new function has none; the next query builds them again."""
+        # Predecessor lists per label (one entry per edge), or None
+        # until the first query.
+        self._preds: Optional[Dict[str, List[str]]] = None
+        self.cfg_version = 0
+        self._facts: Dict[object, object] = {}
+
+    def __getstate__(self):
+        return {key: self.__dict__[key] for key in self._PICKLED}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.drop_cfg_facts()
 
     # -- construction ---------------------------------------------------
     def label_id(self) -> int:
@@ -519,12 +557,7 @@ class GimpleFunction:
         return number
 
     def new_block(self, hint: str = "bb") -> BasicBlock:
-        label = f"{hint}{self.label_id()}"
-        block = BasicBlock(label)
-        self.blocks[label] = block
-        if not self.entry:
-            self.entry = label
-        return block
+        return self.add_block(BasicBlock(f"{hint}{self.label_id()}"))
 
     def new_reg(self, hint: str = "t") -> Reg:
         number = self._next_reg
@@ -535,7 +568,7 @@ class GimpleFunction:
         """An independent copy that passes may mutate: new blocks holding
         a :func:`copy_node` of every instruction and terminator, the same
         entry, and label and register numbering that continues where this
-        function's stopped."""
+        function's stopped.  The copy starts with no CFG facts."""
         fn = GimpleFunction(self.name, self.params)
         fn.entry = self.entry
         fn._next_label = self._next_label
@@ -549,6 +582,85 @@ class GimpleFunction:
 
     def block(self, label: str) -> BasicBlock:
         return self.blocks[label]
+
+    # -- CFG edits ----------------------------------------------------------
+    def add_block(self, block: BasicBlock) -> BasicBlock:
+        """Append *block*, with the edges of its terminator if it has
+        one.  The first block added is the entry."""
+        label = block.label
+        self.blocks[label] = block
+        if not self.entry:
+            self.entry = label
+        preds = self._preds
+        if preds is not None:
+            preds.setdefault(label, [])
+            if block.terminator is not None:
+                for succ in block.terminator.successors():
+                    preds.setdefault(succ, []).append(label)
+        self._cfg_changed()
+        return block
+
+    def set_terminator(self, block: BasicBlock, term: Terminator) -> None:
+        """End *block* with *term*, moving its out-edges when the
+        successors change."""
+        old = block.terminator
+        if term is old:
+            return
+        block.terminator = term
+        old_succs = [] if old is None else old.successors()
+        new_succs = term.successors()
+        if old_succs == new_succs:
+            return
+        preds = self._preds
+        if preds is not None:
+            label = block.label
+            for succ in old_succs:
+                preds[succ].remove(label)
+            for succ in new_succs:
+                preds.setdefault(succ, []).append(label)
+        self._cfg_changed()
+
+    def delete_block(self, label: str) -> None:
+        """Remove block *label* and its out-edges.  Edges into it must
+        be gone already, or come only from blocks deleted with it."""
+        block = self.blocks.pop(label)
+        preds = self._preds
+        if preds is not None:
+            del preds[label]
+            for succ in block.terminator.successors():
+                succ_preds = preds.get(succ)
+                if succ_preds is not None:
+                    succ_preds.remove(label)
+        self._cfg_changed()
+
+    def _cfg_changed(self) -> None:
+        self.cfg_version += 1
+        if self._facts:
+            self._facts = {}
+
+    # -- CFG facts ----------------------------------------------------------
+    def preds(self, label: str) -> List[str]:
+        """Predecessor labels of block *label*, one entry per edge (a
+        branch whose two arms meet is listed twice).  Their order
+        carries no meaning.  The list is live: do not mutate it, and
+        copy it before changing edges while iterating."""
+        preds = self._preds
+        if preds is None:
+            preds = {label: [] for label in self.blocks}
+            for pred, block in self.blocks.items():
+                for succ in block.terminator.successors():
+                    preds[succ].append(pred)
+            self._preds = preds
+        return preds[label]
+
+    def cfg_fact(self, compute: Callable[["GimpleFunction"], T]) -> T:
+        """``compute(self)``, memoized until the next edge change.
+        *compute* must read nothing but the CFG."""
+        facts = self._facts
+        if compute in facts:
+            return facts[compute]  # type: ignore[return-value]
+        value = facts[compute] = compute(self)
+        return value
 
     # -- queries ----------------------------------------------------------
     def iter_blocks(self) -> Iterator[BasicBlock]:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .cfg import predecessors, remove_unreachable_blocks
-from .dom import DomInfo, compute_dominators
+from .cfg import remove_unreachable_blocks
+from .dom import DomInfo, dominators
 from .ir import GimpleFunction, Instr, Jump, Move, Operand, Phi, Reg, copy_node
 
 __all__ = ["to_ssa", "from_ssa", "verify_ssa", "SSAError"]
@@ -40,8 +40,7 @@ def _definitions(fn: GimpleFunction) -> Dict[str, Set[str]]:
 def to_ssa(fn: GimpleFunction) -> DomInfo:
     """Convert *fn* to SSA form in place; returns the dominator info."""
     remove_unreachable_blocks(fn)
-    dom = compute_dominators(fn)
-    preds = predecessors(fn)
+    dom = dominators(fn)
     defs = _definitions(fn)
 
     # -- phase 1: phi placement at iterated dominance frontiers ---------
@@ -90,7 +89,19 @@ def to_ssa(fn: GimpleFunction) -> DomInfo:
 
     new_params = [fresh(p.name) for p in fn.params]
 
-    def rename_block(label: str) -> None:
+    # Preorder walk of the dominator tree on an explicit stack.  An
+    # entry is a block label to rename, or the list of names a renamed
+    # block pushed, popped once its whole subtree is done.  (A
+    # self-recursive nested function would be a reference cycle that
+    # keeps this frame, and the function, alive until the collector
+    # runs.)
+    work: List[object] = [fn.entry]
+    while work:
+        label = work.pop()
+        if isinstance(label, list):
+            for name in label:
+                stacks[name].pop()
+            continue
         block = fn.blocks[label]
         pushed: List[str] = []
         new_instrs: List[Instr] = []
@@ -100,7 +111,6 @@ def to_ssa(fn: GimpleFunction) -> DomInfo:
                 pushed.append(instr.dst.name)
                 new_instrs.append(Phi(new_dst, dict(instr.incoming)))
                 continue
-            mapping = {}
             renamed = _rewrite_instr_uses(instr, rewrite_operand)
             if renamed.dst is not None:
                 new_dst = fresh(renamed.dst.name)
@@ -108,8 +118,8 @@ def to_ssa(fn: GimpleFunction) -> DomInfo:
                 renamed = _with_dst(renamed, new_dst)
             new_instrs.append(renamed)
         block.instrs = new_instrs
-        block.terminator = _rewrite_term_uses(block.terminator,
-                                              rewrite_operand)
+        fn.set_terminator(block, _rewrite_term_uses(block.terminator,
+                                                    rewrite_operand))
         # Fill phi inputs of successors.
         for succ in block.terminator.successors():
             for phi in fn.blocks[succ].phis():
@@ -118,12 +128,9 @@ def to_ssa(fn: GimpleFunction) -> DomInfo:
                     phi.incoming[label] = cur
                 # else: variable not defined on this path; leave absent
                 # (the phi value is undefined along it, never read).
-        for child in dom.children.get(label, ()):
-            rename_block(child)
-        for name in pushed:
-            stacks[name].pop()
+        work.append(pushed)
+        work.extend(reversed(dom.children.get(label, ())))
 
-    rename_block(fn.entry)
     fn.params = new_params
     return dom
 
@@ -165,11 +172,10 @@ def verify_ssa(fn: GimpleFunction) -> None:
                 raise SSAError(
                     f"{fn.name}: duplicate definition of {instr.dst}")
             defined.add(key)
-    preds = predecessors(fn)
     for label, block in fn.blocks.items():
         for phi in block.phis():
             for pred_label in phi.incoming:
-                if pred_label not in preds[label]:
+                if pred_label not in fn.preds(label):
                     raise SSAError(
                         f"{fn.name}: phi in {label} names non-predecessor "
                         f"{pred_label}")
@@ -178,7 +184,6 @@ def verify_ssa(fn: GimpleFunction) -> None:
 def _split_critical_edges(fn: GimpleFunction) -> None:
     """Insert empty blocks on edges from multi-successor blocks to
     multi-predecessor blocks (needed for safe phi elimination)."""
-    preds = predecessors(fn)
     for label in list(fn.blocks):
         block = fn.blocks[label]
         succs = block.terminator.successors()
@@ -190,17 +195,17 @@ def _split_critical_edges(fn: GimpleFunction) -> None:
         # symbol and byte of the module) would vary with the process's
         # string-hash seed.
         for succ in dict.fromkeys(succs):
-            if len(preds[succ]) <= 1:
+            if len(fn.preds(succ)) <= 1:
                 continue
             mid = fn.new_block("crit")
-            mid.terminator = Jump(succ)
+            fn.set_terminator(mid, Jump(succ))
             retarget[succ] = mid.label
             # Phi entries for the split edge now come from the new block.
             for phi in fn.blocks[succ].phis():
                 if label in phi.incoming:
                     phi.incoming[mid.label] = phi.incoming.pop(label)
         if retarget:
-            block.terminator = block.terminator.retarget(retarget)
+            fn.set_terminator(block, block.terminator.retarget(retarget))
 
 
 def from_ssa(fn: GimpleFunction) -> None:
@@ -252,5 +257,4 @@ def from_ssa(fn: GimpleFunction) -> None:
         term = block.terminator
         mapping = {use: plain(use) for use in term.uses() if use.version}
         if mapping:
-            term = term.replace_uses(mapping)
-        block.terminator = term
+            fn.set_terminator(block, term.replace_uses(mapping))

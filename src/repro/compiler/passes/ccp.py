@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..gimple.ir import (BinOp, Branch, Call, CallIndirect, Const,
-                         GimpleFunction, Instr, Jump, Load, LoadAddr,
+                         GimpleFunction, Instr, IRError, Jump, Load, LoadAddr,
                          LoadGlobal, Move, Operand, Phi, Reg, Ret,
                          SwitchTerm, UnOp)
 
@@ -213,10 +213,13 @@ def run_ccp(fn: GimpleFunction) -> int:
                             instr, (Load, CallIndirect)):
                         mapping[use] = use_value
                 if mapping:
+                    # Only a store can refuse: its base must stay a
+                    # register, so a store through a constant base is
+                    # kept as written.
                     try:
                         instr = instr.replace_uses(mapping)
                         changed += 1
-                    except Exception:
+                    except IRError:
                         pass
                 new_instrs.append(instr)
         block.instrs = new_instrs
@@ -225,13 +228,14 @@ def run_ccp(fn: GimpleFunction) -> int:
             cond = lattice.get(term.cond, _TOP) \
                 if isinstance(term.cond, Reg) else term.cond
             if isinstance(cond, int):
-                block.terminator = Jump(term.if_true if cond
-                                        else term.if_false)
+                fn.set_terminator(block, Jump(term.if_true if cond
+                                              else term.if_false))
                 changed += 1
         elif isinstance(term, SwitchTerm):
             value = lattice.get(term.value, _TOP) \
                 if isinstance(term.value, Reg) else term.value
             if isinstance(value, int):
-                block.terminator = Jump(term.cases.get(value, term.default))
+                fn.set_terminator(
+                    block, Jump(term.cases.get(value, term.default)))
                 changed += 1
     return changed

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..gimple.ir import (GimpleFunction, Move, Operand, Phi, Reg)
+from ..gimple.ir import GimpleFunction, IRError, Move, Operand, Phi, Reg
 
 __all__ = ["run_copyprop"]
 
@@ -52,7 +52,7 @@ def run_copyprop(fn: GimpleFunction) -> int:
                 try:
                     instr = instr.replace_uses(mapping)
                     changed += len(mapping)
-                except Exception:
+                except IRError:
                     pass  # e.g. load base folding to const: keep original
             new_instrs.append(instr)
         block.instrs = new_instrs
@@ -60,6 +60,6 @@ def run_copyprop(fn: GimpleFunction) -> int:
         mapping = {use: resolve(use) for use in term.uses()
                    if resolve(use) != use}
         if mapping:
-            block.terminator = term.replace_uses(mapping)
+            fn.set_terminator(block, term.replace_uses(mapping))
             changed += len(mapping)
     return changed

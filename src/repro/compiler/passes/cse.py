@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..gimple.dom import compute_dominators
 from ..gimple.cfg import remove_unreachable_blocks
+from ..gimple.dom import dominators
 from ..gimple.ir import (BinOp, Const, GimpleFunction, Instr, LoadAddr, Move,
                          Reg, UnOp)
 
@@ -46,12 +46,19 @@ def _key(instr: Instr) -> Optional[Tuple]:
 def run_cse(fn: GimpleFunction) -> int:
     """Run dominator-scoped CSE on SSA-form *fn*; returns replacements."""
     remove_unreachable_blocks(fn)
-    dom = compute_dominators(fn)
+    dom = dominators(fn)
     available: Dict[Tuple, Reg] = {}
     replaced = 0
-
-    def walk(label: str) -> None:
-        nonlocal replaced
+    # Preorder walk of the dominator tree on an explicit stack: an entry
+    # is a block label, or the list of keys a block made available,
+    # withdrawn once its whole subtree is done.
+    work: List[object] = [fn.entry]
+    while work:
+        label = work.pop()
+        if isinstance(label, list):
+            for key in label:
+                del available[key]
+            continue
         block = fn.blocks[label]
         added: List[Tuple] = []
         new_instrs: List[Instr] = []
@@ -67,10 +74,6 @@ def run_cse(fn: GimpleFunction) -> int:
                 added.append(key)
             new_instrs.append(instr)
         block.instrs = new_instrs
-        for child in dom.children.get(label, ()):
-            walk(child)
-        for key in added:
-            del available[key]
-
-    walk(fn.entry)
+        work.append(added)
+        work.extend(reversed(dom.children.get(label, ())))
     return replaced

@@ -68,7 +68,7 @@ def _clone_into(caller: GimpleFunction, callee: GimpleFunction,
     for param, arg in zip(callee.params, args):
         binder.instrs.append(Move(remap(param), arg))
     binder.terminator = Jump(entry_label)
-    caller.blocks[binder.label] = binder
+    caller.add_block(binder)
 
     for label, block in callee.blocks.items():
         clone = BasicBlock(label_map[label])
@@ -97,7 +97,7 @@ def _clone_into(caller: GimpleFunction, callee: GimpleFunction,
             mapping = {use: remap(use) for use in term.uses()}
             term = term.replace_uses(mapping) if mapping else term
             clone.terminator = term.retarget(label_map)
-        caller.blocks[clone.label] = clone
+        caller.add_block(clone)
     return binder.label
 
 
@@ -132,7 +132,7 @@ def inline_into(caller: GimpleFunction,
                 cont = BasicBlock(f"cont{caller.label_id()}")
                 cont.instrs = block.instrs[i + 1:]
                 cont.terminator = block.terminator
-                caller.blocks[cont.label] = cont
+                caller.add_block(cont)
                 # Phis in successors must now name the continuation.
                 for succ in cont.terminator.successors():
                     for phi in caller.blocks[succ].phis():
@@ -142,7 +142,7 @@ def inline_into(caller: GimpleFunction,
                 block.instrs = block.instrs[:i]
                 entry = _clone_into(caller, callee, list(instr.args),
                                     instr.dst, cont.label)
-                block.terminator = Jump(entry)
+                caller.set_terminator(block, Jump(entry))
                 inlined += 1
                 budget -= callee.instr_count()
                 again = True

@@ -15,9 +15,8 @@ fixpoint and returns the number of structural changes.
 
 from __future__ import annotations
 
-
-from ..gimple.cfg import predecessors, remove_unreachable_blocks
-from ..gimple.ir import Branch, GimpleFunction, Jump, SwitchTerm
+from ..gimple.cfg import remove_unreachable_blocks
+from ..gimple.ir import Branch, GimpleFunction, Jump, Move, SwitchTerm
 
 __all__ = ["run_simplify_cfg"]
 
@@ -45,8 +44,7 @@ def _forward_empty_blocks(fn: GimpleFunction) -> int:
         if target_label == label:
             continue
         target = fn.blocks[target_label]
-        preds = predecessors(fn)
-        my_preds = preds[label]
+        my_preds = fn.preds(label)
         if not my_preds:
             continue  # unreachable; the dedicated pass removes it
         phis_naming_me = [phi for phi in target.phis()
@@ -57,58 +55,53 @@ def _forward_empty_blocks(fn: GimpleFunction) -> int:
             (pred,) = my_preds
             if any(pred in phi.incoming for phi in target.phis()):
                 continue  # value collision on the direct edge
-            fn.blocks[pred].terminator = \
-                fn.blocks[pred].terminator.retarget({label: target_label})
             for phi in phis_naming_me:
                 phi.incoming[pred] = phi.incoming.pop(label)
-            changed += 1
-        else:
-            mapping = {label: target_label}
-            for pred in my_preds:
-                fn.blocks[pred].terminator = \
-                    fn.blocks[pred].terminator.retarget(mapping)
-            changed += 1
+        mapping = {label: target_label}
+        # Retargeting empties the live list: iterate over a copy.
+        for pred in list(my_preds):
+            pred_block = fn.blocks[pred]
+            fn.set_terminator(pred_block,
+                              pred_block.terminator.retarget(mapping))
+        changed += 1
     return changed
 
 
 def _merge_straightline(fn: GimpleFunction) -> int:
-    """Merge ``a -> b`` when a ends in Jump(b) and b has a single pred."""
+    """Merge ``a -> b`` when a ends in Jump(b) and b has a single pred.
+
+    A merge changes no other block's terminator or predecessor count, so
+    one pass in block order, merging into each block until it no longer
+    qualifies, makes every merge there is to make.
+    """
     changed = 0
-    merged = True
-    while merged:
-        merged = False
-        preds = predecessors(fn)
-        for label in list(fn.blocks):
-            block = fn.blocks.get(label)
-            if block is None:
-                continue
+    for label in list(fn.blocks):
+        block = fn.blocks.get(label)
+        while block is not None:
             term = block.terminator
             if not isinstance(term, Jump):
-                continue
+                break
             succ_label = term.target
             if succ_label == label or succ_label == fn.entry:
-                continue
-            if len(preds[succ_label]) != 1:
-                continue
+                break
+            if len(fn.preds(succ_label)) != 1:
+                break
             succ = fn.blocks[succ_label]
             if succ.phis():
                 # Single-pred phis are degenerate copies; inline them.
                 for phi in succ.phis():
                     (value,) = phi.incoming.values()
-                    from ..gimple.ir import Move
                     block.instrs.append(Move(phi.dst, value))
                 succ.instrs = succ.non_phis()
             block.instrs.extend(succ.instrs)
-            block.terminator = succ.terminator
-            del fn.blocks[succ_label]
+            fn.set_terminator(block, succ.terminator)
+            fn.delete_block(succ_label)
             # Phi inputs downstream referenced succ_label as predecessor.
             for other in fn.blocks.values():
                 for phi in other.phis():
                     if succ_label in phi.incoming:
                         phi.incoming[label] = phi.incoming.pop(succ_label)
             changed += 1
-            merged = True
-            break
     return changed
 
 
@@ -117,12 +110,12 @@ def _collapse_degenerate_branches(fn: GimpleFunction) -> int:
     for block in fn.blocks.values():
         term = block.terminator
         if isinstance(term, Branch) and term.if_true == term.if_false:
-            block.terminator = Jump(term.if_true)
+            fn.set_terminator(block, Jump(term.if_true))
             changed += 1
         elif isinstance(term, SwitchTerm):
             targets = set(term.cases.values()) | {term.default}
             if len(targets) == 1:
-                block.terminator = Jump(term.default)
+                fn.set_terminator(block, Jump(term.default))
                 changed += 1
     return changed
 
@@ -131,10 +124,10 @@ def _prune_stale_phi_inputs(fn: GimpleFunction) -> int:
     """Drop phi inputs naming blocks that are no longer predecessors
     (CCP's branch folding removes edges without touching phis)."""
     changed = 0
-    preds = predecessors(fn)
     for label, block in fn.blocks.items():
         for phi in block.phis():
-            stale = [src for src in phi.incoming if src not in preds[label]]
+            stale = [src for src in phi.incoming
+                     if src not in fn.preds(label)]
             for src in stale:
                 del phi.incoming[src]
                 changed += 1

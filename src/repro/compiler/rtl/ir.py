@@ -21,11 +21,12 @@ from typing import List, Optional, Tuple
 from ..target.description import TargetDescription
 from ..target.registry import resolve_target
 
-__all__ = ["RInstr", "RTLFunction", "label", "is_branch"]
+__all__ = ["RInstr", "RTLFunction", "label", "is_branch", "BRANCH_OPS"]
 
-_BRANCH_OPS = {"b", "bnez", "beqz", "jt", "ret",
-               "beq", "bne", "blt", "ble", "bgt", "bge",
-               "beqi", "bnei", "blti", "blei", "bgti", "bgei"}
+#: Mnemonics that end a basic block.
+BRANCH_OPS = frozenset({"b", "bnez", "beqz", "jt", "ret",
+                        "beq", "bne", "blt", "ble", "bgt", "bge",
+                        "beqi", "bnei", "blti", "blei", "bgti", "bgei"})
 
 
 @dataclass
@@ -70,7 +71,7 @@ def label(name: str) -> RInstr:
 
 
 def is_branch(instr: RInstr) -> bool:
-    return instr.op in _BRANCH_OPS
+    return instr.op in BRANCH_OPS
 
 
 @dataclass

@@ -2,14 +2,23 @@
 
 Implements Poletto & Sarkar's linear scan over the RTL stream:
 
-1. rebuild block structure from labels/branches and run a backward
-   liveness dataflow so intervals are correct across loops;
-2. build one conservative live interval per virtual register (covering
-   every program point where the register is live);
-3. scan intervals in start order, assigning the target's callee-saved
-   ``s`` registers; when none is free, spill the interval that ends last;
-4. rewrite the stream — spilled registers get frame slots, with the
-   target's two scratch registers as reload temporaries.
+1. one pass over the stream numbers the virtual registers by first
+   appearance, splits the stream into blocks and records each block's
+   upward-exposed uses and its definitions as int bitsets (bit *n* is
+   the *n*-th register to appear); a backward dataflow over those
+   bitsets gives each block's live-in and live-out registers, so
+   intervals are correct across loops;
+2. build one conservative live interval per virtual register: its first
+   and last occurrence, widened to the start of every block it is live
+   into and the end of every block it is live out of;
+3. scan intervals in start order (ties: first appearance), assigning the
+   target's callee-saved ``s`` registers, lowest free name first; when
+   none is free, spill the interval that ends last;
+4. rename, in place, the registers of every instruction that names a
+   virtual register; spilled registers get frame slots, with the
+   target's two scratch registers as reload temporaries around a new
+   copy of each instruction that names one; every other instruction
+   stays as it is.
 
 The allocator records which physical registers a function used so the
 driver can emit exactly the push/pop prologue the function needs (the
@@ -18,12 +27,12 @@ size accounting the experiments depend on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
 from typing import Dict, List, Set, Tuple, Union
 
 from ..target.description import TargetDescription
 from ..target.registry import resolve_target
-from .ir import RInstr, RTLFunction, is_branch
+from .ir import BRANCH_OPS, RInstr, RTLFunction
 
 __all__ = ["allocate_registers", "AllocationError", "live_intervals"]
 
@@ -32,166 +41,170 @@ class AllocationError(Exception):
     """Raised when the allocator cannot produce a valid assignment."""
 
 
-def _is_virtual(reg: str) -> bool:
-    return reg.startswith("v")
+class _Scan:
+    """One pass over a stream, then liveness: the virtual registers in
+    order of first appearance (``regs``) with each one's live interval
+    (``starts``, ``ends``), the physical registers the stream already
+    names, and every instruction that names a virtual register (its
+    index in ``named``, the bitset of those it names in ``masks``)."""
 
+    def __init__(self, instrs: List[RInstr]) -> None:
+        number: Dict[str, int] = {}
+        self.regs: List[str] = []
+        first: List[int] = []
+        last: List[int] = []
+        self.physical: Set[str] = set()
+        # The index of every instruction that names a virtual register,
+        # and the bitset of those it names.
+        self.named: List[int] = []
+        self.masks: List[int] = []
+        leaders: List[int] = []
+        use_masks: List[int] = []
+        def_masks: List[int] = []
+        targets: List[List[str]] = []
+        label_block: Dict[str, int] = {}
 
-@dataclass
-class _Block:
-    start: int  # index of first instruction (the label)
-    end: int    # index one past the last instruction
-    succs: List[int]
-    uses: Set[str]
-    defs: Set[str]
-    live_in: Set[str]
-    live_out: Set[str]
-
-
-def _build_blocks(instrs: List[RInstr]) -> List[_Block]:
-    """Partition the linear stream into blocks and wire the CFG."""
-    # Leaders: index 0, every label, and every instruction after a branch.
-    leaders = {0}
-    label_at: Dict[str, int] = {}
-    for i, instr in enumerate(instrs):
-        if instr.op == "label":
-            leaders.add(i)
-            label_at[instr.target] = i
-        elif is_branch(instr) and i + 1 < len(instrs):
-            leaders.add(i + 1)
-    ordered = sorted(leaders)
-    index_of = {start: n for n, start in enumerate(ordered)}
-    blocks: List[_Block] = []
-    for n, start in enumerate(ordered):
-        end = ordered[n + 1] if n + 1 < len(ordered) else len(instrs)
-        blocks.append(_Block(start, end, [], set(), set(), set(), set()))
-    # Successors + local use/def sets.
-    for n, block in enumerate(blocks):
-        seen_defs: Set[str] = set()
-        falls_through = True
-        for i in range(block.start, block.end):
-            instr = instrs[i]
-            for use in instr.uses:
-                if _is_virtual(use) and use not in seen_defs:
-                    block.uses.add(use)
-            for dst in instr.defs:
-                if _is_virtual(dst):
-                    seen_defs.add(dst)
-                    block.defs.add(dst)
-            if instr.op in ("b", "ret"):
-                falls_through = False
-            elif is_branch(instr):
-                falls_through = i + 1 >= block.end or True
-            if instr.target is not None and instr.op != "label" and \
-                    instr.target in label_at:
-                succ_start = label_at[instr.target]
-                block.succs.append(index_of[_leader_of(ordered, succ_start)])
+        start, use_mask, def_mask, block_targets = 0, 0, 0, []
+        after_branch = False
+        for i, instr in enumerate(instrs):
+            op = instr.op
+            # Leaders: every label and every instruction after a branch.
+            if (after_branch or op == "label") and i > start:
+                leaders.append(start)
+                use_masks.append(use_mask)
+                def_masks.append(def_mask)
+                targets.append(block_targets)
+                start, use_mask, def_mask, block_targets = i, 0, 0, []
+            after_branch = op in BRANCH_OPS
+            if op == "label":
+                label_block[instr.target] = len(leaders)
+                continue
+            mask = 0
+            for reg in instr.uses:
+                if reg[0] != "v":
+                    self.physical.add(reg)
+                    continue
+                n = number.get(reg)
+                if n is None:
+                    n = number[reg] = len(first)
+                    self.regs.append(reg)
+                    first.append(i)
+                    last.append(i)
+                else:
+                    last[n] = i
+                bit = 1 << n
+                mask |= bit
+                if not def_mask & bit:
+                    use_mask |= bit
+            for reg in instr.defs:
+                if reg[0] != "v":
+                    self.physical.add(reg)
+                    continue
+                n = number.get(reg)
+                if n is None:
+                    n = number[reg] = len(first)
+                    self.regs.append(reg)
+                    first.append(i)
+                    last.append(i)
+                else:
+                    last[n] = i
+                bit = 1 << n
+                mask |= bit
+                def_mask |= bit
+            if mask:
+                self.named.append(i)
+                self.masks.append(mask)
+            if instr.target is not None:
+                block_targets.append(instr.target)
             if instr.table:
-                for tgt in instr.table:
-                    if tgt in label_at:
-                        block.succs.append(
-                            index_of[_leader_of(ordered, label_at[tgt])])
-        last = instrs[block.end - 1] if block.end > block.start else None
-        if falls_through and (last is None or last.op not in ("b", "ret")):
-            if n + 1 < len(blocks):
-                block.succs.append(n + 1)
-    return blocks
+                block_targets.extend(instr.table)
+        if instrs:
+            leaders.append(start)
+            use_masks.append(use_mask)
+            def_masks.append(def_mask)
+            targets.append(block_targets)
 
+        count = len(leaders)
+        block_ends = leaders[1:] + [len(instrs)]
+        succs: List[List[int]] = []
+        for b in range(count):
+            block_succs = [label_block[t] for t in targets[b]
+                           if t in label_block]
+            last_op = instrs[block_ends[b] - 1].op
+            if last_op not in ("b", "ret") and b + 1 < count:
+                block_succs.append(b + 1)
+            succs.append(block_succs)
 
-def _leader_of(ordered: List[int], index: int) -> int:
-    """The leader (block start) containing instruction *index*."""
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ordered[mid] <= index:
-            lo = mid
-        else:
-            hi = mid - 1
-    return ordered[lo]
+        # Liveness to the least fixpoint: live_in = use | (live_out & ~def).
+        live_in = list(use_masks)
+        live_out = [0] * count
+        changed = True
+        while changed:
+            changed = False
+            for b in range(count - 1, -1, -1):
+                out = 0
+                for s in succs[b]:
+                    out |= live_in[s]
+                if out != live_out[b]:
+                    live_out[b] = out
+                    live_in[b] = use_masks[b] | (out & ~def_masks[b])
+                    changed = True
 
-
-def _liveness(blocks: List[_Block]) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(blocks):
-            live_out: Set[str] = set()
-            for succ in block.succs:
-                live_out |= blocks[succ].live_in
-            live_in = block.uses | (live_out - block.defs)
-            if live_out != block.live_out or live_in != block.live_in:
-                block.live_out = live_out
-                block.live_in = live_in
-                changed = True
+        # Widen each register's [first, last] to the start of every
+        # block it is live into and the end of every block it is live
+        # out of.
+        points = leaders + [end - 1 for end in block_ends]
+        for point, mask in zip(points, live_in + live_out):
+            while mask:
+                low = mask & -mask
+                n = low.bit_length() - 1
+                mask ^= low
+                if point < first[n]:
+                    first[n] = point
+                if point > last[n]:
+                    last[n] = point
+        self.starts = first
+        self.ends = last
 
 
 def live_intervals(rtl: RTLFunction) -> Dict[str, Tuple[int, int]]:
-    """Conservative live interval [start, end] per virtual register."""
-    blocks = _build_blocks(rtl.instrs)
-    _liveness(blocks)
-    intervals: Dict[str, Tuple[int, int]] = {}
-
-    def extend(reg: str, point: int) -> None:
-        if reg in intervals:
-            lo, hi = intervals[reg]
-            intervals[reg] = (min(lo, point), max(hi, point))
-        else:
-            intervals[reg] = (point, point)
-
-    for block in blocks:
-        for reg in block.live_in:
-            extend(reg, block.start)
-        for reg in block.live_out:
-            extend(reg, block.end - 1 if block.end > block.start
-                   else block.start)
-        for i in range(block.start, block.end):
-            instr = rtl.instrs[i]
-            for reg in instr.defs:
-                if _is_virtual(reg):
-                    extend(reg, i)
-            for reg in instr.uses:
-                if _is_virtual(reg):
-                    extend(reg, i)
-    return intervals
+    """Conservative live interval [start, end] per virtual register, in
+    order of first appearance."""
+    scan = _Scan(rtl.instrs)
+    return {reg: (start, end) for reg, start, end
+            in zip(scan.regs, scan.starts, scan.ends)}
 
 
 def allocate_registers(rtl: RTLFunction,
                        target: Union[TargetDescription, str, None] = None,
                        ) -> RTLFunction:
-    """Run linear scan; returns *rtl* rewritten onto physical registers.
+    """Run linear scan; returns *rtl* rewritten onto physical registers
+    (its instructions are renamed in place).
 
     The register file comes from *target* (default: the function's own
     target, falling back to the registry default)."""
     tgt = resolve_target(target) if target is not None else rtl.target_desc
     rtl.target = tgt
-    intervals = live_intervals(rtl)
-    order = sorted(intervals.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+    instrs = rtl.instrs
+    scan = _Scan(instrs)
+    regs = scan.regs
 
-    free: List[str] = list(tgt.allocatable_regs)
-    active: List[Tuple[int, str, str]] = []  # (end, vreg, phys)
+    free: List[str] = sorted(tgt.allocatable_regs)
+    active: List[Tuple[int, str, str]] = []  # (end, vreg, phys), sorted
     assignment: Dict[str, str] = {}
     spilled: Dict[str, int] = {}
-
-    def expire(start: int) -> None:
-        nonlocal active
-        keep = []
-        for end, vreg, phys in active:
-            if end < start:
-                free.append(phys)
-            else:
-                keep.append((end, vreg, phys))
-        active = keep
-
-    for vreg, (start, end) in order:
-        expire(start)
+    for start, end, n in sorted(zip(scan.starts, scan.ends,
+                                    range(len(regs)))):
+        vreg = regs[n]
+        while active and active[0][0] < start:
+            insort(free, active.pop(0)[2])
         if free:
-            # Prefer the lowest-numbered free register so short-lived
-            # values reuse the same few registers (fewer saved regs =>
-            # smaller prologues).
-            free.sort()
+            # The lowest-named free register, so short-lived values
+            # reuse the same few registers (fewer saved regs => smaller
+            # prologues).
             phys = free.pop(0)
             assignment[vreg] = phys
-            active.append((end, vreg, phys))
-            active.sort()
+            insort(active, (end, vreg, phys))
         else:
             # Spill the active interval with the furthest end point if it
             # ends later than the current one; otherwise spill current.
@@ -200,75 +213,89 @@ def allocate_registers(rtl: RTLFunction,
                 assignment[vreg] = furthest_phys
                 spilled[furthest_vreg] = len(spilled)
                 del assignment[furthest_vreg]
-                active[-1] = (end, vreg, furthest_phys)
-                active.sort()
+                active.pop()
+                insort(active, (end, vreg, furthest_phys))
             else:
                 spilled[vreg] = len(spilled)
 
     rtl.frame_slots = len(spilled)
-
-    scratch0, scratch1 = tgt.scratch_regs
-    slot_bytes = tgt.word_size
-    new_instrs: List[RInstr] = []
-    for instr in rtl.instrs:
-        if instr.op == "label":
-            new_instrs.append(instr)
-            continue
-        reloads: List[RInstr] = []
-        stores: List[RInstr] = []
-        scratch_pool = [scratch0, scratch1]
-        local_map: Dict[str, str] = {}
-
-        def map_reg(reg: str, for_def: bool) -> str:
-            if not _is_virtual(reg):
-                return reg
-            if reg in assignment:
-                return assignment[reg]
-            if reg not in spilled:
-                # Defined but never used (dead def that survived): give it
-                # a scratch register, no store needed for correctness but
-                # keep one for uniformity.
-                if reg not in local_map:
-                    if not scratch_pool:
-                        raise AllocationError(
-                            f"{rtl.name}: out of scratch registers")
-                    local_map[reg] = scratch_pool.pop(0)
-                return local_map[reg]
-            slot = spilled[reg]
-            if reg not in local_map:
-                if scratch_pool:
-                    local_map[reg] = scratch_pool.pop(0)
-                elif for_def:
-                    # A def may reuse a use's scratch: the instruction
-                    # reads its sources before writing its destination.
-                    local_map[reg] = scratch0
-                else:
-                    raise AllocationError(
-                        f"{rtl.name}: out of scratch registers for spills")
-                if not for_def:
-                    reloads.append(RInstr("lw", defs=(local_map[reg],),
-                                          uses=("sp",),
-                                          imm=slot_bytes * slot,
-                                          comment=f"reload {reg}"))
-            if for_def:
-                stores.append(RInstr("sw", uses=(local_map[reg], "sp"),
-                                     imm=slot_bytes * slot,
-                                     comment=f"spill {reg}"))
-            return local_map[reg]
-
-        new_uses = tuple(map_reg(r, for_def=False) for r in instr.uses)
-        new_defs = tuple(map_reg(r, for_def=True) for r in instr.defs)
-        new_instrs.extend(reloads)
-        new_instrs.append(RInstr(instr.op, defs=new_defs, uses=new_uses,
-                                 imm=instr.imm, symbol=instr.symbol,
-                                 target=instr.target, table=instr.table,
-                                 comment=instr.comment))
-        new_instrs.extend(stores)
-    rtl.instrs = new_instrs
     # Saved registers: exactly the callee-saved registers the final
     # stream touches (scratch registers are the caller's problem).
-    used = {reg for instr in new_instrs
-            for reg in tuple(instr.defs) + tuple(instr.uses)
-            if reg in tgt.allocatable_regs}
+    used = set(assignment.values())
+    used.update(scan.physical.intersection(tgt.allocatable_regs))
     rtl.saved_regs = tuple(sorted(used))
+
+    # Rename in place every instruction that names a virtual register
+    # and no spilled one; splice the others with reloads and stores.
+    get = assignment.get
+    spilled_mask = 0
+    for n, reg in enumerate(regs):
+        if reg in spilled:
+            spilled_mask |= 1 << n
+    spill_at: List[int] = []
+    for i, mask in zip(scan.named, scan.masks):
+        if mask & spilled_mask:
+            spill_at.append(i)
+        else:
+            instr = instrs[i]
+            instr.defs = tuple([get(r, r) for r in instr.defs])
+            instr.uses = tuple([get(r, r) for r in instr.uses])
+    if spill_at:
+        new_instrs: List[RInstr] = []
+        done = 0
+        for i in spill_at:
+            new_instrs.extend(instrs[done:i])
+            done = i + 1
+            _rewrite_spilled(rtl.name, instrs[i], assignment, spilled, tgt,
+                             new_instrs)
+        new_instrs.extend(instrs[done:])
+        rtl.instrs = new_instrs
     return rtl
+
+
+def _rewrite_spilled(name: str, instr: RInstr, assignment: Dict[str, str],
+                     spilled: Dict[str, int], tgt: TargetDescription,
+                     out: List[RInstr]) -> None:
+    """Append *instr* to *out* with its spilled registers in scratch
+    registers: a reload before it per spilled use, a store after it per
+    spilled def."""
+    scratch0 = tgt.scratch_regs[0]
+    pool = list(tgt.scratch_regs)
+    local: Dict[str, str] = {}
+    slot_bytes = tgt.word_size
+    new_uses: List[str] = []
+    for reg in instr.uses:
+        slot = spilled.get(reg)
+        if slot is None:
+            new_uses.append(assignment.get(reg, reg))
+            continue
+        scratch = local.get(reg)
+        if scratch is None:
+            if not pool:
+                raise AllocationError(
+                    f"{name}: out of scratch registers for spills")
+            scratch = local[reg] = pool.pop(0)
+            out.append(RInstr("lw", defs=(scratch,), uses=("sp",),
+                              imm=slot_bytes * slot,
+                              comment=f"reload {reg}"))
+        new_uses.append(scratch)
+    stores: List[RInstr] = []
+    new_defs: List[str] = []
+    for reg in instr.defs:
+        slot = spilled.get(reg)
+        if slot is None:
+            new_defs.append(assignment.get(reg, reg))
+            continue
+        scratch = local.get(reg)
+        if scratch is None:
+            # A def may reuse a use's scratch: the instruction reads its
+            # sources before writing its destination.
+            scratch = local[reg] = pool.pop(0) if pool else scratch0
+        stores.append(RInstr("sw", uses=(scratch, "sp"),
+                             imm=slot_bytes * slot, comment=f"spill {reg}"))
+        new_defs.append(scratch)
+    out.append(RInstr(instr.op, defs=tuple(new_defs), uses=tuple(new_uses),
+                      imm=instr.imm, symbol=instr.symbol,
+                      target=instr.target, table=instr.table,
+                      comment=instr.comment))
+    out.extend(stores)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.compiler.gimple.cfg import (predecessors, reachable_blocks,
+from repro.compiler.gimple.cfg import (reachable_blocks,
                                        remove_unreachable_blocks,
-                                       reverse_postorder, successors)
+                                       reverse_postorder)
 from repro.codegen import generator_by_name
 from repro.compiler import OptLevel
 from repro.compiler.driver import optimize_function
@@ -137,10 +137,9 @@ class TestClone:
 class TestCFG:
     def test_successors_predecessors(self):
         fn = diamond()
-        succ = successors(fn)
-        assert set(succ[fn.entry]) == {"left1", "right2"}
-        preds = predecessors(fn)
-        assert set(preds["join3"]) == {"left1", "right2"}
+        succ = fn.blocks[fn.entry].terminator.successors()
+        assert set(succ) == {"left1", "right2"}
+        assert set(fn.preds("join3")) == {"left1", "right2"}
 
     def test_reachable_blocks(self):
         fn = diamond()

@@ -1,5 +1,11 @@
 """Unit tests for the RTL layer: isel details, fusion, peephole, regalloc."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.compiler.rtl.ir import RInstr, RTLFunction, is_branch, label
@@ -8,6 +14,8 @@ from repro.compiler.rtl.peephole import fuse_compare_branches, run_peephole
 from repro.compiler.rtl.regalloc import allocate_registers
 from repro.compiler.target.rt32 import (ALLOCATABLE_REGS, INSN_SIZES,
                                         fits_imm16, insn_size)
+
+_REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestTarget:
@@ -156,6 +164,46 @@ class TestRegalloc:
         for instr in rtl.instrs:
             for reg in instr.defs + instr.uses:
                 assert not reg.startswith("v"), f"virtual leaked: {instr}"
+
+    def test_tied_intervals_allocate_alike_under_every_hash_seed(self):
+        # Eight loop-carried registers live into the loop header: one
+        # interval each, all equal, and six registers on rt16.  Ties go
+        # by first appearance, never by the order of a set of strings.
+        program = textwrap.dedent("""
+            from repro.compiler.rtl.ir import RInstr, RTLFunction, label
+            from repro.compiler.rtl.regalloc import (allocate_registers,
+                                                     live_intervals)
+            rtl = RTLFunction("loop")
+            rtl.emit(label(".L"))
+            for i in range(8):
+                rtl.emit(RInstr("addi", defs=(f"v{i}",), uses=(f"v{i}",),
+                                imm=1))
+            rtl.emit(RInstr("li", defs=("v8",), imm=1))
+            rtl.emit(RInstr("bnez", uses=("v8",), target=".L"))
+            rtl.emit(RInstr("ret"))
+            intervals = live_intervals(rtl)
+            assert {intervals[f"v{i}"] for i in range(8)} == {(0, 10)}
+            allocate_registers(rtl, target="rt16")
+            print(rtl.listing())
+            """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(_REPO / "src")] + ([env["PYTHONPATH"]]
+                                    if env.get("PYTHONPATH") else []))
+        listings = set()
+        for seed in range(4):
+            env["PYTHONHASHSEED"] = str(seed)
+            proc = subprocess.run([sys.executable, "-c", program], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            listings.add(proc.stdout)
+        assert len(listings) == 1
+        (listing,) = listings
+        # The first six to appear take s0-s5; v6 and v7 are spilled.
+        for i in range(6):
+            assert f"addi s{i}, s{i}, 1" in listing
+        assert "spill v6" in listing and "spill v7" in listing
 
     def test_is_branch_classification(self):
         assert is_branch(RInstr("beqi", uses=("s0",), imm=1, target=".L"))

@@ -136,6 +136,34 @@ class TestCCP:
         assert isinstance(fn.blocks[fn.entry].terminator, Jump)
         assert run(fn) == 10
 
+    def test_store_through_a_constant_base_survives(self):
+        # The base must stay a register, so the store keeps its operand
+        # while the constant itself stays for it to read.
+        fn = GimpleFunction("f")
+        block = fn.new_block()
+        block.add(Const(Reg("p"), 64))
+        block.add(Store(Reg("p"), 0, 7))
+        block.terminator = Ret()
+        to_ssa(fn)
+        before = list(fn.blocks[block.label].instrs)
+        assert run_ccp(fn) == 0
+        assert fn.blocks[block.label].instrs == before
+        assert fn.blocks[block.label].instrs[1] is before[1]
+
+    def test_an_unexpected_error_is_not_swallowed(self, monkeypatch):
+        fn = GimpleFunction("f")
+        block = fn.new_block()
+        block.add(Const(Reg("p"), 64))
+        block.add(Store(Reg("p"), 0, 7))
+        block.terminator = Ret()
+        to_ssa(fn)
+
+        def broken(self, mapping):
+            raise RuntimeError("bug in a rewrite")
+        monkeypatch.setattr(Store, "replace_uses", broken)
+        with pytest.raises(RuntimeError, match="bug in a rewrite"):
+            run_ccp(fn)
+
     def test_runtime_value_not_folded(self):
         fn = counting_loop()
         to_ssa(fn)
