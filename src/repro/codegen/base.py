@@ -7,14 +7,19 @@ pattern is one :class:`CodeGenerator` producing a
 :class:`~repro.cpp.ast.TranslationUnit` for the same machine under the
 same fixed execution semantics.
 
-Shared conventions of all three generators:
+Shared conventions of all four generators (nested switch, state
+pattern, state table and flattened switch):
 
 * one ``enum Event`` over the machine's alphabet, in declaration order;
 * context attributes become ``int`` fields of the machine class;
 * opaque operations become ``extern "C"`` functions;
-* the public entry points of the generated class are ``init()`` (take the
-  initial transition) and ``dispatch(int ev)`` (run-to-completion step);
-* ``is_final()`` reports top-region completion;
+* every pattern exposes one runtime: a global instance
+  :func:`instance_name` of the machine class, ``init()`` (store the
+  attribute defaults, take the initial transition), ``dispatch(int ev)``
+  (run-to-completion steps until the ``pending`` event slot holds
+  :data:`NO_EVENT`) and ``is_final()`` (top-region completion);
+  :mod:`.common` builds these pieces once for every pattern, and both
+  harnesses that boot generated code read this contract from here;
 * completion transitions are evaluated eagerly after every state entry,
   with priority over pooled events — the UML rule the paper's
   optimization relies on.
@@ -28,7 +33,8 @@ from ..cpp import ast as cpp
 from ..uml.statemachine import StateMachine
 
 __all__ = ["CodeGenerator", "CodegenError", "EVENT_ENUM",
-           "event_enumerator", "NO_EVENT", "COMPLETION_EVENT"]
+           "event_enumerator", "instance_name", "NO_EVENT",
+           "COMPLETION_EVENT"]
 
 EVENT_ENUM = "Event"
 #: Sentinel used by generated runtimes for "no pending event".
@@ -45,11 +51,17 @@ def event_enumerator(event_name: str) -> str:
     return f"EV_{event_name}"
 
 
+def instance_name(cls_name: str) -> str:
+    """The global instance generated code defines for class *cls_name*:
+    the machine a harness boots, a submachine or a state singleton."""
+    return f"g_{cls_name}"
+
+
 class CodeGenerator(abc.ABC):
     """One implementation pattern."""
 
     #: stable identifier used by experiments/benchmarks ("nested-switch",
-    #: "state-pattern", "state-table")
+    #: "state-pattern", "state-table", "flat-switch")
     name: str = "abstract"
     #: human-readable pattern name as the paper spells it
     display_name: str = ""

@@ -30,10 +30,10 @@ from typing import Dict, List
 from ..cpp import ast as cpp
 from ..cpp.types import INT, VOID, ClassRefType
 from ..uml.statemachine import StateMachine
-from .base import CodeGenerator, NO_EVENT, event_enumerator
+from .base import CodeGenerator, event_enumerator, instance_name
 from .common import (attribute_fields, behavior_to_cpp,
-                     check_codegen_subset, event_enum_decl, extern_decls,
-                     guard_to_cpp)
+                     check_codegen_subset, dispatch_method, event_enum_decl,
+                     extern_decls, guarded, init_prelude, is_final_method)
 from .flattening import FlatMachine, FlatTransition, flatten_machine
 
 __all__ = ["FlatSwitchGenerator"]
@@ -64,13 +64,19 @@ class FlatSwitchGenerator(CodeGenerator):
         cls.fields.append(cpp.Field("pending", INT))
         cls.fields.extend(attribute_fields(machine))
         cls.methods.append(self._gen_init())
-        cls.methods.append(self._gen_dispatch())
+        cls.methods.append(dispatch_method(
+            lambda ev: cpp.MethodCall(cpp.ThisExpr(), self.cls_name, "step",
+                                      (ev,))))
         cls.methods.append(self._gen_step())
         cls.methods.append(self._gen_completions())
-        cls.methods.append(self._gen_is_final())
+        final = self.flat.top_final_leaf
+        cls.methods.append(is_final_method(
+            None if final is None else
+            cpp.Binary("==", cpp.FieldAccess(cpp.ThisExpr(), "state"),
+                       self._leaf_ref(final))))
         unit.classes.append(cls)
         unit.globals.append(cpp.GlobalVar(
-            f"g_{self.cls_name}", ClassRefType(self.cls_name)))
+            instance_name(self.cls_name), ClassRefType(self.cls_name)))
         return unit
 
     # ------------------------------------------------------------------
@@ -97,21 +103,11 @@ class FlatSwitchGenerator(CodeGenerator):
             body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "state"),
                                 self._leaf_ref(tr.target)))
 
-    def _guarded(self, tr: FlatTransition, inner: cpp.Block) -> cpp.Stmt:
-        if tr.guard is None:
-            return inner
-        return cpp.If(guard_to_cpp(tr.guard, cpp.ThisExpr), inner)
-
     # ------------------------------------------------------------------
     # methods
     # ------------------------------------------------------------------
     def _gen_init(self) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.IntLit(NO_EVENT)))
-        for name, init in self.machine.context.attributes.items():
-            body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), name),
-                                cpp.IntLit(init)))
+        body = init_prelude(self.machine)
         for behavior in self.flat.initial_actions:
             for stmt in behavior_to_cpp(behavior, cpp.ThisExpr,
                                         self._emit_event, self.machine):
@@ -121,22 +117,6 @@ class FlatSwitchGenerator(CodeGenerator):
         body.add(cpp.ExprStmt(cpp.MethodCall(
             cpp.ThisExpr(), self.cls_name, "completions")))
         return cpp.Method("init", [], VOID, body)
-
-    def _gen_dispatch(self) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.Var("ev")))
-        loop = cpp.While(cpp.Binary(
-            "!=", cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-            cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.VarDecl("e", INT,
-                                  cpp.FieldAccess(cpp.ThisExpr(), "pending")))
-        loop.body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                                 cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.ExprStmt(cpp.MethodCall(
-            cpp.ThisExpr(), self.cls_name, "step", (cpp.Var("e"),))))
-        body.add(loop)
-        return cpp.Method("dispatch", [cpp.Param("ev", INT)], VOID, body)
 
     def _gen_step(self) -> cpp.Method:
         outer = cpp.Switch(cpp.FieldAccess(cpp.ThisExpr(), "state"))
@@ -160,7 +140,7 @@ class FlatSwitchGenerator(CodeGenerator):
                         fire.add(cpp.ExprStmt(cpp.MethodCall(
                             cpp.ThisExpr(), self.cls_name, "completions")))
                     fire.add(cpp.Return(cpp.IntLit(1)))
-                    case.body.add(self._guarded(tr, fire))
+                    case.body.add(guarded(fire, tr.guard, cpp.ThisExpr))
                 inner.cases.append(case)
             arm.body.add(inner)
             outer.cases.append(arm)
@@ -183,18 +163,9 @@ class FlatSwitchGenerator(CodeGenerator):
                 fire = cpp.Block()
                 self._fire_stmts(tr, fire)
                 fire.add(cpp.Assign(cpp.Var("again"), cpp.IntLit(1)))
-                arm.body.add(self._guarded(tr, fire))
+                arm.body.add(guarded(fire, tr.guard, cpp.ThisExpr))
             sw.cases.append(arm)
         if sw.cases:
             loop.body.add(sw)
             body.add(loop)
         return cpp.Method("completions", [], VOID, body)
-
-    def _gen_is_final(self) -> cpp.Method:
-        if self.flat.top_final_leaf is None:
-            return cpp.Method("is_final", [], INT,
-                              cpp.Block([cpp.Return(cpp.IntLit(0))]))
-        cmp = cpp.Binary("==", cpp.FieldAccess(cpp.ThisExpr(), "state"),
-                         self._leaf_ref(self.flat.top_final_leaf))
-        return cpp.Method("is_final", [], INT,
-                          cpp.Block([cpp.Return(cmp)]))

@@ -19,8 +19,8 @@ from ..compiler.driver import OptLevel, compile_unit
 from ..compiler.frontend.lower import lower_unit, mangle
 from ..compiler.gimple.interp import GimpleInterpreter
 from ..uml.statemachine import StateMachine
-from .base import CodeGenerator
-from .common import event_index
+from .base import CodeGenerator, instance_name
+from .common import dispatch_number
 
 __all__ = ["GeneratedMachine", "observable_calls_of_model"]
 
@@ -41,15 +41,17 @@ class GeneratedMachine:
             result = compile_unit(self.unit, level)
             self.program = result.program
         self.interp = GimpleInterpreter(self.program, externals)
-        self.instance = f"g_{self.cls_name}"
+        self.instance = instance_name(self.cls_name)
         self.this = self.interp.address_of(self.instance)
         self.interp.call(mangle(self.cls_name, "init"), (self.this,))
 
     # ------------------------------------------------------------------
     def dispatch(self, event_name: str) -> None:
-        index = event_index(self.model, event_name)
+        """Run one event to completion.  An event outside the machine's
+        alphabet is discarded, as the model discards it (see
+        :func:`~.common.dispatch_number`)."""
         self.interp.call(mangle(self.cls_name, "dispatch"),
-                         (self.this, index))
+                         (self.this, dispatch_number(self.model, event_name)))
 
     def send_all(self, events: Sequence[str]) -> "GeneratedMachine":
         for event in events:

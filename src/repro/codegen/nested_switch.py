@@ -32,13 +32,12 @@ from typing import Callable, Dict, List
 
 from ..cpp import ast as cpp
 from ..cpp.types import INT, PointerType, ClassRefType, VOID
-from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
-                                StateMachine)
+from ..uml.statemachine import FinalState, Region, State, StateMachine
 from ..uml.transitions import Transition, TransitionKind
-from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
-from .common import (attribute_fields, behavior_to_cpp,
-                     check_codegen_subset, event_enum_decl, extern_decls,
-                     guard_to_cpp)
+from .base import CodeGenerator, CodegenError, event_enumerator, instance_name
+from .common import (attribute_fields, behavior_to_cpp, check_region_local,
+                     dispatch_method, event_enum_decl, extern_decls, guarded,
+                     init_prelude, is_final_method, wire_submachines)
 
 __all__ = ["NestedSwitchGenerator"]
 
@@ -77,14 +76,11 @@ class NestedSwitchGenerator(CodeGenerator):
 
     def generate(self, machine: StateMachine) -> cpp.TranslationUnit:
         self.machine = machine
-        self._check_supported(machine)
+        check_region_local(machine, self.name)
         unit = cpp.TranslationUnit(f"{machine.name}_nested_switch")
         unit.enums.append(event_enum_decl(machine))
         unit.externs.extend(extern_decls(machine))
         self.root_cls = self.class_name(machine)
-
-        if len(machine.regions) != 1:
-            raise CodegenError("nested-switch needs one top region")
         top_plan = self._plan_region(self.root_cls, machine.regions[0], True)
         # Sub classes must be declared before the classes that point at
         # them only for layout of by-value fields; pointers are fine in
@@ -95,24 +91,6 @@ class NestedSwitchGenerator(CodeGenerator):
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _check_supported(self, machine: StateMachine) -> None:
-        for vertex in machine.all_vertices():
-            if isinstance(vertex, Pseudostate) and not vertex.is_initial:
-                raise CodegenError(
-                    f"nested-switch cannot express pseudostate "
-                    f"{vertex.qualified_name} ({vertex.kind.value})")
-        for tr in machine.all_transitions():
-            src_region = tr.source.container
-            dst_region = tr.target.container
-            if src_region is not dst_region:
-                raise CodegenError(
-                    f"nested-switch requires region-local transitions; "
-                    f"{tr.describe()} crosses a region boundary")
-        for state in machine.all_states():
-            if len(state.regions) > 1:
-                raise CodegenError("orthogonal regions unsupported")
-        check_codegen_subset(machine)
-
     def _plan_region(self, cls_name: str, region: Region,
                      is_top: bool) -> _RegionPlan:
         plan = _RegionPlan(cls_name, region, is_top)
@@ -165,10 +143,15 @@ class NestedSwitchGenerator(CodeGenerator):
                     f"sub_{state.name}", PointerType(ClassRefType(sub_cls))))
         if plan.is_top:
             cls.methods.append(self._gen_init(plan))
-            cls.methods.append(self._gen_dispatch(plan))
+            cls.methods.append(dispatch_method(
+                lambda ev: cpp.MethodCall(cpp.ThisExpr(), plan.cls_name,
+                                          "step", (ev,))))
             cls.methods.append(self._gen_step(plan))
             cls.methods.append(self._gen_completions(plan))
-            cls.methods.append(self._gen_is_final(plan))
+            cls.methods.append(is_final_method(
+                cpp.Binary("==", cpp.FieldAccess(cpp.ThisExpr(), "state"),
+                           cpp.EnumRef(plan.enum_name, FINAL_ENUMERATOR))
+                if plan.has_final else None))
         else:
             cls.methods.append(self._gen_reset(plan))
             cls.methods.append(self._gen_step(plan))
@@ -178,7 +161,7 @@ class NestedSwitchGenerator(CodeGenerator):
         # One global instance per submachine; the root instance is the
         # user's to define, but we emit one for benchmarks/examples.
         unit.globals.append(cpp.GlobalVar(
-            _instance_name(plan.cls_name), ClassRefType(plan.cls_name)))
+            instance_name(plan.cls_name), ClassRefType(plan.cls_name)))
 
     # -- sequences ---------------------------------------------------------
     def _entry_stmts(self, plan: _RegionPlan, state: State,
@@ -227,7 +210,7 @@ class NestedSwitchGenerator(CodeGenerator):
             if not plan.is_top:
                 body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "done"),
                                     cpp.IntLit(1)))
-        else:  # pragma: no cover - rejected in _check_supported
+        else:  # pragma: no cover - rejected by check_region_local
             raise CodegenError(f"cannot enter {target!r}")
 
     def _transition_arm(self, plan: _RegionPlan, source: State,
@@ -244,21 +227,10 @@ class NestedSwitchGenerator(CodeGenerator):
             body.add(cpp.ExprStmt(cpp.MethodCall(
                 cpp.ThisExpr(), plan.cls_name, "completions")))
 
-    def _guarded(self, plan: _RegionPlan, tr: Transition,
-                 inner: cpp.Block) -> cpp.Stmt:
-        if tr.guard is None:
-            return inner
-        return cpp.If(guard_to_cpp(tr.guard, self._holder(plan)), inner)
-
     # -- methods -------------------------------------------------------------
     def _gen_init(self, plan: _RegionPlan) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.IntLit(NO_EVENT)))
-        for name, init in self.machine.context.attributes.items():
-            body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), name),
-                                cpp.IntLit(init)))
-        self._wire_subs(plan, body, cpp.ThisExpr())
+        body = init_prelude(self.machine)
+        wire_submachines(plan, body, cpp.ThisExpr())
         initial = plan.region.initial
         if initial is None:
             raise CodegenError("top region has no initial pseudostate")
@@ -268,47 +240,6 @@ class NestedSwitchGenerator(CodeGenerator):
         body.add(cpp.ExprStmt(cpp.MethodCall(cpp.ThisExpr(), plan.cls_name,
                                              "completions")))
         return cpp.Method("init", [], VOID, body)
-
-    def _wire_subs(self, plan: _RegionPlan, body: cpp.Block,
-                   root_expr: cpp.Expr) -> None:
-        """Point every composite field at its submachine singleton and
-        every submachine's ``owner`` back at the root machine.
-
-        Wiring is static, so ``init`` performs it flatly over the whole
-        plan tree: the root's own fields go through ``this``, deeper
-        levels through the global singletons.
-        """
-        def wire(parent: _RegionPlan, parent_expr_factory) -> None:
-            for state in parent.states:
-                if not state.is_composite:
-                    continue
-                sub = parent.subplans[state.element_id]
-                instance = _instance_name(sub.cls_name)
-                body.add(cpp.Assign(
-                    cpp.FieldAccess(parent_expr_factory(),
-                                    f"sub_{state.name}"),
-                    cpp.AddrOf(cpp.Var(instance))))
-                body.add(cpp.Assign(
-                    cpp.FieldAccess(cpp.Var(instance), "owner"), root_expr))
-                wire(sub, lambda inst=instance: cpp.Var(inst))
-
-        wire(plan, cpp.ThisExpr)
-
-    def _gen_dispatch(self, plan: _RegionPlan) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.Var("ev")))
-        loop = cpp.While(cpp.Binary("!=",
-                                    cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                                    cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.VarDecl("e", INT,
-                                  cpp.FieldAccess(cpp.ThisExpr(), "pending")))
-        loop.body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                                 cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.ExprStmt(cpp.MethodCall(
-            cpp.ThisExpr(), plan.cls_name, "step", (cpp.Var("e"),))))
-        body.add(loop)
-        return cpp.Method("dispatch", [cpp.Param("ev", INT)], VOID, body)
 
     def _gen_step(self, plan: _RegionPlan) -> cpp.Method:
         outer = cpp.Switch(cpp.FieldAccess(cpp.ThisExpr(), "state"))
@@ -344,7 +275,8 @@ class NestedSwitchGenerator(CodeGenerator):
                     self._transition_arm(plan, state, tr, fire,
                                          completions_after=True)
                     fire.add(cpp.Return(cpp.IntLit(1)))
-                    case.body.add(self._guarded(plan, tr, fire))
+                    case.body.add(guarded(fire, tr.guard,
+                                          self._holder(plan)))
                 inner.cases.append(case)
             if inner.cases:
                 arm.body.add(inner)
@@ -373,43 +305,20 @@ class NestedSwitchGenerator(CodeGenerator):
                                               _state_enumerator(state.name))])
             for tr in completions:
                 fire = cpp.Block()
-                if state.is_composite:
-                    # A composite completes only when its region is done.
-                    sub_done = cpp.FieldAccess(
-                        cpp.FieldAccess(cpp.ThisExpr(), f"sub_{state.name}"),
-                        "done")
-                    inner_fire = cpp.Block()
-                    self._transition_arm(plan, state, tr, inner_fire,
-                                         completions_after=False)
-                    inner_fire.add(cpp.Assign(cpp.Var("again"),
-                                              cpp.IntLit(1)))
-                    guarded: cpp.Stmt = cpp.If(sub_done, inner_fire)
-                    if tr.guard is not None:
-                        guarded = cpp.If(
-                            cpp.Binary("&&", sub_done,
-                                       guard_to_cpp(tr.guard,
-                                                    self._holder(plan))),
-                            inner_fire)
-                    arm.body.add(guarded)
-                    continue
                 self._transition_arm(plan, state, tr, fire,
                                      completions_after=False)
                 fire.add(cpp.Assign(cpp.Var("again"), cpp.IntLit(1)))
-                arm.body.add(self._guarded(plan, tr, fire))
+                # A composite completes only when its region is done.
+                sub_done = cpp.FieldAccess(
+                    cpp.FieldAccess(cpp.ThisExpr(), f"sub_{state.name}"),
+                    "done") if state.is_composite else None
+                arm.body.add(guarded(fire, tr.guard, self._holder(plan),
+                                     sub_done))
             sw.cases.append(arm)
         if sw.cases:
             loop.body.add(sw)
             body.add(loop)
         return cpp.Method("completions", [], VOID, body)
-
-    def _gen_is_final(self, plan: _RegionPlan) -> cpp.Method:
-        value: cpp.Expr = cpp.IntLit(0)
-        if plan.has_final:
-            value = cpp.Binary("==",
-                               cpp.FieldAccess(cpp.ThisExpr(), "state"),
-                               cpp.EnumRef(plan.enum_name, FINAL_ENUMERATOR))
-        return cpp.Method("is_final", [], INT,
-                          cpp.Block([cpp.Return(value)]))
 
     # -- submachine-only methods ----------------------------------------------
     def _gen_reset(self, plan: _RegionPlan) -> cpp.Method:
@@ -431,7 +340,3 @@ class NestedSwitchGenerator(CodeGenerator):
             self._exit_stmts(plan, state, arm.body)
             sw.cases.append(arm)
         return cpp.Method("exit_all", [], VOID, cpp.Block([sw]))
-
-
-def _instance_name(cls_name: str) -> str:
-    return f"g_{cls_name}"

@@ -26,17 +26,16 @@ this pattern — only the model level can delete a state class.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..cpp import ast as cpp
 from ..cpp.types import INT, PointerType, ClassRefType, VOID
-from ..uml.statemachine import (FinalState, Pseudostate, Region, State,
-                                StateMachine)
+from ..uml.statemachine import FinalState, Region, State, StateMachine
 from ..uml.transitions import Transition, TransitionKind
-from .base import CodeGenerator, CodegenError, NO_EVENT, event_enumerator
-from .common import (attribute_fields, behavior_to_cpp,
-                     check_codegen_subset, event_enum_decl, extern_decls,
-                     guard_to_cpp)
+from .base import CodeGenerator, event_enumerator, instance_name
+from .common import (attribute_fields, behavior_to_cpp, check_region_local,
+                     dispatch_method, event_enum_decl, extern_decls, guarded,
+                     init_prelude, is_final_method, wire_submachines)
 
 __all__ = ["StatePatternGenerator"]
 
@@ -69,7 +68,7 @@ class StatePatternGenerator(CodeGenerator):
 
     def generate(self, machine: StateMachine) -> cpp.TranslationUnit:
         self.machine = machine
-        self._check_supported(machine)
+        check_region_local(machine, self.name)
         unit = cpp.TranslationUnit(f"{machine.name}_state_pattern")
         unit.enums.append(event_enum_decl(machine))
         unit.externs.extend(extern_decls(machine))
@@ -77,24 +76,6 @@ class StatePatternGenerator(CodeGenerator):
         top_plan = self._plan(self.root_cls, machine.regions[0], True)
         self._emit_postorder(unit, top_plan)
         return unit
-
-    def _check_supported(self, machine: StateMachine) -> None:
-        for vertex in machine.all_vertices():
-            if isinstance(vertex, Pseudostate) and not vertex.is_initial:
-                raise CodegenError(
-                    f"state-pattern cannot express pseudostate "
-                    f"{vertex.qualified_name} ({vertex.kind.value})")
-        for tr in machine.all_transitions():
-            if tr.source.container is not tr.target.container:
-                raise CodegenError(
-                    f"state-pattern requires region-local transitions; "
-                    f"{tr.describe()} crosses a region boundary")
-        for state in machine.all_states():
-            if len(state.regions) > 1:
-                raise CodegenError("orthogonal regions unsupported")
-        if len(machine.regions) != 1:
-            raise CodegenError("state-pattern needs one top region")
-        check_codegen_subset(machine)
 
     def _plan(self, cls_name: str, region: Region,
               is_top: bool) -> _MachinePlan:
@@ -161,7 +142,7 @@ class StatePatternGenerator(CodeGenerator):
         body.add(cpp.Assign(
             cpp.FieldAccess(cpp.Var("m"), "current"),
             cpp.Cast(PointerType(ClassRefType(plan.base_cls)),
-                     cpp.AddrOf(cpp.Var(_singleton(target_cls))))))
+                     cpp.AddrOf(cpp.Var(instance_name(target_cls))))))
 
     def _transition_body(self, plan: _MachinePlan, source: State,
                          tr: Transition) -> cpp.Block:
@@ -263,12 +244,9 @@ class StatePatternGenerator(CodeGenerator):
                 case = cpp.SwitchCase([cpp.EnumRef(
                     "Event", event_enumerator(event_name))])
                 for tr in trs:
-                    fire = self._transition_body(plan, state, tr)
-                    if tr.guard is None:
-                        case.body.add(fire)
-                    else:
-                        case.body.add(cpp.If(
-                            guard_to_cpp(tr.guard, holder), fire))
+                    case.body.add(guarded(
+                        self._transition_body(plan, state, tr), tr.guard,
+                        holder))
                 sw.cases.append(case)
             handle_body.add(sw)
         handle_body.add(cpp.Return(cpp.IntLit(0)))
@@ -281,31 +259,25 @@ class StatePatternGenerator(CodeGenerator):
         if completions:
             comp_body = cpp.Block()
             for tr in completions:
-                fire = self._transition_body(plan, state, tr)
-                cond: Optional[cpp.Expr] = None
-                if state.is_composite:
-                    cond = cpp.FieldAccess(
-                        cpp.FieldAccess(cpp.Var("m"), f"sub_{state.name}"),
-                        "done")
-                if tr.guard is not None:
-                    guard = guard_to_cpp(tr.guard, holder)
-                    cond = guard if cond is None else cpp.Binary("&&", cond,
-                                                                 guard)
-                comp_body.add(fire if cond is None else cpp.If(cond, fire))
+                sub_done = cpp.FieldAccess(
+                    cpp.FieldAccess(cpp.Var("m"), f"sub_{state.name}"),
+                    "done") if state.is_composite else None
+                comp_body.add(guarded(self._transition_body(plan, state, tr),
+                                      tr.guard, holder, sub_done))
             comp_body.add(cpp.Return(cpp.IntLit(0)))
             cls.methods.append(cpp.Method(
                 "completion", [m], INT, comp_body,
                 is_virtual=True, is_override=True))
         unit.classes.append(cls)
         unit.globals.append(cpp.GlobalVar(
-            _singleton(cls.name), ClassRefType(cls.name)))
+            instance_name(cls.name), ClassRefType(cls.name)))
 
     def _emit_final_class(self, unit: cpp.TranslationUnit,
                           plan: _MachinePlan) -> None:
         cls = cpp.ClassDecl(plan.final_cls, base=plan.base_cls)
         unit.classes.append(cls)
         unit.globals.append(cpp.GlobalVar(
-            _singleton(cls.name), ClassRefType(cls.name)))
+            instance_name(cls.name), ClassRefType(cls.name)))
 
     # -- machine class ----------------------------------------------------------
     def _emit_machine_class(self, unit: cpp.TranslationUnit,
@@ -329,8 +301,16 @@ class StatePatternGenerator(CodeGenerator):
 
         if plan.is_top:
             cls.methods.append(self._gen_init(plan))
-            cls.methods.append(self._gen_top_dispatch(plan))
-            cls.methods.append(self._gen_is_final(plan))
+            cls.methods.append(dispatch_method(
+                lambda ev: cpp.MethodCall(
+                    cpp.FieldAccess(cpp.ThisExpr(), "current"),
+                    plan.base_cls, "handle", (cpp.ThisExpr(), ev),
+                    virtual_dispatch=True)))
+            cls.methods.append(is_final_method(cpp.Binary(
+                "==",
+                cpp.Cast(INT, cpp.FieldAccess(cpp.ThisExpr(), "current")),
+                cpp.Cast(INT, cpp.AddrOf(cpp.Var(instance_name(
+                    plan.final_cls))))) if plan.has_final else None))
         else:
             cls.methods.append(self._gen_reset(plan))
             cls.methods.append(self._gen_sub_dispatch(plan))
@@ -338,7 +318,7 @@ class StatePatternGenerator(CodeGenerator):
         cls.methods.append(self._gen_run_completions(plan))
         unit.classes.append(cls)
         unit.globals.append(cpp.GlobalVar(
-            _singleton(plan.cls_name), ClassRefType(plan.cls_name)))
+            instance_name(plan.cls_name), ClassRefType(plan.cls_name)))
 
     def _initial_entry(self, plan: _MachinePlan, body: cpp.Block,
                        self_expr: Callable[[], cpp.Expr]) -> None:
@@ -357,7 +337,7 @@ class StatePatternGenerator(CodeGenerator):
             body.add(cpp.Assign(
                 cpp.FieldAccess(cpp.ThisExpr(), "current"),
                 cpp.Cast(PointerType(ClassRefType(plan.base_cls)),
-                         cpp.AddrOf(cpp.Var(_singleton(target_cls))))))
+                         cpp.AddrOf(cpp.Var(instance_name(target_cls))))))
             body.add(cpp.ExprStmt(cpp.MethodCall(
                 cpp.FieldAccess(cpp.ThisExpr(), "current"), plan.base_cls,
                 "entry", (self_expr(),), virtual_dispatch=True)))
@@ -365,7 +345,7 @@ class StatePatternGenerator(CodeGenerator):
             body.add(cpp.Assign(
                 cpp.FieldAccess(cpp.ThisExpr(), "current"),
                 cpp.Cast(PointerType(ClassRefType(plan.base_cls)),
-                         cpp.AddrOf(cpp.Var(_singleton(plan.final_cls))))))
+                         cpp.AddrOf(cpp.Var(instance_name(plan.final_cls))))))
             if not plan.is_top:
                 body.add(cpp.Assign(
                     cpp.FieldAccess(cpp.ThisExpr(), "done"), cpp.IntLit(1)))
@@ -373,50 +353,10 @@ class StatePatternGenerator(CodeGenerator):
             cpp.ThisExpr(), plan.cls_name, "run_completions")))
 
     def _gen_init(self, plan: _MachinePlan) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.IntLit(NO_EVENT)))
-        for name, init in self.machine.context.attributes.items():
-            body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), name),
-                                cpp.IntLit(init)))
-        self._wire(plan, body)
+        body = init_prelude(self.machine)
+        wire_submachines(plan, body, cpp.ThisExpr())
         self._initial_entry(plan, body, cpp.ThisExpr)
         return cpp.Method("init", [], VOID, body)
-
-    def _wire(self, plan: _MachinePlan, body: cpp.Block) -> None:
-        def wire(parent: _MachinePlan, parent_expr_factory) -> None:
-            for state in parent.states:
-                if not state.is_composite:
-                    continue
-                sub = parent.subplans[state.element_id]
-                instance = _singleton(sub.cls_name)
-                body.add(cpp.Assign(
-                    cpp.FieldAccess(parent_expr_factory(),
-                                    f"sub_{state.name}"),
-                    cpp.AddrOf(cpp.Var(instance))))
-                body.add(cpp.Assign(
-                    cpp.FieldAccess(cpp.Var(instance), "owner"),
-                    cpp.ThisExpr()))
-                wire(sub, lambda inst=instance: cpp.Var(inst))
-        wire(plan, cpp.ThisExpr)
-
-    def _gen_top_dispatch(self, plan: _MachinePlan) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.Var("ev")))
-        loop = cpp.While(cpp.Binary(
-            "!=", cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-            cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.VarDecl("e", INT,
-                                  cpp.FieldAccess(cpp.ThisExpr(), "pending")))
-        loop.body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                                 cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.ExprStmt(cpp.MethodCall(
-            cpp.FieldAccess(cpp.ThisExpr(), "current"), plan.base_cls,
-            "handle", (cpp.ThisExpr(), cpp.Var("e")),
-            virtual_dispatch=True)))
-        body.add(loop)
-        return cpp.Method("dispatch", [cpp.Param("ev", INT)], VOID, body)
 
     def _gen_sub_dispatch(self, plan: _MachinePlan) -> cpp.Method:
         body = cpp.Block([cpp.Return(cpp.MethodCall(
@@ -446,18 +386,3 @@ class StatePatternGenerator(CodeGenerator):
             cpp.FieldAccess(cpp.ThisExpr(), "current"), plan.base_cls,
             "exit_", (cpp.ThisExpr(),), virtual_dispatch=True))])
         return cpp.Method("exit_current", [], VOID, body)
-
-    def _gen_is_final(self, plan: _MachinePlan) -> cpp.Method:
-        if not plan.has_final:
-            return cpp.Method("is_final", [], INT,
-                              cpp.Block([cpp.Return(cpp.IntLit(0))]))
-        cmp = cpp.Binary(
-            "==",
-            cpp.Cast(INT, cpp.FieldAccess(cpp.ThisExpr(), "current")),
-            cpp.Cast(INT, cpp.AddrOf(cpp.Var(_singleton(plan.final_cls)))))
-        return cpp.Method("is_final", [], INT,
-                          cpp.Block([cpp.Return(cmp)]))
-
-
-def _singleton(cls_name: str) -> str:
-    return f"g_{cls_name}"

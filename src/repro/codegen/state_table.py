@@ -34,10 +34,11 @@ from ..cpp.types import (ArrayType, ClassRefType, FuncPtrType, INT,
                          PointerType, VOID)
 from ..uml.actions import Behavior
 from ..uml.statemachine import StateMachine
-from .base import COMPLETION_EVENT, CodeGenerator, NO_EVENT
+from .base import COMPLETION_EVENT, CodeGenerator, instance_name
 from .common import (attribute_fields, behavior_to_cpp,
-                     check_codegen_subset, event_enum_decl, event_index,
-                     extern_decls, guard_to_cpp)
+                     check_codegen_subset, dispatch_method, event_enum_decl,
+                     event_index, extern_decls, guard_to_cpp, init_prelude,
+                     is_final_method)
 from .flattening import FlatMachine, FlatTransition, flatten_machine
 
 __all__ = ["StateTableGenerator"]
@@ -81,7 +82,7 @@ class StateTableGenerator(CodeGenerator):
         unit.globals.append(self._pool_global())
         unit.globals.append(self._table_global(rows))
         unit.globals.append(cpp.GlobalVar(
-            f"g_{cls_name}", ClassRefType(cls_name)))
+            instance_name(cls_name), ClassRefType(cls_name)))
         return unit
 
     # ------------------------------------------------------------------
@@ -197,21 +198,22 @@ class StateTableGenerator(CodeGenerator):
         cls.fields.append(cpp.Field("pending", INT))
         cls.fields.extend(attribute_fields(self.machine))
         cls.methods.append(self._gen_init())
-        cls.methods.append(self._gen_dispatch())
+        cls.methods.append(dispatch_method(
+            lambda ev: cpp.MethodCall(cpp.ThisExpr(), self.cls_name, "step",
+                                      (ev,))))
         cls.methods.append(self._gen_run_actions())
         cls.methods.append(self._gen_scan())
         cls.methods.append(self._gen_step())
         cls.methods.append(self._gen_completions())
-        cls.methods.append(self._gen_is_final())
+        final = self.flat.top_final_leaf
+        cls.methods.append(is_final_method(
+            None if final is None else
+            cpp.Binary("==", cpp.FieldAccess(cpp.ThisExpr(), "state"),
+                       cpp.IntLit(final))))
         return cls
 
     def _gen_init(self) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.IntLit(NO_EVENT)))
-        for name, init in self.machine.context.attributes.items():
-            body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), name),
-                                cpp.IntLit(init)))
+        body = init_prelude(self.machine)
         start, count = self._init_slice
         if count:
             body.add(cpp.ExprStmt(cpp.MethodCall(
@@ -222,22 +224,6 @@ class StateTableGenerator(CodeGenerator):
         body.add(cpp.ExprStmt(cpp.MethodCall(
             cpp.ThisExpr(), self.cls_name, "completions")))
         return cpp.Method("init", [], VOID, body)
-
-    def _gen_dispatch(self) -> cpp.Method:
-        body = cpp.Block()
-        body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                            cpp.Var("ev")))
-        loop = cpp.While(cpp.Binary(
-            "!=", cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-            cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.VarDecl("e", INT,
-                                  cpp.FieldAccess(cpp.ThisExpr(), "pending")))
-        loop.body.add(cpp.Assign(cpp.FieldAccess(cpp.ThisExpr(), "pending"),
-                                 cpp.IntLit(NO_EVENT)))
-        loop.body.add(cpp.ExprStmt(cpp.MethodCall(
-            cpp.ThisExpr(), self.cls_name, "step", (cpp.Var("e"),))))
-        body.add(loop)
-        return cpp.Method("dispatch", [cpp.Param("ev", INT)], VOID, body)
 
     def _gen_run_actions(self) -> cpp.Method:
         """``run_actions(start, count)`` — call a pool slice in order."""
@@ -310,12 +296,3 @@ class StateTableGenerator(CodeGenerator):
         loop.body = cpp.Block()
         body.add(loop)
         return cpp.Method("completions", [], VOID, body)
-
-    def _gen_is_final(self) -> cpp.Method:
-        if self.flat.top_final_leaf is None:
-            return cpp.Method("is_final", [], INT,
-                              cpp.Block([cpp.Return(cpp.IntLit(0))]))
-        cmp = cpp.Binary("==", cpp.FieldAccess(cpp.ThisExpr(), "state"),
-                         cpp.IntLit(self.flat.top_final_leaf))
-        return cpp.Method("is_final", [], INT,
-                          cpp.Block([cpp.Return(cmp)]))

@@ -49,8 +49,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
+from ..codegen import generator_by_name
 from ..compiler import CompileResult, OptLevel
-from ..compiler.target import TargetDescription
+from ..compiler.target import TargetDescription, resolve_target
 from ..engine.fingerprint import compile_fingerprint
 from ..semantics.variation import (ConflictPolicy, EventPoolPolicy,
                                    SemanticsConfig, UML_DEFAULT_SEMANTICS,
@@ -60,7 +61,7 @@ from ..uml.statemachine import StateMachine
 
 __all__ = ["MAX_LINE_BYTES", "encode_message", "decode_message",
            "parse_opt_level", "semantics_to_dict", "semantics_from_dict",
-           "compile_params", "CompileJob", "job_from_params",
+           "compile_params", "CompileJob", "job_settings", "job_from_params",
            "compile_result_payload"]
 
 #: Stream limit for one JSON line (a serialized machine can be large).
@@ -167,16 +168,30 @@ class CompileJob:
                                    self.target, self.semantics)
 
 
+def job_settings(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Parse everything a ``compile``/``batch`` params object says about
+    its job but the machine: pattern, level, target and semantics, as
+    :class:`CompileJob` keywords.  Raises ``KeyError`` for an unknown
+    pattern or target and ``ValueError``, ``TypeError`` or
+    ``AttributeError`` for a malformed level or semantics.  The server
+    checks each job with it before admission, without deserializing a
+    machine."""
+    pattern = params.get("pattern", "nested-switch")
+    generator_by_name(pattern)
+    target = params.get("target")
+    resolve_target(target)
+    return {"pattern": pattern,
+            "level": parse_opt_level(params.get("level")),
+            "target": target,
+            "semantics": semantics_from_dict(params.get("semantics"))}
+
+
 def job_from_params(params: Dict[str, Any]) -> CompileJob:
     """Rebuild the compile job a ``compile``/``batch`` params object
-    describes (raises ``KeyError``/``ValueError`` on malformed input)."""
-    return CompileJob(
-        machine=machine_from_dict(params["machine"]),
-        pattern=params.get("pattern", "nested-switch"),
-        level=parse_opt_level(params.get("level")),
-        target=params.get("target"),
-        semantics=semantics_from_dict(params.get("semantics")),
-    )
+    describes (raises as :func:`job_settings` does, or on a malformed
+    machine)."""
+    return CompileJob(machine=machine_from_dict(params["machine"]),
+                      **job_settings(params))
 
 
 def compile_result_payload(job: CompileJob, result: CompileResult,

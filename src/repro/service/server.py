@@ -1,9 +1,12 @@
 """:class:`CompileService` — an asyncio JSON-lines compile server,
 scalable from one in-process engine to a multi-worker sharded cluster.
 
-Every compile goes through one path: the request is deduplicated and
-coalesced by its canonical digest, admitted to the bounded queue, and
-run in chunks on a :class:`~repro.service.workers.WorkerPool`.  The
+Every compile goes through one path: each job's pattern, level, target
+and semantics are checked (the machine is parsed by the worker), the
+request is deduplicated and coalesced by its canonical digest,
+admitted to the bounded queue, and run in chunks on a
+:class:`~repro.service.workers.WorkerPool`.  A batch with a bad job is
+refused whole, naming the job's index, before anything is queued.  The
 two execution modes differ only in what backs that pool:
 
 * **in-process** (default, ``workers=0``): one compile thread of this
@@ -61,7 +64,8 @@ from ..obs.trace import NOOP_SPAN, SpanContext, get_tracer
 from .batching import (dedup_params, params_digest, plan_chunks,
                        sort_for_locality)
 from .metrics import ServiceMetrics
-from .protocol import MAX_LINE_BYTES, decode_message, encode_message
+from .protocol import (MAX_LINE_BYTES, decode_message, encode_message,
+                       job_settings)
 from .workers import WorkerPool
 
 __all__ = ["BusyRejection", "CompileService", "start_service",
@@ -255,10 +259,14 @@ class CompileService:
 
     @staticmethod
     def _job_params(message: Dict[str, Any]) -> Dict[str, Any]:
+        """The job fields of *message*, once every field but the machine
+        parses (see :func:`~.protocol.job_settings`)."""
         if not isinstance(message, dict):
             raise ValueError("batch jobs must be objects")
-        return {key: message[key] for key in _JOB_PARAM_KEYS
-                if key in message}
+        params = {key: message[key] for key in _JOB_PARAM_KEYS
+                  if key in message}
+        job_settings(params)
+        return params
 
     # -- compile ------------------------------------------------------------
 
@@ -314,7 +322,13 @@ class CompileService:
         loop = asyncio.get_running_loop()
 
         def shape_batch():
-            cleaned = [self._job_params(params) for params in raw_jobs]
+            cleaned = []
+            for index, params in enumerate(raw_jobs):
+                try:
+                    cleaned.append(self._job_params(params))
+                except (AttributeError, KeyError, TypeError,
+                        ValueError) as exc:
+                    raise ValueError(f"job {index}: {exc}") from None
             order, unique = dedup_params(cleaned)
             # Near-duplicates adjacent, then contiguous chunks: one
             # machine family rides one chunk to one worker's warm unit

@@ -42,7 +42,8 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..codegen import CodeGenerator, generator_by_name
-from ..codegen.common import event_index
+from ..codegen.base import NO_EVENT, instance_name
+from ..codegen.common import dispatch_number
 from ..compiler.driver import OptLevel
 from ..compiler.frontend.lower import _UnitContext, lower_unit, mangle
 from ..compiler.gimple.ir import Program
@@ -61,8 +62,6 @@ _VM_EVENTS = REGISTRY.counter("vm_events_total",
                               "events dispatched on compiled-machine VMs")
 
 __all__ = ["CompiledProgram", "CompiledMachineVM", "VmMetrics"]
-
-_NO_EVENT = -1
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ class _Recorder:
         return hook
 
     def pending_hook(self, _addr: int, value: int) -> None:
-        if value == _NO_EVENT:
+        if value == NO_EVENT:
             return
         if self.expected_echo is not None and value == self.expected_echo:
             # dispatch() begins by storing its own argument into the
@@ -261,7 +260,7 @@ class CompiledMachineVM:
         self._dispatch_cycles: List[int] = []
         self._recorder = _Recorder(self.trace, program.event_names,
                                    program.state_enumerators)
-        self.this = self.vm.address_of(f"g_{self.cls_name}")
+        self.this = self.vm.address_of(instance_name(self.cls_name))
         self.vm.call_log = _TracingCallLog(self.trace)
         self._arm_watchpoints()
 
@@ -288,21 +287,20 @@ class CompiledMachineVM:
         """Inject one event (by name or Event object) and run it to
         completion on the simulator.
 
-        An event outside the machine's alphabet is dispatched as an
-        out-of-range index: the generated code has no enumerator for
-        it, but its dispatch loop handles any integer (jump-table
-        bounds checks, unmatched compare chains, table scans that find
-        no row), so the simulator charges the *real* cost of receiving
-        an event the machine ignores.  Observably it is discarded —
-        what the reference semantics does with an event nothing can
-        consume.  (This is how an optimized machine that dropped unused
-        events is exercised on the *original* machine's scenarios,
-        mirroring :func:`repro.optim.equivalence.check_equivalence`.)"""
+        An event outside the machine's alphabet is dispatched as one
+        past the alphabet (:func:`~repro.codegen.common.dispatch_number`):
+        the generated code has no enumerator for it, but its dispatch
+        loop handles any integer (jump-table bounds checks, unmatched
+        compare chains, table scans that find no row), so the simulator
+        charges the *real* cost of receiving an event the machine
+        ignores.  Observably it is discarded — what the reference
+        semantics does with an event nothing can consume.  (This is how
+        an optimized machine that dropped unused events is exercised on
+        the *original* machine's scenarios, mirroring
+        :func:`repro.optim.equivalence.check_equivalence`.)"""
         name = getattr(event, "name", None) or str(event)
-        if name in self.program.event_names:
-            index = event_index(self.model, name)
-        else:
-            index = len(self.program.event_names)   # matches no arm
+        index = dispatch_number(self.model, name)
+        if index == len(self.program.event_names):
             self.trace.append(TraceKind.EVENT_DROPPED, name,
                               "no-alphabet")
         self.trace.append(TraceKind.EVENT_DISPATCH, name)

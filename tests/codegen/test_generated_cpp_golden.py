@@ -1,7 +1,8 @@
 """Golden-shape tests on the printed C++ of each generator.
 
-Not byte-for-byte golden files (those rot), but structural pins on the
-paper-relevant features of each pattern's output.
+Structural pins on the paper-relevant features of each pattern's
+output, readable where a digest is not; ``test_source_golden.py`` pins
+every unit byte for byte.
 """
 
 from repro.codegen import (NestedSwitchGenerator, StatePatternGenerator,

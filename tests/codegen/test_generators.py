@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.codegen import (ALL_GENERATORS, CodegenError,
+from repro.codegen import (ALL_GENERATORS, ALL_PATTERNS, CodegenError,
                            NestedSwitchGenerator, StatePatternGenerator,
                            StateTableGenerator, generator_by_name)
 from repro.codegen.harness import (GeneratedMachine,
@@ -15,6 +15,7 @@ from repro.cpp import print_unit
 from repro.experiments.models import (
     flat_machine_with_unreachable_state,
     hierarchical_machine_with_shadowed_composite)
+from repro.optim import make_scenarios, optimize
 from repro.uml import Assign, StateMachineBuilder, calls, parse_expr
 
 GEN_IDS = [g.name for g in ALL_GENERATORS]
@@ -116,6 +117,28 @@ class TestDifferentialBehavior:
         gm = GeneratedMachine(machine, gen_cls())
         gm.send_all(["add", "add"])
         assert gm.read_attribute("total") == 9
+
+
+@pytest.mark.parametrize("level", [OptLevel.O0, OptLevel.OS],
+                         ids=lambda level: level.value)
+@pytest.mark.parametrize("gen_cls", ALL_PATTERNS,
+                         ids=[g.name for g in ALL_PATTERNS])
+@pytest.mark.parametrize("make_machine", [
+    flat_machine_with_unreachable_state,
+    hierarchical_machine_with_shadowed_composite], ids=["flat", "hier"])
+def test_optimized_clone_replays_the_original_scenarios(make_machine,
+                                                        gen_cls, level):
+    """Model optimization drops events nothing consumes (``e2`` of Fig. 1
+    flat); generated code for the optimized clone discards them, as the
+    model does, so it replays the original machine's scenarios."""
+    original = make_machine()
+    optimized = optimize(original).optimized
+    assert len(optimized.events) < len(original.events)
+    for events in make_scenarios(original):
+        gm = GeneratedMachine(optimized, gen_cls(), level=level)
+        gm.send_all(events)
+        assert gm.calls == observable_calls_of_model(original, events), \
+            events
 
 
 class TestPatternStructure:
